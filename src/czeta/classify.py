@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BoundaryParameter, ExcludedParameter, SingularParameter
+from .errors import (
+    BoundaryParameter,
+    ExcludedParameter,
+    SingularParameter,
+    VerificationError,
+)
 from .zeta import CoulombParams
 
 
@@ -85,27 +90,35 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
 def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassification:
     """Count the complex-conjugate zero pairs of the Coulomb wave function.
 
-    Signs of D_{n-1} D_n are taken from the closed product for n = 0..nmax.
-    In auto mode nmax = max(ceil(-L) + 2, 3), which covers every possible
-    negative sign (they require 2L+2n+3 < 0) with a margin of at least two;
-    the trailing margin is asserted positive.
+    The sign of D_{n-1} D_n for n = 0..nmax is read off the factors of its
+    closed product (see ``dd_product_closed``), which is never evaluated:
+    every power base^(4k+4) and (1 + eta^2/shift^2)^(2k+3) is positive, so
+    the sign is that of 2L+2n+3.  The factor sets are nested in n, so each
+    factor is checked for zero once, at the n where it first appears, and a
+    zero raises the same SingularParameter as the closed product.  In auto
+    mode nmax = max(ceil(-L) + 2, 3), which covers every possible negative
+    sign (they require 2L+2n+3 < 0) with a margin of at least two; the
+    trailing margin must be positive, and the negative count is checked
+    against floor(-L-1/2).
     """
     _validate_for_classification(params)
-    L = params.L
+    L, eta = params.L, params.eta
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
     if not isinstance(nmax, int) or nmax < 0:
         raise ExcludedParameter(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
 
+    # factors times the denominator q > 0 of L: integers with the same signs
+    p, q = L.numerator, L.denominator
     signs = []
     for n in range(nmax + 1):
-        value = dd_product_closed(params, n)
-        sign = 1 if value > 0 else (-1 if value < 0 else 0)
-        assert sign != 0, f"D_(n-1)D_n vanished at n = {n}; parameters escaped validation"
-        assert sign == (1 if 2 * L + 2 * n + 3 > 0 else -1), (
-            f"sign of D_(n-1)D_n differs from sign(2L+2n+3) at n = {n}"
-        )
-        signs.append(sign)
+        # the factors new at n; those of the product at n - 1 were checked there
+        lead = 2 * p + (2 * n + 3) * q
+        if lead == 0:
+            raise SingularParameter(f"2L+2n+3 = 0 at L = {L}, n = {n}")
+        if eta != 0 and p + (n + 1) * q == 0:
+            raise SingularParameter(f"L+n+1 = 0 at L = {L}, n = {n}")
+        signs.append(1 if lead > 0 else -1)
     m = signs.count(-1)
 
     # the negatives all sit at the front: n < -L - 3/2
@@ -115,9 +128,10 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
         )
     if L < Fraction(-3, 2):
         expected = math.floor(-L - Fraction(1, 2))
-        assert m == expected, f"negative count {m} != floor(-L-1/2) = {expected}"
-    elif L > Fraction(-3, 2):
-        assert m == 0, f"expected all-positive signs for L = {L} > -3/2, got m = {m}"
+        if m != expected:
+            raise VerificationError(f"negative count {m} != floor(-L-1/2) = {expected}")
+    elif L > Fraction(-3, 2) and m != 0:
+        raise VerificationError(f"expected all-positive signs for L = {L} > -3/2, got m = {m}")
     return ZeroClassification(
         params=params, pair_count=m, sign_sequence=tuple(signs), all_real=(m == 0)
     )
@@ -143,7 +157,8 @@ def hurwitz_counts(nu: Fraction | int) -> HurwitzCount:
         m = math.floor(-nu)  # nu in (-m-1, -m), m >= 1
         count, imaginary = 2 * m, m % 2 == 1
     pairs = classify(CoulombParams(nu - Fraction(1, 2), Fraction(0))).pair_count
-    assert count == 2 * pairs, (
-        f"trichotomy count {count} != 2 * classifier pairs {2 * pairs} at nu = {nu}"
-    )
+    if count != 2 * pairs:
+        raise VerificationError(
+            f"trichotomy count {count} != 2 * classifier pairs {2 * pairs} at nu = {nu}"
+        )
     return HurwitzCount(complex_zeros=count, imaginary_pair=imaginary)

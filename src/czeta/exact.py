@@ -42,7 +42,10 @@ class ExactMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
+        # tuples are built from lists, not generators: CPython grows a tuple from
+        # a generator by resizing, and keeps each resized tuple in its free list
+        # for that length, so repeated calls hold more memory every time
+        rows = tuple([tuple([Fraction(e) for e in row]) for row in self.entries])
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")
         n = len(rows)
@@ -60,7 +63,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Fraction | int]]) -> "ExactMatrix":
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -72,17 +75,30 @@ class ExactMatrix:
 def det_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant by Bareiss fraction-free elimination.
 
-    The matrix is scaled to integers by the lcm of all denominators, reduced
-    with integer-exact Bareiss pivoting, and the scaling is divided back out.
-    Intermediate entries stay integral, which keeps the bignum sizes bounded
-    compared to naive rational elimination.
+    Each row is scaled to integers by the lcm of its own denominators, and
+    each column of the result is divided by the gcd of its integers (its
+    content); an all-zero column gives 0 at once.  Integer-exact Bareiss
+    pivoting reduces that matrix, and the determinant is its last pivot times
+    the column contents over the row scales.  No entry is widened to the
+    worst denominator of the whole matrix, and intermediate entries stay
+    integral.
     """
     n = m.dim
-    scale = 1
+    a = []
+    row_scales = 1
     for row in m.entries:
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    a = [[int(e * scale) for e in row] for row in m.entries]
+        scale = math.lcm(*[e.denominator for e in row])
+        row_scales *= scale
+        a.append([e.numerator * (scale // e.denominator) for e in row])
+    contents = 1
+    for j in range(n):
+        g = math.gcd(*[row[j] for row in a])
+        if g == 0:
+            return Fraction(0)
+        if g != 1:
+            contents *= g
+            for row in a:
+                row[j] //= g
 
     sign = 1
     prev = 1
@@ -100,7 +116,7 @@ def det_exact(m: ExactMatrix) -> Fraction:
                 # exact by Bareiss' identity: prev divides the cross term
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale**n)
+    return Fraction(sign * a[n - 1][n - 1] * contents, row_scales)
 
 
 def diag_scale(m: ExactMatrix, alpha: Fraction | int) -> ExactMatrix:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ContourTooClose, NoConvergence, SingularB
+from .errors import ContourTooClose, NoConvergence, SingularB, VerificationError
 
 _SERIES_CAP = 500
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
@@ -397,10 +397,11 @@ def find_complex_zeros(
                 continue
         stack.extend(_split_cell(series, cell, count, tol))
 
-    assert len(found) + len(unresolved) == total, (
-        f"isolated {len(found)} zeros (+{len(unresolved)} unresolved) but the "
-        f"winding count over {region} is {total}"
-    )
+    if len(found) + len(unresolved) != total:
+        raise VerificationError(
+            f"isolated {len(found)} zeros (+{len(unresolved)} unresolved) but the "
+            f"winding count over {region} is {total}"
+        )
 
     # fold lower half-plane finds onto their conjugate representatives
     folded = [z.conjugate() if z.imag < -_REAL_AXIS_TOL else z for z in found]

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .errors import SingularParameter
+from .errors import SingularParameter, VerificationError
 
 
 def _is_neg_half_integer_general(L: Fraction) -> bool:
@@ -91,14 +91,24 @@ def zeta_base(params: CoulombParams) -> Fraction:
 
 @dataclass
 class ZetaTable:
-    """Memoized zeta_L(2..kmax) for fixed (L, eta); grows monotonically."""
+    """Memoized zeta_L(2..kmax) for fixed (L, eta); grows monotonically.
+
+    Beside the values the table keeps their running common denominator M (the
+    lcm of every denominator so far) and the integer numerators
+    N_j = zeta_L(j+2) * M, so the convolution sums integer products and each
+    new value costs one reduction instead of one per term.
+    """
 
     params: CoulombParams
     _values: list[Fraction] = field(default_factory=list)  # _values[i] = zeta(i+2)
+    _den: int = field(init=False, repr=False, compare=False)  # M
+    _nums: list[int] = field(init=False, repr=False, compare=False)  # _nums[i] = N_i
 
     def __post_init__(self):
         if not self._values:
             self._values.append(zeta_base(self.params))
+        self._den = lcm(*[v.denominator for v in self._values])
+        self._nums = [v.numerator * (self._den // v.denominator) for v in self._values]
 
     @property
     def kmax(self) -> int:
@@ -116,23 +126,41 @@ class ZetaTable:
 
     def extend_to(self, kmax: int) -> "ZetaTable":
         L, eta = self.params.L, self.params.eta
-        z = self._values
+        z, nums = self._values, self._nums
+        # zeta(k+1) = (drift * zeta(k) + conv) / (2L+k+2), drift = 2 eta/(L+1) = a/b;
+        # over the common denominator b M^2 this is one integer numerator
+        drift = 2 * eta / (L + 1) if eta != 0 else Fraction(0)
+        a, b = drift.numerator, drift.denominator
         while len(z) + 1 < kmax:
             k = len(z) + 1  # producing zeta(k+1)
-            num = Fraction(0)
-            if eta != 0:
-                num += 2 * eta / (L + 1) * z[k - 2]
-            for l in range(1, k - 1):
-                num += z[l - 1] * z[k - l - 2]
+            M = self._den
+            # the convolution sum_{i+j=k-3} N_i N_j is symmetric: twice the half
+            # plus the middle square when k-3 is even
+            last = k - 3
+            conv = 0
+            for i in range((last + 1) // 2):
+                conv += nums[i] * nums[last - i]
+            conv *= 2
+            if last >= 0 and last % 2 == 0:
+                conv += nums[last // 2] ** 2
+            num = b * conv + a * nums[k - 2] * M
             den = 2 * L + k + 2
             if den == 0:
                 # only reachable at eta = 0 with negative integer L, where the
                 # target index k+1 is odd and the value is 0 by evenness
                 if eta == 0 and num == 0 and (k + 1) % 2 == 1:
                     z.append(Fraction(0))
+                    nums.append(0)
                     continue
                 raise SingularParameter(f"2L+k+2 = 0 at L = {L}, k = {k}")
-            z.append(num / den)
+            value = Fraction(num * den.denominator, b * M * M * den.numerator)
+            d = value.denominator
+            if M % d:
+                grow = d // gcd(M, d)
+                nums[:] = [x * grow for x in nums]
+                M = self._den = M * grow
+            z.append(value)
+            nums.append(value.numerator * (M // d))
         return self
 
 
@@ -182,5 +210,6 @@ def genocchi(n: int) -> Fraction:
     alt = (-1) ** n * factorial(2 * n) * Fraction(2) ** (2 - 2 * n) * rayleigh(
         Fraction(-1, 2), n
     )
-    assert g == alt, f"Genocchi bridge mismatch at n = {n}: {g} != {alt}"
+    if g != alt:
+        raise VerificationError(f"Genocchi bridge mismatch at n = {n}: {g} != {alt}")
     return g

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from czeta.classify import classify, dd_product_closed, hurwitz_counts
-from czeta.errors import BoundaryParameter, ExcludedParameter
+from czeta.errors import BoundaryParameter, ExcludedParameter, VerificationError
 from czeta.exact import det_exact
 from czeta.hankel import build_coulomb_hankel
 from czeta.zeta import CoulombParams, zeta_base
@@ -33,6 +33,16 @@ def test_dd_product_equals_determinant_product(L, eta):
     for n in range(6):
         direct = (dets[n] if n >= 1 else F(1)) * dets[n + 1]
         assert dd_product_closed(p, n) == direct
+
+
+@pytest.mark.parametrize("L", [F(-181, 4), F(-137, 3), F(-41, 4)])
+@pytest.mark.parametrize("eta", [F(0), F(1, 2), F(11, 4)])
+def test_classify_signs_match_the_closed_product(L, eta):
+    # classify reads the signs off the factors without evaluating the product
+    p = CoulombParams(L, eta)
+    result = classify(p)
+    closed = [dd_product_closed(p, n) for n in range(len(result.sign_sequence))]
+    assert result.sign_sequence == tuple((v > 0) - (v < 0) for v in closed)
 
 
 @pytest.mark.parametrize("L", L_GRID + [F(-7, 4), F(-11, 4), F(-15, 4)])
@@ -115,6 +125,23 @@ def test_hurwitz_agrees_with_classifier_on_grid():
         counts = hurwitz_counts(nu)
         pairs = classify(CoulombParams(nu - F(1, 2), 0)).pair_count
         assert counts.complex_zeros == 2 * pairs
+
+
+def test_hurwitz_raises_when_the_classifier_disagrees(monkeypatch):
+    import dataclasses
+    import sys
+
+    # the package re-exports the function under the module's name
+    module = sys.modules[hurwitz_counts.__module__]
+    real = module.classify
+
+    def off_by_one(params, nmax="auto"):
+        result = real(params, nmax)
+        return dataclasses.replace(result, pair_count=result.pair_count + 1)
+
+    monkeypatch.setattr(module, "classify", off_by_one)
+    with pytest.raises(VerificationError):
+        hurwitz_counts(F(-5, 2))
 
 
 def test_hurwitz_boundary_refusals():

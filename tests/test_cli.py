@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,18 @@ def test_verify_all_quick_json(capsys):
     assert payload["verification"]["all_passed"] is True
     names = {fam["name"] for fam in payload["results"]["families"]}
     assert {"coulomb-hankel", "zeros", "hurwitz"} <= names
+
+
+def test_verify_all_quick_keeps_its_checks_under_python_O():
+    # -O strips assert statements; every identity check must be a raise instead
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "czeta.cli", "--format", "json", "verify-all", "--quick"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verification"]["all_passed"] is True
 
 
 def test_verify_all_failure_exits_2(capsys, monkeypatch):

@@ -42,13 +42,27 @@ def test_det_needs_pivoting():
 def test_det_singular():
     m = ExactMatrix.from_rows([[1, 2], [2, 4]])
     assert det_exact(m) == 0
+    # an all-zero column: the determinant is 0 before any elimination
+    m = ExactMatrix.from_rows([[F(1, 3), 0, 5], [F(-2, 7), 0, 1], [4, 0, F(9, 2)]])
+    assert det_exact(m) == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_leibniz(n):
     rng = random.Random(1000 + n)
     for _ in range(6):
         rows = rational_matrix(rng, n)
+        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+    for _ in range(3):
+        # columns with a common integer content, negative entries included
+        contents = [rng.choice([-12, -3, 2, 6, 35]) for _ in range(n)]
+        rows = [[c * rng.randint(-9, 9) for c in contents] for _ in range(n)]
+        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+        # row denominators that differ by orders of magnitude
+        rows = [
+            [F(rng.randint(-9, 9), rng.randint(1, 9) * 10 ** (4 * i)) for _ in range(n)]
+            for i in range(n)
+        ]
         assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
 
 

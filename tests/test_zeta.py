@@ -67,6 +67,18 @@ def test_table_is_memoized_and_monotone():
     assert t.kmax == 10
 
 
+@pytest.mark.parametrize(
+    "L, eta",
+    [(0, 1), (-2, 0), (-5, 0)],  # at eta = 0 the negative integers pass the 0/0 branch
+)
+def test_table_grown_in_steps_equals_one_call(L, eta):
+    p = CoulombParams(L, eta)
+    stepped = zeta_table(p, 4)
+    for kmax in (10, 60):
+        zeta_extend(stepped, kmax)
+    assert stepped.values() == zeta_table(p, 60).values()
+
+
 def test_rayleigh_against_closed_formulas():
     for nu in [F(1, 2), F(1), F(5, 2), F(4), F(-1, 2), F(7, 3), F(-4, 3)]:
         assert rayleigh(nu, 1) == sigma2_closed(nu)
