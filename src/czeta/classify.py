@@ -27,6 +27,7 @@ from .errors import (
     SingularParameter,
     VerificationError,
 )
+from .hankel import _closed_product
 from .zeta import CoulombParams
 
 
@@ -74,17 +75,7 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
         if shift == 0:
             raise SingularParameter(f"L+n+1 = 0 at L = {L}, n = {n}")
         out *= 1 + (eta / shift) ** 2
-    for k in range(n):
-        base = 2 * L + 2 * n - 2 * k + 1
-        if base == 0:
-            raise SingularParameter(f"2L+2n-2k+1 = 0 at L = {L}, n = {n}, k = {k}")
-        out /= base ** (4 * k + 4)
-        if eta != 0:
-            shift = L + n - k
-            if shift == 0:
-                raise SingularParameter(f"L+n-k = 0 at L = {L}, n = {n}, k = {k}")
-            out *= (1 + (eta / shift) ** 2) ** (2 * k + 3)
-    return out
+    return out * _closed_product(L, eta, n, lambda k: 4 * k + 4, lambda k: 2 * k + 3)
 
 
 def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassification:

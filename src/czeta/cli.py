@@ -18,18 +18,12 @@ from dataclasses import asdict, dataclass, field
 
 from .classify import classify
 from .errors import ParameterError, VerificationError
-from .exact import det_exact, format_rational, parse_rational
+from .exact import format_rational, parse_rational
 from .hankel import (
     bernoulli_hankel_det,
-    build_coulomb_hankel,
-    build_rayleigh_hankel,
-    det_coulomb_closed,
-    det_coulomb_via_moments,
-    det_rayleigh_closed,
-    det_rayleigh_dj,
-    det_rayleigh_ell2,
-    det_rayleigh_ell3,
+    coulomb_routes,
     genocchi_hankel_det,
+    rayleigh_routes,
 )
 from .numeric import Rect, default_search_region, find_complex_zeros
 from .verify import run_verification
@@ -116,23 +110,18 @@ def _cmd_hankel_det(args) -> tuple[OutputRecord, int]:
     params = CoulombParams(parse_rational(args.L), parse_rational(args.eta))
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
-    direct = det_exact(build_coulomb_hankel(params, args.n).matrix)
+    routes = coulomb_routes(params, args.n, None if args.verify else ("direct",))
+    direct = routes.pop("direct")
     record = OutputRecord(
         command="hankel-det",
         parameters={"L": str(params.L), "eta": str(params.eta), "n": args.n},
         results={"det": format_rational(direct)},
     )
-    code = 0
+    record.results.update((name, format_rational(value)) for name, value in routes.items())
+    equal = all(value == direct for value in routes.values())
     if args.verify:
-        closed = det_coulomb_closed(params, args.n)
-        moments = det_coulomb_via_moments(params, args.n)
-        record.results["closed"] = format_rational(closed)
-        record.results["moments"] = format_rational(moments)
-        equal = direct == closed == moments
         record.verification = {"routes_equal": equal}
-        if not equal:
-            code = 2
-    return record, code
+    return record, 0 if equal else 2
 
 
 def _cmd_rayleigh_det(args) -> tuple[OutputRecord, int]:
@@ -141,35 +130,25 @@ def _cmd_rayleigh_det(args) -> tuple[OutputRecord, int]:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     if args.ell < 0:
         raise ParameterError(f"--ell must be >= 0, got {args.ell}")
-    if args.method == "direct":
-        value = det_exact(build_rayleigh_hankel(nu, args.ell, args.n).matrix)
-    elif args.method == "dj":
-        value = det_rayleigh_dj(nu, args.ell, args.n)
-    else:  # closed
-        if args.ell in (0, 1):
-            value = det_rayleigh_closed(nu, args.ell, args.n)
-        elif args.ell == 2:
-            value = det_rayleigh_ell2(nu, args.n)
-        elif args.ell == 3:
-            value = det_rayleigh_ell3(nu, args.n)
-        else:
-            raise ParameterError(
-                f"no closed form for ell = {args.ell}; use --method direct or dj"
-            )
+    route = {"dj": "desnanot-jacobi"}.get(args.method, args.method)
+    values = rayleigh_routes(nu, args.ell, args.n, (route,))
+    if route not in values:
+        raise ParameterError(f"no closed form for ell = {args.ell}; use --method direct or dj")
     record = OutputRecord(
         command="rayleigh-det",
         parameters={"nu": str(nu), "ell": args.ell, "n": args.n, "method": args.method},
-        results={"det": format_rational(value)},
+        results={"det": format_rational(values[route])},
     )
     return record, 0
 
 
-def _cmd_factorial_det(args, name, fn) -> tuple[OutputRecord, int]:
+def _cmd_factorial_det(args) -> tuple[OutputRecord, int]:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
+    fn = bernoulli_hankel_det if args.subcommand == "bernoulli-det" else genocchi_hankel_det
     value = fn(args.ell, args.n)  # VerificationError -> exit 2 in main()
     record = OutputRecord(
-        command=name,
+        command=args.subcommand,
         parameters={"ell": args.ell, "n": args.n},
         results={"det": format_rational(value)},
         verification={"closed_form_equal": True},
@@ -200,8 +179,8 @@ def _cmd_classify(args) -> tuple[OutputRecord, int]:
 
 
 def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
-    if args.tol <= 0:
-        raise ParameterError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < float("inf"):
+        raise ParameterError(f"--tol must be positive and finite, got {args.tol}")
     bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(b is not None for b in bounds):
         if any(b is None for b in bounds):
@@ -312,6 +291,8 @@ _HANDLERS = {
     "zeta": _cmd_zeta,
     "hankel-det": _cmd_hankel_det,
     "rayleigh-det": _cmd_rayleigh_det,
+    "bernoulli-det": _cmd_factorial_det,
+    "genocchi-det": _cmd_factorial_det,
     "classify": _cmd_classify,
     "find-zeros": _cmd_find_zeros,
     "verify-all": _cmd_verify_all,
@@ -322,12 +303,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "bernoulli-det":
-            record, code = _cmd_factorial_det(args, "bernoulli-det", bernoulli_hankel_det)
-        elif args.subcommand == "genocchi-det":
-            record, code = _cmd_factorial_det(args, "genocchi-det", genocchi_hankel_det)
-        else:
-            record, code = _HANDLERS[args.subcommand](args)
+        record, code = _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,9 @@ Every closed formula here is a standalone evaluator, and the public
 determinant entry points (`coulomb_hankel_det`, `rayleigh_hankel_det`) always
 return the direct fraction-free determinant, optionally cross-checking it
 against the closed routes.  Formulas never silently replace computation.
+
+Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`;
+the `verify=True` checks, the CLI and `verify-all` all evaluate them there.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateRecursion, SingularParameter, UnsupportedEll, VerificationError
 from .exact import ExactMatrix, det_exact
-from .zeta import CoulombParams, bernoulli, genocchi, zeta_table
+from .zeta import CoulombParams, _check_nu, bernoulli, genocchi, zeta_table
 
 
 @dataclass(frozen=True)
@@ -67,24 +70,40 @@ class RecurrenceCoeffs:
         return self._b[n]
 
 
-def _check_nu(nu: Fraction) -> Fraction:
-    nu = Fraction(nu)
-    if nu.denominator == 1 and nu.numerator <= -1:
-        raise SingularParameter(f"nu = {nu} on excluded set -N")
-    return nu
-
-
 def _check_n(n: int) -> None:
     if n < 1:
         raise SingularParameter(f"matrix dimension must be >= 1, got {n}")
+
+
+def _hankel(moments: list[Fraction], n: int) -> ExactMatrix:
+    """The n x n Hankel matrix with entry (i, j) = moments[i + j]."""
+    return ExactMatrix.from_rows([[moments[i + j] for j in range(n)] for i in range(n)])
 
 
 def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
     """Fill the matrix from one zeta table extended through zeta_L(2n)."""
     _check_n(n)
     table = zeta_table(params, 2 * n)
-    rows = [[table.value(i + j + 2) for j in range(n)] for i in range(n)]
-    return CoulombHankel(params, n, ExactMatrix.from_rows(rows))
+    return CoulombHankel(params, n, _hankel([table.value(k) for k in range(2, 2 * n + 1)], n))
+
+
+def _closed_product(L: Fraction, eta: Fraction, n: int, base_exp, shift_exp) -> Fraction:
+    """prod_{k=0}^{n-1} (2L+2n-2k+1)^-base_exp(k) * (1 + eta^2/(L+n-k)^2)^shift_exp(k),
+
+    the eta factors dropped when eta = 0; shared by the determinant and D_{n-1} D_n.
+    """
+    out = Fraction(1)
+    for k in range(n):
+        base = 2 * L + 2 * n - 2 * k + 1
+        if base == 0:
+            raise SingularParameter(f"2L+2n-2k+1 = 0 at L = {L}, n = {n}, k = {k}")
+        out /= base ** base_exp(k)
+        if eta != 0:
+            shift = L + n - k
+            if shift == 0:
+                raise SingularParameter(f"L+n-k = 0 at L = {L}, n = {n}, k = {k}")
+            out *= (1 + (eta / shift) ** 2) ** shift_exp(k)
+    return out
 
 
 def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
@@ -94,19 +113,7 @@ def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
     """
     _check_n(n)
     params.validate()
-    L, eta = params.L, params.eta
-    out = Fraction(1)
-    for k in range(n):
-        base = 2 * L + 2 * n - 2 * k + 1
-        if base == 0:
-            raise SingularParameter(f"2L+2n-2k+1 = 0 at L = {L}, n = {n}, k = {k}")
-        out /= base ** (2 * k + 1)
-        if eta != 0:
-            shift = L + n - k
-            if shift == 0:
-                raise SingularParameter(f"L+n-k = 0 at L = {L}, n = {n}, k = {k}")
-            out *= (1 + (eta / shift) ** 2) ** (k + 1)
-    return out
+    return _closed_product(params.L, params.eta, n, lambda k: 2 * k + 1, lambda k: k + 1)
 
 
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
@@ -155,24 +162,6 @@ def det_coulomb_via_moments(params: CoulombParams, n: int) -> Fraction:
     return out
 
 
-def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> Fraction:
-    """Direct determinant of the zeta Hankel matrix.
-
-    With verify=True the closed product and the moment route are evaluated as
-    well and a mismatch raises VerificationError.
-    """
-    direct = det_exact(build_coulomb_hankel(params, n).matrix)
-    if verify:
-        closed = det_coulomb_closed(params, n)
-        moments = det_coulomb_via_moments(params, n)
-        if not (direct == closed == moments):
-            raise VerificationError(
-                f"determinant routes disagree at (L={params.L}, eta={params.eta}, "
-                f"n={n}): direct={direct}, closed={closed}, moments={moments}"
-            )
-    return direct
-
-
 def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHankel:
     """Hankel matrix of Rayleigh values sigma_{2*ell+2}(nu) .. sigma_{4n+2*ell-2}(nu)."""
     nu = _check_nu(nu)
@@ -180,10 +169,8 @@ def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHanke
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 4 * n + 2 * ell - 2)
-    rows = [
-        [table.value(2 * ell + 2 + 2 * (i + j)) / 2 for j in range(n)] for i in range(n)
-    ]
-    return RayleighHankel(nu, ell, n, ExactMatrix.from_rows(rows))
+    sigmas = [table.value(2 * ell + 2 + 2 * s) / 2 for s in range(2 * n - 1)]
+    return RayleighHankel(nu, ell, n, _hankel(sigmas, n))
 
 
 def _rayleigh_product(nu: Fraction, ell: int, n: int) -> Fraction:
@@ -194,23 +181,37 @@ def _rayleigh_product(nu: Fraction, ell: int, n: int) -> Fraction:
     return out
 
 
+# the polynomial factor of the closed form at each ell that has one
+_RAYLEIGH_POLY = {
+    0: lambda nu, n: 1,
+    1: lambda nu, n: 1,
+    2: lambda nu, n: (n + 1) * (n + nu + 1),
+    3: lambda nu, n: (
+        Fraction(1, 6) * (n + 1) * (n + 2) * (n + nu + 1) * (n + nu + 2)
+        * (2 * n**2 + 6 * n + 3 + nu * (2 * n + 3))
+    ),
+}
+
+
+def _rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
+    """Closed form for an ell in _RAYLEIGH_POLY: the product times the ell's polynomial."""
+    nu = _check_nu(nu)
+    _check_n(n)
+    return _rayleigh_product(nu, ell, n) * _RAYLEIGH_POLY[ell](nu, n)
+
+
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
     """Closed form of the Rayleigh Hankel determinant; valid only for ell in {0, 1}."""
     nu = _check_nu(nu)
     _check_n(n)
     if ell not in (0, 1):
         raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
-    return _rayleigh_product(nu, ell, n)
+    return _rayleigh_closed(nu, ell, n)
 
 
 def det_rayleigh_ell2(nu: Fraction | int, n: int) -> Fraction:
     """ell = 2 family: 2^(-2n(n+2)) (n+1)(n+nu+1) prod_{k=1}^{2n+1} (nu+k)^(k-2n-2)."""
-    nu = _check_nu(nu)
-    _check_n(n)
-    out = Fraction(1, 2 ** (2 * n * (n + 2))) * (n + 1) * (n + nu + 1)
-    for k in range(1, 2 * n + 2):
-        out *= (nu + k) ** (k - 2 * n - 2)
-    return out
+    return _rayleigh_closed(nu, 2, n)
 
 
 def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
@@ -218,13 +219,7 @@ def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
 
     (1/6)(n+1)(n+2)(n+nu+1)(n+nu+2) [2n^2 + 6n + 3 + nu(2n+3)]
     """
-    nu = _check_nu(nu)
-    _check_n(n)
-    out = Fraction(1, 2 ** (2 * n * (n + 3)))
-    for k in range(1, 2 * n + 3):
-        out *= (nu + k) ** (k - 2 * n - 3)
-    bracket = 2 * n**2 + 6 * n + 3 + nu * (2 * n + 3)
-    return out * Fraction(1, 6) * (n + 1) * (n + 2) * (n + nu + 1) * (n + nu + 2) * bracket
+    return _rayleigh_closed(nu, 3, n)
 
 
 def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
@@ -269,7 +264,51 @@ def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
     try:
         return d(ell, n)
     except DegenerateRecursion:
-        return det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
+        return rayleigh_hankel_det(nu, ell, n)
+
+
+# The named routes of each family, direct first.  Each looks its evaluator up
+# by name when it runs, so a replaced module attribute reaches every consumer.
+_COULOMB_ROUTES = {
+    "direct": lambda params, n: det_exact(build_coulomb_hankel(params, n).matrix),
+    "closed": lambda params, n: det_coulomb_closed(params, n),
+    "moments": lambda params, n: det_coulomb_via_moments(params, n),
+}
+_RAYLEIGH_ROUTES = {
+    "direct": lambda nu, ell, n: det_exact(build_rayleigh_hankel(nu, ell, n).matrix),
+    "desnanot-jacobi": lambda nu, ell, n: det_rayleigh_dj(nu, ell, n),
+    "closed": lambda nu, ell, n: _rayleigh_closed(nu, ell, n),
+}
+
+
+def coulomb_routes(params: CoulombParams, n: int, names=None) -> dict[str, Fraction]:
+    """The zeta Hankel determinant by each route in `names` (default all), in that order."""
+    return {name: _COULOMB_ROUTES[name](params, n) for name in names or _COULOMB_ROUTES}
+
+
+def rayleigh_routes(nu: Fraction | int, ell: int, n: int, names=None) -> dict[str, Fraction]:
+    """The Rayleigh Hankel determinant by each route in `names` (default all), in that
+    order; "closed" is left out for an ell without a closed form (ell > 3)."""
+    return {
+        name: _RAYLEIGH_ROUTES[name](nu, ell, n)
+        for name in names or _RAYLEIGH_ROUTES
+        if name != "closed" or ell in _RAYLEIGH_POLY
+    }
+
+
+def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> Fraction:
+    """Direct determinant of the zeta Hankel matrix.
+
+    With verify=True the closed product and the moment route are evaluated as
+    well and a mismatch raises VerificationError.
+    """
+    routes = coulomb_routes(params, n, None if verify else ("direct",))
+    if len(set(routes.values())) != 1:
+        raise VerificationError(
+            f"determinant routes disagree at (L={params.L}, eta={params.eta}, n={n}): "
+            + ", ".join(f"{name}={value}" for name, value in routes.items())
+        )
+    return routes["direct"]
 
 
 def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = False) -> Fraction:
@@ -278,21 +317,40 @@ def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = Fal
     With verify=True the Desnanot-Jacobi route (and the closed form when one
     exists for this ell) must reproduce the direct value.
     """
-    direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
-    if verify:
-        routes = {"desnanot-jacobi": det_rayleigh_dj(nu, ell, n)}
-        if ell in (0, 1):
-            routes["closed"] = det_rayleigh_closed(nu, ell, n)
-        elif ell == 2:
-            routes["closed"] = det_rayleigh_ell2(nu, n)
-        elif ell == 3:
-            routes["closed"] = det_rayleigh_ell3(nu, n)
-        for name, value in routes.items():
-            if value != direct:
-                raise VerificationError(
-                    f"{name} route disagrees at (nu={nu}, ell={ell}, n={n}): "
-                    f"direct={direct}, {name}={value}"
-                )
+    routes = rayleigh_routes(nu, ell, n, None if verify else ("direct",))
+    direct = routes.pop("direct")
+    for name, value in routes.items():
+        if value != direct:
+            raise VerificationError(
+                f"{name} route disagrees at (nu={nu}, ell={ell}, n={n}): "
+                f"direct={direct}, {name}={value}"
+            )
+    return direct
+
+
+def _factorial_hankel_det(label: str, numbers, g: int, ell: int, n: int) -> Fraction:
+    """Direct determinant with entries X_{2m}/(2m)!, X_{2m} = numbers(m), checked against
+
+    (-1)^(n(ell+g)) 2^(-n(4n+4ell-1-g)) prod_{k=1}^{2n+ell-1} (k+1/2-g)^(k-2n-ell),
+
+    g = 0 for the Bernoulli and 1 for the Genocchi numbers.
+    """
+    if ell not in (0, 1):
+        raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
+    _check_n(n)
+    entries = []
+    for s in range(0, 2 * n - 1):
+        m = 2 * s + 2 * ell + 2  # = 2i+2j+2ell-2 at i+j = s+2 (1-based)
+        entries.append(numbers(m // 2) / factorial(m))
+    closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (4 * n + 4 * ell - 1 - g)))
+    for k in range(1, 2 * n + ell):
+        closed *= (Fraction(2 * k + 1 - 2 * g, 2)) ** (k - 2 * n - ell)
+    direct = det_exact(_hankel(entries, n))
+    if direct != closed:
+        raise VerificationError(
+            f"{label} Hankel determinant (ell={ell}, n={n}): "
+            f"direct {direct} != closed {closed}"
+        )
     return direct
 
 
@@ -306,26 +364,7 @@ def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
     are both evaluated; a mismatch raises VerificationError.  Returns the
     direct value.
     """
-    if ell not in (0, 1):
-        raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
-    _check_n(n)
-    entries = []
-    for s in range(0, 2 * n - 1):
-        m = 2 * s + 2 * ell + 2  # = 2i+2j+2ell-2 at i+j = s+2 (1-based)
-        entries.append(bernoulli(m // 2) / factorial(m))
-    closed = Fraction((-1) ** (n * ell), 2 ** (n * (4 * n + 4 * ell - 1)))
-    for k in range(1, 2 * n + ell):
-        closed *= (Fraction(2 * k + 1, 2)) ** (k - 2 * n - ell)
-    matrix = ExactMatrix.from_rows(
-        [[entries[i + j] for j in range(n)] for i in range(n)]
-    )
-    direct = det_exact(matrix)
-    if direct != closed:
-        raise VerificationError(
-            f"Bernoulli Hankel determinant (ell={ell}, n={n}): "
-            f"direct {direct} != closed {closed}"
-        )
-    return direct
+    return _factorial_hankel_det("Bernoulli", bernoulli, 0, ell, n)
 
 
 def genocchi_hankel_det(ell: int, n: int) -> Fraction:
@@ -333,26 +372,7 @@ def genocchi_hankel_det(ell: int, n: int) -> Fraction:
 
     Closed form: (-1)^(n(ell+1)) 2^(-n(4n+4ell-2)) prod_{k=1}^{2n+ell-1} (k-1/2)^(k-2n-ell).
     """
-    if ell not in (0, 1):
-        raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
-    _check_n(n)
-    entries = []
-    for s in range(0, 2 * n - 1):
-        m = 2 * s + 2 * ell + 2
-        entries.append(genocchi(m // 2) / factorial(m))
-    closed = Fraction((-1) ** (n * (ell + 1)), 2 ** (n * (4 * n + 4 * ell - 2)))
-    for k in range(1, 2 * n + ell):
-        closed *= (Fraction(2 * k - 1, 2)) ** (k - 2 * n - ell)
-    matrix = ExactMatrix.from_rows(
-        [[entries[i + j] for j in range(n)] for i in range(n)]
-    )
-    direct = det_exact(matrix)
-    if direct != closed:
-        raise VerificationError(
-            f"Genocchi Hankel determinant (ell={ell}, n={n}): "
-            f"direct {direct} != closed {closed}"
-        )
-    return direct
+    return _factorial_hankel_det("Genocchi", genocchi, 1, ell, n)
 
 
 class ParitySplit(NamedTuple):
@@ -375,10 +395,10 @@ def parity_split_check(nu: Fraction | int, n: int) -> ParitySplit:
     params = CoulombParams(nu - Fraction(1, 2), Fraction(0))
 
     def d_ray(ell, m):
-        return det_exact(build_rayleigh_hankel(nu, ell, m).matrix)
+        return rayleigh_hankel_det(nu, ell, m)
 
     def d_zeta(m):
-        return det_exact(build_coulomb_hankel(params, m).matrix)
+        return coulomb_hankel_det(params, m)
 
     odd = (d_zeta(2 * n + 1), Fraction(2 ** (2 * n + 1)) * d_ray(0, n + 1) * d_ray(1, n))
     even = (d_zeta(2 * n), Fraction(2 ** (2 * n)) * d_ray(0, n) * d_ray(1, n))

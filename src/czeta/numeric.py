@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ContourTooClose, NoConvergence, SingularB, VerificationError
+from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB, VerificationError
 
 _SERIES_CAP = 500
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
@@ -42,8 +42,10 @@ class Rect:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
-            raise ValueError(f"degenerate rectangle {self}")
+        # finite and ordered; a nan bound fails every comparison
+        if not (-math.inf < self.re_min < self.re_max < math.inf
+                and -math.inf < self.im_min < self.im_max < math.inf):
+            raise ParameterError(f"degenerate rectangle {self}")
 
     @property
     def width(self) -> float:
@@ -103,6 +105,8 @@ class _PhiSeries:
 
     def __post_init__(self):
         b = 2 * self.L + 2
+        if not (math.isfinite(b) and math.isfinite(self.eta)):
+            raise ParameterError(f"series parameters out of range: L = {self.L}, eta = {self.eta}")
         b_round = round(b)
         if abs(b - b_round) < 1e-9 and b_round <= 0:
             # nonpositive integer series parameter; only the eta = 0 even

@@ -1,7 +1,8 @@
 """One-shot verification suite: every identity family over a pinned grid.
 
 The grids live in ``verify_grid.json`` next to this module (a versioned data
-file, so runs are reproducible); ``quick`` selects the trimmed variant.
+file, so runs are reproducible); ``quick`` selects the trimmed variant.  The
+families are one table, ``_FAMILIES``; the routes they compare come from ``czeta.hankel``.
 """
 
 from __future__ import annotations
@@ -11,21 +12,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, Iterator, NamedTuple
 
 from .classify import classify, dd_product_closed, hurwitz_counts
-from .exact import det_exact, parse_rational
+from .exact import parse_rational
 from .hankel import (
-    bernoulli_hankel_det,
-    build_coulomb_hankel,
-    build_rayleigh_hankel,
-    det_coulomb_closed,
-    det_coulomb_via_moments,
-    det_rayleigh_closed,
-    det_rayleigh_dj,
-    det_rayleigh_ell2,
-    det_rayleigh_ell3,
-    genocchi_hankel_det,
     _rayleigh_product,
+    bernoulli_hankel_det,
+    coulomb_hankel_det,
+    coulomb_routes,
+    genocchi_hankel_det,
+    rayleigh_hankel_det,
+    rayleigh_routes,
 )
 from .numeric import Rect, find_complex_zeros
 from .zeta import CoulombParams
@@ -53,139 +51,63 @@ def _param_grid(cfg) -> list[CoulombParams]:
     ]
 
 
-def _run_coulomb_hankel(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+# Each runner takes its section of the grid and yields (inputs, ok) once per
+# case; what it returns fills the placeholders of its family's pass detail.
+
+
+def _run_coulomb_hankel(cfg):
     for params in _param_grid(cfg):
         for n in range(1, cfg["n_max"] + 1):
-            cases += 1
-            direct = det_exact(build_coulomb_hankel(params, n).matrix)
-            closed = det_coulomb_closed(params, n)
-            moments = det_coulomb_via_moments(params, n)
-            if not (direct == closed == moments):
-                bad.append((params.L, params.eta, n))
-    detail = "direct = closed product = moment route, exactly"
-    if bad:
-        detail = f"mismatches at {bad[:3]}"
-    return not bad, cases, detail
+            yield (params.L, params.eta, n), len(set(coulomb_routes(params, n).values())) == 1
 
 
-def _run_rayleigh_closed(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_rayleigh(cfg, route, ells):
+    """The named Rayleigh route against the direct determinant, over the nu grid."""
     for ns in cfg["nu"]:
         nu = parse_rational(ns)
-        for ell in (0, 1):
+        for ell in ells:
             for n in range(1, cfg["n_max"] + 1):
-                cases += 1
-                direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
-                if direct != det_rayleigh_closed(nu, ell, n):
-                    bad.append((nu, ell, n))
-    detail = "closed form matches direct determinants for ell in {0,1}"
-    if bad:
-        detail = f"mismatches at {bad[:3]}"
-    return not bad, cases, detail
+                values = rayleigh_routes(nu, ell, n, ("direct", route))
+                yield (nu, ell, n), values[route] == values["direct"]
 
 
-def _run_rayleigh_ell23(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
-    for ns in cfg["nu"]:
-        nu = parse_rational(ns)
-        for n in range(1, cfg["n_max"] + 1):
-            cases += 2
-            if det_exact(build_rayleigh_hankel(nu, 2, n).matrix) != det_rayleigh_ell2(nu, n):
-                bad.append((nu, 2, n))
-            if det_exact(build_rayleigh_hankel(nu, 3, n).matrix) != det_rayleigh_ell3(nu, n):
-                bad.append((nu, 3, n))
+def _run_rayleigh_ell23(cfg):
+    yield from _run_rayleigh(cfg, "closed", (2, 3))
     # witness: the ell in {0,1} product evaluated blindly at ell = 2 must fail
-    witness_nu = Fraction(1)
-    cases += 1
-    blind = _rayleigh_product(witness_nu, 2, 1)
-    direct = det_exact(build_rayleigh_hankel(witness_nu, 2, 1).matrix)
-    witness_ok = blind != direct
-    detail = (
-        "ell = 2, 3 closed forms hold; blind ell = 2 use of the {0,1} form "
-        f"differs as expected ({blind} vs {direct})"
-    )
-    if bad or not witness_ok:
-        detail = f"mismatches at {bad[:3]}, witness_ok={witness_ok}"
-    return not bad and witness_ok, cases, detail
+    blind = _rayleigh_product(Fraction(1), 2, 1)
+    direct = rayleigh_hankel_det(Fraction(1), 2, 1)
+    yield ("blind ell = 2", blind, direct), blind != direct
+    return {"blind": blind, "direct": direct}
 
 
-def _run_desnanot_jacobi(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
-    for ns in cfg["nu"]:
-        nu = parse_rational(ns)
-        for ell in range(cfg["ell_max"] + 1):
-            for n in range(1, cfg["n_max"] + 1):
-                cases += 1
-                direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
-                if det_rayleigh_dj(nu, ell, n) != direct:
-                    bad.append((nu, ell, n))
-    detail = "recursion route equals direct determinants"
-    if bad:
-        detail = f"mismatches at {bad[:3]}"
-    return not bad, cases, detail
-
-
-def _run_bernoulli_genocchi(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_bernoulli_genocchi(cfg):
     for ell in (0, 1):
         for n in range(1, cfg["n_max"] + 1):
             for label, fn in (("bernoulli", bernoulli_hankel_det), ("genocchi", genocchi_hankel_det)):
-                cases += 1
                 value = fn(ell, n)  # raises VerificationError on closed-form mismatch
-                if abs(value.numerator) != 1:
-                    bad.append((label, ell, n, value))
-    detail = "closed forms hold and every value is a reciprocal integer"
-    if bad:
-        detail = f"non-reciprocal values {bad[:3]}"
-    return not bad, cases, detail
+                yield (label, ell, n, value), abs(value.numerator) == 1
 
 
-def _run_sign_products(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_sign_products(cfg):
     for params in _param_grid(cfg):
-        dets = {
-            m: det_exact(build_coulomb_hankel(params, m).matrix)
-            for m in range(1, cfg["n_max"] + 2)
-        }
+        dets = {m: coulomb_hankel_det(params, m) for m in range(1, cfg["n_max"] + 2)}
         for n in range(cfg["n_max"] + 1):
-            cases += 1
             product = dd_product_closed(params, n)
             direct = (dets[n] if n >= 1 else Fraction(1)) * dets[n + 1]
             lead = 2 * params.L + 2 * n + 3
             sign_ok = (product > 0) == (lead > 0)
-            if product != direct or not sign_ok:
-                bad.append((params.L, params.eta, n))
-    detail = "closed D-products equal determinant products; signs follow 2L+2n+3"
-    if bad:
-        detail = f"mismatches at {bad[:3]}"
-    return not bad, cases, detail
+            yield (params.L, params.eta, n), product == direct and sign_ok
 
 
-def _run_classification(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_classification(cfg):
     for ls in cfg["all_real"]["L"]:
         for es in cfg["all_real"]["eta"]:
-            cases += 1
             result = classify(CoulombParams(parse_rational(ls), parse_rational(es)))
-            if result.pair_count != 0 or not result.all_real:
-                bad.append((ls, es, result.pair_count))
+            yield (ls, es, result.pair_count), result.pair_count == 0 and result.all_real
     for case in cfg["complex_pairs"]:
-        cases += 1
         result = classify(CoulombParams(parse_rational(case["L"]), parse_rational(case["eta"])))
-        if result.pair_count != case["pairs"] or result.all_real:
-            bad.append((case["L"], case["eta"], result.pair_count))
-    detail = "pair counts match the floor(-L-1/2) law"
-    if bad:
-        detail = f"wrong counts at {bad[:3]}"
-    return not bad, cases, detail
+        ok = result.pair_count == case["pairs"] and not result.all_real
+        yield (case["L"], case["eta"], result.pair_count), ok
 
 
 def _match_expected_zeros(report, expected, tol) -> bool:
@@ -198,25 +120,16 @@ def _match_expected_zeros(report, expected, tol) -> bool:
     return True
 
 
-def _run_zeros(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_zeros(cfg):
     for case in cfg["cases"]:
-        cases += 1
         report = find_complex_zeros(case["L"], case["eta"], search=Rect(*case["region"]))
-        if not _match_expected_zeros(report, case["expected"], cfg["tol_abs"]):
-            bad.append((case["L"], [(z.real, z.imag) for z in report.zeros]))
-    detail = f"all listed non-real zeros recovered within {cfg['tol_abs']:g}"
-    if bad:
-        detail = f"unmatched zero sets {bad[:2]}"
-    return not bad, cases, detail
+        ok = _match_expected_zeros(report, case["expected"], cfg["tol_abs"])
+        yield (case["L"], [(z.real, z.imag) for z in report.zeros]), ok
+    return {"tol": cfg["tol_abs"]}
 
 
-def _run_hurwitz(cfg) -> tuple[bool, int, str]:
-    bad = []
-    cases = 0
+def _run_hurwitz(cfg):
     for case in cfg["cases"]:
-        cases += 1
         nu = Fraction(case["nu"])
         counts = hurwitz_counts(nu)
         L = float(nu) - 0.5
@@ -231,34 +144,64 @@ def _run_hurwitz(cfg) -> tuple[bool, int, str]:
                 and round(z.real / math.pi) != 0
                 for z in reals
             )
-        if not (pairs_ok and imag_ok and real_ok):
-            bad.append((case["nu"], report.counts))
-    detail = "numeric pair counts and axis flags match the order trichotomy"
-    if bad:
-        detail = f"mismatches at {bad[:2]}"
-    return not bad, cases, detail
+        yield (case["nu"], report.counts), pairs_ok and imag_ok and real_ok
+
+
+def _tally(checks) -> tuple[int, list, dict]:
+    """(cases, bad inputs, pass-detail fields) of one runner's checks."""
+    cases, bad = 0, []
+    while True:
+        try:
+            inputs, ok = next(checks)
+        except StopIteration as done:
+            return cases, bad, done.value or {}
+        cases += 1
+        if not ok:
+            bad.append(inputs)
+
+
+class _Family(NamedTuple):
+    name: str
+    key: str  # section of verify_grid.json
+    run: Callable[[dict], Iterator[tuple[tuple, bool]]]
+    passed: str  # detail when no input is bad, formatted with the runner's fields
+    failed: str = "mismatches at {bad}"  # detail otherwise, with the first `shown` bad inputs
+    shown: int = 3
 
 
 _FAMILIES = (
-    ("coulomb-hankel", "coulomb_hankel", _run_coulomb_hankel),
-    ("rayleigh-closed", "rayleigh_closed", _run_rayleigh_closed),
-    ("rayleigh-ell23", "rayleigh_ell23", _run_rayleigh_ell23),
-    ("desnanot-jacobi", "desnanot_jacobi", _run_desnanot_jacobi),
-    ("bernoulli-genocchi", "bernoulli_genocchi", _run_bernoulli_genocchi),
-    ("sign-products", "sign_products", _run_sign_products),
-    ("classification", "classification", _run_classification),
-    ("zeros", "zeros", _run_zeros),
-    ("hurwitz", "hurwitz", _run_hurwitz),
+    _Family("coulomb-hankel", "coulomb_hankel", _run_coulomb_hankel,
+            "direct = closed product = moment route, exactly"),
+    _Family("rayleigh-closed", "rayleigh_closed", lambda cfg: _run_rayleigh(cfg, "closed", (0, 1)),
+            "closed form matches direct determinants for ell in {{0,1}}"),
+    _Family("rayleigh-ell23", "rayleigh_ell23", _run_rayleigh_ell23,
+            "ell = 2, 3 closed forms hold; blind ell = 2 use of the {{0,1}} form "
+            "differs as expected ({blind} vs {direct})"),
+    _Family("desnanot-jacobi", "desnanot_jacobi",
+            lambda cfg: _run_rayleigh(cfg, "desnanot-jacobi", range(cfg["ell_max"] + 1)),
+            "recursion route equals direct determinants"),
+    _Family("bernoulli-genocchi", "bernoulli_genocchi", _run_bernoulli_genocchi,
+            "closed forms hold and every value is a reciprocal integer", "non-reciprocal values {bad}"),
+    _Family("sign-products", "sign_products", _run_sign_products,
+            "closed D-products equal determinant products; signs follow 2L+2n+3"),
+    _Family("classification", "classification", _run_classification,
+            "pair counts match the floor(-L-1/2) law", "wrong counts at {bad}"),
+    _Family("zeros", "zeros", _run_zeros,
+            "all listed non-real zeros recovered within {tol:g}", "unmatched zero sets {bad}", 2),
+    _Family("hurwitz", "hurwitz", _run_hurwitz,
+            "numeric pair counts and axis flags match the order trichotomy", shown=2),
 )
 
 
 def run_verification(quick: bool = False) -> list[FamilyResult]:
     grid = load_grid(quick)
     results = []
-    for name, key, runner in _FAMILIES:
+    for family in _FAMILIES:
         try:
-            passed, cases, detail = runner(grid[key])
+            cases, bad, fields = _tally(family.run(grid[family.key]))
         except Exception as exc:  # a raised check is a failure, not a crash
-            passed, cases, detail = False, 0, f"{type(exc).__name__}: {exc}"
-        results.append(FamilyResult(name=name, passed=passed, cases=cases, detail=detail))
+            results.append(FamilyResult(family.name, False, 0, f"{type(exc).__name__}: {exc}"))
+            continue
+        detail = family.failed.format(bad=bad[: family.shown]) if bad else family.passed.format(**fields)
+        results.append(FamilyResult(name=family.name, passed=not bad, cases=cases, detail=detail))
     return results

@@ -178,11 +178,16 @@ def zeta_extend(table: ZetaTable, kmax: int) -> ZetaTable:
     return table.extend_to(kmax)
 
 
-def rayleigh(nu: Fraction | int, k: int) -> Fraction:
-    """Rayleigh function sigma_{2k}(nu) = zeta_{nu-1/2}(2k) / 2."""
+def _check_nu(nu: Fraction | int) -> Fraction:
     nu = Fraction(nu)
     if nu.denominator == 1 and nu.numerator <= -1:
         raise SingularParameter(f"nu = {nu} on excluded set -N")
+    return nu
+
+
+def rayleigh(nu: Fraction | int, k: int) -> Fraction:
+    """Rayleigh function sigma_{2k}(nu) = zeta_{nu-1/2}(2k) / 2."""
+    nu = _check_nu(nu)
     if k < 1:
         raise SingularParameter(f"Rayleigh order requires k >= 1, got {k}")
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2 * k)

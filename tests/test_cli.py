@@ -54,9 +54,28 @@ def test_hankel_det_with_verification(capsys):
 
 
 def test_hankel_det_verification_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("czeta.cli.det_coulomb_closed", lambda p, n: F(999))
+    monkeypatch.setattr("czeta.hankel.det_coulomb_closed", lambda p, n: F(999))
     code, out, _ = run(capsys, ["hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"])
     assert code == 2
+
+
+def test_one_closed_product_reaches_api_cli_and_verify_all(capsys, monkeypatch):
+    # every consumer of the Coulomb family evaluates the routes defined in czeta.hankel
+    from czeta.errors import VerificationError
+    from czeta.hankel import coulomb_hankel_det
+    from czeta.zeta import CoulombParams
+
+    monkeypatch.setattr("czeta.hankel.det_coulomb_closed", lambda p, n: F(999))
+    with pytest.raises(VerificationError, match="closed=999"):
+        coulomb_hankel_det(CoulombParams(0, 0), 2, verify=True)
+    code, out, _ = run(
+        capsys, ["--format", "json", "hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"]
+    )
+    assert code == 2 and json.loads(out)["results"]["closed"] == "999"
+    code, out, _ = run(capsys, ["verify-all", "--quick"])
+    assert code == 2
+    assert "FAIL coulomb-hankel (30 cases): mismatches at" in out
+    assert "PASS rayleigh-closed" in out
 
 
 def test_rayleigh_det_methods_agree(capsys):
@@ -131,6 +150,28 @@ def test_find_zeros_requires_full_region(capsys):
     assert "all four" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--L", "0", "--eta", "0", "--re-min", "1", "--re-max", "-1", "--im-min", "0", "--im-max", "1"],
+        ["--L", "0", "--eta", "0", "--re-min", "-1", "--re-max", "inf", "--im-min", "0", "--im-max", "1"],
+        ["--L", "0", "--eta", "0", "--re-min", "nan", "--re-max", "1", "--im-min", "0", "--im-max", "1"],
+        ["--L", "nan", "--eta", "0"],
+        ["--L", "inf", "--eta", "0"],
+        ["--L", "1e308", "--eta", "0"],
+        ["--L", "0", "--eta", "nan"],
+        ["--L", "0", "--eta", "inf"],
+        ["--L", "0", "--eta", "0", "--tol", "nan"],
+        ["--L", "0", "--eta", "0", "--tol", "inf"],
+        ["--L", "0", "--eta", "0", "--tol", "0"],
+    ],
+)
+def test_find_zeros_rejects_bad_input_as_parameter_error(capsys, argv):
+    code, _, err = run(capsys, ["find-zeros", *argv])
+    assert code == 1
+    assert err.startswith("parameter error:"), err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["zeta", "--L", "0", "--kmax", "3"])[0] == 1  # missing --eta
     assert run(capsys, ["no-such-command"])[0] == 1
@@ -186,3 +227,26 @@ def test_verify_all_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify-all", "--quick"])
     assert code == 2
     assert "FAIL" in out
+
+
+# every family record of `verify-all --quick`, pinned; the full grid is pinned in perfbench
+QUICK_FAMILIES = [
+    ("coulomb-hankel", True, 30, "direct = closed product = moment route, exactly"),
+    ("rayleigh-closed", True, 16, "closed form matches direct determinants for ell in {0,1}"),
+    ("rayleigh-ell23", True, 13, "ell = 2, 3 closed forms hold; blind ell = 2 use of the {0,1} "
+     "form differs as expected (1/18432 vs 1/3072)"),
+    ("desnanot-jacobi", True, 30, "recursion route equals direct determinants"),
+    ("bernoulli-genocchi", True, 16, "closed forms hold and every value is a reciprocal integer"),
+    ("sign-products", True, 30,
+     "closed D-products equal determinant products; signs follow 2L+2n+3"),
+    ("classification", True, 5, "pair counts match the floor(-L-1/2) law"),
+    ("zeros", True, 1, "all listed non-real zeros recovered within 0.0005"),
+    ("hurwitz", True, 2, "numeric pair counts and axis flags match the order trichotomy"),
+]
+
+
+def test_verify_all_quick_json_records_are_pinned(capsys):
+    code, out, _ = run(capsys, ["--format", "json", "verify-all", "--quick"])
+    assert code == 0
+    families = json.loads(out)["results"]["families"]
+    assert [(f["name"], f["passed"], f["cases"], f["detail"]) for f in families] == QUICK_FAMILIES

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from czeta.classify import classify
-from czeta.errors import ContourTooClose, NoConvergence, SingularB
+from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 from czeta.numeric import (
     Rect,
     count_zeros_region,
@@ -219,3 +219,21 @@ def test_found_zeros_validate_against_high_precision(L):
     for z in report.zeros:
         slope = abs(phi_derivative(L, 1.5, z))
         assert abs(phi_mpmath(L, 1.5, z)) <= 1e-10 * (1 + slope), (L, z)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(1, -1, 0, 1), (0, 1, 1, 1), (-1, math.inf, 0, 1), (math.nan, 1, 0, 1)]
+)
+def test_rect_rejects_degenerate_bounds_as_parameter_error(bounds):
+    with pytest.raises(ParameterError, match="degenerate rectangle"):
+        Rect(*bounds)
+    with pytest.raises(ValueError):  # callers catching ValueError still work
+        Rect(*bounds)
+
+
+@pytest.mark.parametrize("L,eta", [(math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, math.nan)])
+def test_series_rejects_non_finite_parameters(L, eta):
+    with pytest.raises(ParameterError, match="out of range"):
+        phi(L, eta, 1.0)
+    with pytest.raises(ParameterError):
+        find_complex_zeros(L, eta)

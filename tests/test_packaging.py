@@ -1,0 +1,31 @@
+"""The runtime needs nothing beyond the standard library."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_runtime_dependencies_stay_empty():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+
+
+def test_importing_the_package_loads_no_test_only_module():
+    code = (
+        "import json, sys; import czeta, czeta.cli, czeta.verify; "
+        "print(json.dumps(sorted(m for m in ('numpy', 'mpmath', 'hypothesis', 'pytest') "
+        "if m in sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
