@@ -78,7 +78,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # -p/q for the exact commands; any float() spelling (-1e3, -inf,
+        # -nan) for find-zeros, whose range checks then name the bad value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+(/\d+)?|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -179,8 +183,6 @@ def _cmd_classify(args) -> tuple[OutputRecord, int]:
 
 
 def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
-    if not 0 < args.tol < float("inf"):
-        raise ParameterError(f"--tol must be positive and finite, got {args.tol}")
     bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(b is not None for b in bounds):
         if any(b is None for b in bounds):
@@ -198,6 +200,7 @@ def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
             "residuals": list(report.residuals),
             "counts": dict(report.counts),
             "unresolved_cells": len(report.unresolved),
+            "stats": dict(report.stats),
         },
     )
     return record, 0

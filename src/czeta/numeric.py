@@ -16,18 +16,33 @@ tracking along the boundary yields certified-by-subdivision winding numbers,
 rectangles are split until each holds at most one zero, and Newton iteration
 with the term-wise differentiated series polishes each zero.  phi(0) = 1, so
 the origin never contributes a zero.
+
+Each call of `find_complex_zeros` or `count_zeros_region` evaluates through
+its own memo of plain phi values, dropped when the call returns.  Sibling
+cells share their cut edge, a child's edges lie on its parent's, and every
+winding revisits its corners, so more than half of the points a call asks for
+were already summed in that call.  The memo is keyed by the bytes of the two
+doubles of rho, not by the complex number: 0.0 == -0.0 as floats and as dict
+keys, yet the series' arithmetic carries the sign (the derivative sum differs
+between -0j and +0j at some points), and the default region is cut at
+re = 0.0.  A served value is therefore the one the series returns at that
+exact point, and every result is unchanged to the bit.
+Newton's value-and-derivative evaluations are not memoized: their points
+repeat far less often.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB, VerificationError
 
 _SERIES_CAP = 500
+_COEFF_CHUNK = 16  # coefficients computed per growth step of a series' table
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
 _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
 
@@ -139,41 +154,51 @@ class _PhiSeries:
     def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
         rho = complex(rho)
         self._ensure(1)
+        c = self.coeffs
         if rho == 0:
-            return complex(1.0), complex(self.coeffs[1])
+            return complex(1.0), complex(c[1])
+        L = self.L
         s = complex(1.0)  # j = 0 term
         comp = 0j
-        s1 = complex(self.coeffs[1]) if want_derivative else 0j
+        s1 = complex(c[1]) if want_derivative else 0j
         comp1 = 0j
         power = complex(1.0)
         abs_rho = abs(rho)
         swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
+        twice_swing = 2 * swing
         t_prev = 1.0
         t_max = 1.0
+        known = len(c)
         for j in range(1, _SERIES_CAP + 1):
-            self._ensure(j + 1)
+            if j >= known:
+                self._ensure(min(j + _COEFF_CHUNK - 1, _SERIES_CAP))
+                known = len(c)
             power *= rho
-            term = self.coeffs[j] * power
+            term = c[j] * power
             y = term - comp
             t = s + y
             comp = (t - s) - y
             s = t
             if want_derivative and j >= 2:
-                dterm = (j * self.coeffs[j]) * power / rho
+                dterm = (j * c[j]) * power / rho
                 y1 = dterm - comp1
                 t1 = s1 + y1
                 comp1 = (t1 - s1) - y1
                 s1 = t1
             t_cur = abs(term)
-            t_max = max(t_max, t_cur)
+            if t_cur > t_max:
+                t_max = t_cur
             # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
-            # term ratio stays <= 1/2 and the tail is <= 2*max of the last two
-            shift = j + 2 * self.L + 2
-            if shift > 0 and (j + 1) * shift >= 2 * swing:
-                tail = 2 * max(t_cur, t_prev)
+            # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
+            # the shift keeps its association ((j + 2L) + 2), which decides
+            # the index where the sum stops
+            shift = j + 2 * L + 2
+            if shift > 0 and (j + 1) * shift >= twice_swing:
+                last_two = t_prev if t_prev > t_cur else t_cur
+                tail = 2 * last_two
                 ok = tail <= tol * (1 + abs(s))
                 if ok and want_derivative:
-                    dtail = 8 * max(t_cur, t_prev) * (j + 2) / max(abs_rho, 1e-300)
+                    dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
                     ok = dtail <= tol * (1 + abs(s1))
                 if ok:
                     # cancellation guard: the rounding floor (epsilon times the
@@ -197,23 +222,71 @@ def _series(L: float, eta: float) -> _PhiSeries:
     return _PhiSeries(L, eta)
 
 
+def _check_tol(tol: float) -> None:
+    # a nan or non-positive tolerance would run the whole series and only
+    # then fail as NoConvergence
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
+
+
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
-    The truncation tail is bounded below tol*(1+|result|).  Raises SingularB
-    for parameters where the series is undefined and NoConvergence when the
-    term cap is exhausted (practically, |rho| far beyond desk scale).
+    The truncation tail is bounded below tol*(1+|result|).  Raises
+    ParameterError unless tol is positive and finite, SingularB for
+    parameters where the series is undefined and NoConvergence when the term
+    cap is exhausted (practically, |rho| far beyond desk scale).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _series(float(L), float(eta)).eval(complex(rho), tol)
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """d/drho of the entire factor, by term-wise differentiation of the series."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _series(float(L), float(eta)).eval_with_derivative(complex(rho), tol)[1]
+
+
+_point_bits = struct.Struct("<2d").pack
+
+# the keys of ZeroReport.stats, described there
+_STAT_NAMES = (
+    "series_evals", "memo_hits", "newton_starts", "newton_steps",
+    "nudge_retries", "split_retries",
+)
+
+
+class _Evaluator:
+    """One finder or counting call's access to a series: memo and counters.
+
+    The memo lives as long as the evaluator, i.e. one call; its keys are the
+    bytes of the two doubles of rho, so x+0j and x-0j are separate entries.
+    """
+
+    __slots__ = ("series", "tol", "values", "stats")
+
+    def __init__(self, L: float, eta: float, tol: float):
+        _check_tol(tol)
+        self.series = _series(float(L), float(eta))
+        self.tol = tol
+        self.values: dict[bytes, complex] = {}
+        self.stats = dict.fromkeys(_STAT_NAMES, 0)
+
+    def phi(self, z: complex) -> complex:
+        key = _point_bits(z.real, z.imag)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.series.eval(z, self.tol)
+            self.stats["series_evals"] += 1
+        else:
+            self.stats["memo_hits"] += 1
+        return value
+
+    def newton_values(self, z: complex) -> tuple[complex, complex]:
+        """Value and derivative for one Newton step; never memoized."""
+        self.stats["series_evals"] += 1
+        self.stats["newton_steps"] += 1
+        return self.series.eval_with_derivative(z, self.tol)
 
 
 def default_search_region(L: float) -> Rect:
@@ -227,7 +300,7 @@ def default_search_region(L: float) -> Rect:
     return Rect(-radius, radius, 0.0, radius)
 
 
-def _phase_along_edge(series, za, zb, fa, fb, tol, depth=42) -> float:
+def _phase_along_edge(ev: _Evaluator, za, zb, fa, fb, depth=42) -> float:
     if fa == 0 or fb == 0:
         raise ContourTooClose(f"zero on the contour near {za} .. {zb}")
     step = cmath.phase(fb / fa)
@@ -238,21 +311,21 @@ def _phase_along_edge(series, za, zb, fa, fb, tol, depth=42) -> float:
             f"phase step above pi/2 after maximal subdivision near {za} .. {zb}"
         )
     zm = (za + zb) / 2
-    fm = series.eval(zm, tol)
-    return _phase_along_edge(series, za, zm, fa, fm, tol, depth - 1) + _phase_along_edge(
-        series, zm, zb, fm, fb, tol, depth - 1
+    fm = ev.phi(zm)
+    return _phase_along_edge(ev, za, zm, fa, fm, depth - 1) + _phase_along_edge(
+        ev, zm, zb, fm, fb, depth - 1
     )
 
 
-def _winding(series, region: Rect, tol: float) -> int:
+def _winding(ev: _Evaluator, region: Rect) -> int:
     corners = region.corners()
     total = 0.0
     for ca, cb in zip(corners, corners[1:]):
         pieces = max(4, math.ceil(abs(cb - ca) / 0.4))
         pts = [ca + (cb - ca) * i / pieces for i in range(pieces + 1)]
-        vals = [series.eval(p, tol) for p in pts]
+        vals = [ev.phi(p) for p in pts]
         for (za, zb, fa, fb) in zip(pts, pts[1:], vals, vals[1:]):
-            total += _phase_along_edge(series, za, zb, fa, fb, tol)
+            total += _phase_along_edge(ev, za, zb, fa, fb)
     turns = total / (2 * math.pi)
     count = round(turns)
     if abs(turns - count) > 0.2:
@@ -268,51 +341,56 @@ def count_zeros_region(
     """Number of zeros inside the rectangle, by the argument principle.
 
     Counted with multiplicity from the winding number of the boundary image.
-    Raises ContourTooClose when a zero sits (numerically) on the boundary.
+    Raises ContourTooClose when a zero sits (numerically) on the boundary,
+    and ParameterError unless tol is positive and finite.
     """
     region = region if isinstance(region, Rect) else Rect(*region)
-    return _winding(_series(float(L), float(eta)), region, tol)
+    return _winding(_Evaluator(L, eta, tol), region)
 
 
 _NUDGE_FACTORS = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
 
 
-def _count_outer(series, region: Rect, tol: float) -> tuple[Rect, int]:
+def _count_outer(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
     last: Exception | None = None
     for f in _NUDGE_FACTORS:
         candidate = region if f == 0.0 else region.expand(f)
         try:
-            return candidate, _winding(series, candidate, tol)
+            return candidate, _winding(ev, candidate)
         except ContourTooClose as exc:
             last = exc
+            ev.stats["nudge_retries"] += 1
     raise last  # type: ignore[misc]
 
 
 _SPLIT_RATIOS = (0.5, 0.47, 0.55, 0.41, 0.61, 0.37, 0.65, 0.53)
 
 
-def _split_cell(series, cell: Rect, count: int, tol: float) -> list[tuple[Rect, int]]:
+def _split_cell(ev: _Evaluator, cell: Rect, count: int) -> list[tuple[Rect, int]]:
     last: Exception | None = None
     for ratio in _SPLIT_RATIOS:
         a, b = cell.split(ratio)
         try:
-            na = _winding(series, a, tol)
-            nb = _winding(series, b, tol)
+            na = _winding(ev, a)
+            nb = _winding(ev, b)
         except ContourTooClose as exc:
             last = exc
+            ev.stats["split_retries"] += 1
             continue
         if na + nb == count:
             return [(a, na), (b, nb)]
+        ev.stats["split_retries"] += 1
     if last is None:
         last = ContourTooClose(f"child counts never matched parent over {cell}")
     raise last
 
 
-def _newton(series, z0: complex, tol: float, maxiter: int = 60) -> complex | None:
+def _newton(ev: _Evaluator, z0: complex, maxiter: int = 60) -> complex | None:
+    ev.stats["newton_starts"] += 1
     z = z0
     for _ in range(maxiter):
         try:
-            f, df = series.eval_with_derivative(z, tol)
+            f, df = ev.newton_values(z)
         except NoConvergence:
             return None
         if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
@@ -320,14 +398,14 @@ def _newton(series, z0: complex, tol: float, maxiter: int = 60) -> complex | Non
         dz = f / df
         z = z - dz
         if abs(dz) <= 1e-14 * (1 + abs(z)):
-            f, df = series.eval_with_derivative(z, tol)
+            f, df = ev.newton_values(z)
             if df != 0:
                 z = z - f / df
             return z
     return None
 
 
-def _refine_cell(series, cell: Rect, tol: float) -> complex | None:
+def _refine_cell(ev: _Evaluator, cell: Rect) -> complex | None:
     # the cell holds exactly one zero by winding count, so only accept a
     # Newton limit strictly inside it; an iterate that escapes to a
     # neighboring zero is rejected and the cell is subdivided instead
@@ -338,7 +416,7 @@ def _refine_cell(series, cell: Rect, tol: float) -> complex | None:
                 complex(cell.re_min + fx * cell.width, cell.im_min + fy * cell.height)
             )
     for z0 in starts:
-        z = _newton(series, z0, tol)
+        z = _newton(ev, z0)
         if z is not None and cell.contains(z):
             return z
     return None
@@ -353,6 +431,11 @@ class ZeroReport:
     implied by the real Taylor coefficients, never listed).  `counts` carries
     the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved`
     lists cells whose single zero resisted Newton refinement (normally empty).
+    `stats` counts the work the call did: "series_evals" (sums of the series,
+    plain and value-with-derivative), "memo_hits" (plain values served by the
+    call's memo instead), "newton_starts", "newton_steps" (the final polishing
+    step included), "nudge_retries" (outer contours given up for a nudged
+    one) and "split_retries" (cell cuts given up for another ratio).
     """
 
     region: Rect
@@ -360,6 +443,7 @@ class ZeroReport:
     residuals: tuple[float, ...]
     counts: dict[str, int]
     unresolved: tuple[Rect, ...] = ()
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def find_complex_zeros(
@@ -374,16 +458,18 @@ def find_complex_zeros(
     count, then each zero is polished by Newton iteration.  Without an
     explicit search rectangle the default is [-R, R] x [0, R] from
     `default_search_region`, with the lower edge dropped slightly below the
-    real axis so that real zeros are interior points of the contour.
+    real axis so that real zeros are interior points of the contour.  tol
+    is the series tolerance of every evaluation; it must be positive and
+    finite (else ParameterError).
     """
-    series = _series(float(L), float(eta))
+    ev = _Evaluator(L, eta, tol)
     if search is None:
         base = default_search_region(float(L))
         region = Rect(base.re_min, base.re_max, -0.01, base.im_max)
     else:
         region = search if isinstance(search, Rect) else Rect(*search)
 
-    region, total = _count_outer(series, region, tol)
+    region, total = _count_outer(ev, region)
     found: list[complex] = []
     unresolved: list[Rect] = []
     stack: list[tuple[Rect, int]] = [(region, total)]
@@ -392,14 +478,14 @@ def find_complex_zeros(
         if count <= 0:
             continue
         if count == 1:
-            z = _refine_cell(series, cell, tol)
+            z = _refine_cell(ev, cell)
             if z is not None:
                 found.append(z)
                 continue
             if max(cell.width, cell.height) < 1e-9:
                 unresolved.append(cell)
                 continue
-        stack.extend(_split_cell(series, cell, count, tol))
+        stack.extend(_split_cell(ev, cell, count))
 
     if len(found) + len(unresolved) != total:
         raise VerificationError(
@@ -414,7 +500,7 @@ def find_complex_zeros(
         if all(abs(z - w) > 1e-6 for w in zeros):
             zeros.append(z)
 
-    residuals = tuple(abs(series.eval(z, tol)) for z in zeros)
+    residuals = tuple(abs(ev.phi(z)) for z in zeros)
     n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
     pairs = [z for z in zeros if z.imag > _REAL_AXIS_TOL]
     counts = {
@@ -428,4 +514,5 @@ def find_complex_zeros(
         residuals=residuals,
         counts=counts,
         unresolved=tuple(unresolved),
+        stats=ev.stats,
     )

@@ -142,6 +142,12 @@ def test_find_zeros_json(capsys):
     assert payload["results"]["counts"]["complex_pairs"] == 1
     (zero,) = payload["results"]["zeros"]
     assert abs(zero["re"] - 0.1500) < 5e-4 and abs(zero["im"] - 0.2520) < 5e-4
+    stats = payload["results"]["stats"]
+    assert set(stats) == {
+        "series_evals", "memo_hits", "newton_starts", "newton_steps",
+        "nudge_retries", "split_retries",
+    }
+    assert stats["series_evals"] > 0 and stats["newton_starts"] >= 1
 
 
 def test_find_zeros_requires_full_region(capsys):
@@ -164,12 +170,47 @@ def test_find_zeros_requires_full_region(capsys):
         ["--L", "0", "--eta", "0", "--tol", "nan"],
         ["--L", "0", "--eta", "0", "--tol", "inf"],
         ["--L", "0", "--eta", "0", "--tol", "0"],
+        ["--L", "0", "--eta", "0", "--re-min", "-inf", "--re-max", "1", "--im-min", "0", "--im-max", "1"],
+        ["--L", "0", "--eta", "0", "--re-min", "-1", "--re-max", "1", "--im-min", "-nan", "--im-max", "1"],
+        ["--L", "-inf", "--eta", "0"],
+        ["--L", "0", "--eta", "-Infinity"],
+        ["--L", "0", "--eta", "0", "--tol", "-1e-3"],
     ],
 )
 def test_find_zeros_rejects_bad_input_as_parameter_error(capsys, argv):
     code, _, err = run(capsys, ["find-zeros", *argv])
     assert code == 1
     assert err.startswith("parameter error:"), err
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--re-min", "-inf", "re_min=-inf"), ("--im-min", "-nan", "im_min=nan"),
+     ("--re-max", "-1e400", "re_max=-inf")],
+)
+def test_find_zeros_names_a_non_finite_negative_bound(capsys, flag, value, field):
+    bounds = {"--re-min": "-1", "--re-max": "1", "--im-min": "0.05", "--im-max": "1"}
+    bounds[flag] = value
+    argv = ["find-zeros", "--L", "-1.75", "--eta", "1.5", *sum(bounds.items(), ())]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err.startswith("parameter error:") and field in err, err
+
+
+def test_find_zeros_takes_negative_exponents_and_decimals(capsys):
+    code, out, _ = run(
+        capsys,
+        [
+            "--format", "json", "find-zeros", "--L", "-175e-2", "--eta", "1.5",
+            "--re-min", "-1e0", "--re-max", "1E0", "--im-min", "5e-2", "--im-max", "1.",
+            "--tol", "1e-12",
+        ],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parameters"]["L"] == -1.75
+    assert payload["results"]["region"]["re_min"] == -1.0
+    assert payload["results"]["counts"]["complex_pairs"] == 1
 
 
 def test_usage_errors_exit_1(capsys):

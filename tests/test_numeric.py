@@ -10,6 +10,8 @@ from czeta.classify import classify
 from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 from czeta.numeric import (
     Rect,
+    _Evaluator,
+    _series,
     count_zeros_region,
     default_search_region,
     find_complex_zeros,
@@ -237,3 +239,53 @@ def test_series_rejects_non_finite_parameters(L, eta):
         phi(L, eta, 1.0)
     with pytest.raises(ParameterError):
         find_complex_zeros(L, eta)
+
+
+def test_memo_keeps_signed_zeros_apart():
+    # 0.0 == -0.0, also as complex dict keys; the memo must still hold x+0j and
+    # x-0j as separate points and serve each the value the series gives there
+    tol = 1e-12
+    for L, eta in [(-1.75, 1.5), (-3.0, 0.0), (0.0, 0.0)]:
+        series = _series(L, eta)
+        for x in (0.3, -2.9, 4.4):
+            ev = _Evaluator(L, eta, tol)
+            points = [complex(x, 0.0), complex(x, -0.0), complex(0.0, x), complex(-0.0, x)]
+            for z in points:
+                assert repr(ev.phi(z)) == repr(series.eval(z, tol))
+            assert ev.stats["series_evals"] == len(points) and ev.stats["memo_hits"] == 0
+            for z in reversed(points):
+                assert repr(ev.phi(z)) == repr(series.eval(z, tol))
+            assert ev.stats["series_evals"] == len(points) == ev.stats["memo_hits"]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    # checked before any series work: these used to sum all 500 terms and
+    # then raise NoConvergence
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        phi(0.0, 0.0, 1.0, tol=tol)
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        phi_derivative(0.0, 0.0, 1.0, tol=tol)
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        count_zeros_region(0.0, 0.0, (2.5, 3.5, -0.5, 0.5), tol=tol)
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        find_complex_zeros(0.0, 0.0, tol=tol)
+
+
+def test_zero_report_stats_count_the_work():
+    report = find_complex_zeros(-2.75, 1.5)
+    stats = report.stats
+    assert set(stats) == {
+        "series_evals", "memo_hits", "newton_starts", "newton_steps",
+        "nudge_retries", "split_retries",
+    }
+    assert all(type(v) is int and v >= 0 for v in stats.values())
+    # one start per located zero at least, each start at least two steps
+    assert stats["newton_starts"] >= len(report.zeros)
+    assert stats["newton_steps"] >= 2 * stats["newton_starts"]
+    # shared cut edges and corners: the memo serves a large share of points
+    assert stats["memo_hits"] > 0
+    assert stats["series_evals"] > stats["newton_steps"]
+    # the counters describe the call, not the result
+    again = find_complex_zeros(-2.75, 1.5)
+    assert again == report and again.stats == stats
