@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on usage or parameter errors, 2 when an identity
 verification fails.  Exact commands accept rationals only as "p/q" or integer
 strings (decimals would silently round); `find-zeros` takes floats.  Output
-goes to stdout as text (default), json, or csv; diagnostics go to stderr.
+goes to stdout as text (default), json, or csv; diagnostics go to stderr, and
+so does the DEBUG log of the "czeta" logger under -v (verify-all: one line per
+family with its case count and wall time).
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _cmd_hankel_det(args) -> tuple[OutputRecord, int]:
     params = CoulombParams(parse_rational(args.L), parse_rational(args.eta))
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
-    routes = coulomb_routes(params, args.n, None if args.verify else ("direct",))
+    names = None if args.verify else ("direct",)
+    routes = {name: dets[-1] for name, dets in coulomb_routes(params, args.n, names).items()}
     direct = routes.pop("direct")
     record = OutputRecord(
         command="hankel-det",
@@ -141,7 +144,7 @@ def _cmd_rayleigh_det(args) -> tuple[OutputRecord, int]:
     record = OutputRecord(
         command="rayleigh-det",
         parameters={"nu": str(nu), "ell": args.ell, "n": args.n, "method": args.method},
-        results={"det": format_rational(values[route])},
+        results={"det": format_rational(values[route][-1])},
     )
     return record, 0
 
@@ -208,6 +211,12 @@ def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
 
 def _cmd_verify_all(args) -> tuple[OutputRecord, int]:
     results = run_verification(quick=args.quick)
+    if args.verbose:
+        import logging
+
+        log = logging.getLogger("czeta")
+        for r in results:
+            log.debug("%s: %d cases in %.3f s", r.name, r.cases, r.seconds)
     families = [
         {"name": r.name, "passed": r.passed, "cases": r.cases, "detail": r.detail}
         for r in results
@@ -237,6 +246,9 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help='DEBUG log of the "czeta" logger on stderr'
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     def add_parser(name, **kwargs):
@@ -246,6 +258,7 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--format", choices=("text", "json", "csv"), default=argparse.SUPPRESS
         )
+        p.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS)
         return p
 
     p = add_parser("zeta", help="spectral zeta table zeta_L(2..kmax)")
@@ -306,10 +319,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        record, code = _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not args.verbose:
+        return _run(args)
+    import logging  # only under -v: the import costs about 5 ms, which every run would pay
+
+    log = logging.getLogger("czeta")
+    handler = logging.StreamHandler(sys.stderr)
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+
+
+def _run(args) -> int:
+    try:
+        record, code = _HANDLERS[args.subcommand](args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -72,51 +72,93 @@ class ExactMatrix:
         )
 
 
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _integer_rows(m: ExactMatrix) -> tuple[list[list[int]], list[int], list[int]]:
+    """The integer matrix det_exact eliminates, with its row scales and column contents.
 
     Each row is scaled to integers by the lcm of its own denominators, and
     each column of the result is divided by the gcd of its integers (its
-    content); an all-zero column gives 0 at once.  Integer-exact Bareiss
-    pivoting reduces that matrix, and the determinant is its last pivot times
-    the column contents over the row scales.  No entry is widened to the
-    worst denominator of the whole matrix, and intermediate entries stay
-    integral.
+    content).  An all-zero column keeps content 0 and is left as it is.  No
+    entry is widened to the worst denominator of the whole matrix.
     """
-    n = m.dim
     a = []
-    row_scales = 1
+    scales = []
     for row in m.entries:
         scale = math.lcm(*[e.denominator for e in row])
-        row_scales *= scale
+        scales.append(scale)
         a.append([e.numerator * (scale // e.denominator) for e in row])
-    contents = 1
-    for j in range(n):
+    contents = []
+    for j in range(m.dim):
         g = math.gcd(*[row[j] for row in a])
-        if g == 0:
-            return Fraction(0)
-        if g != 1:
-            contents *= g
+        contents.append(g)
+        if g > 1:
             for row in a:
                 row[j] //= g
+    return a, scales, contents
 
+
+def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
+    """Integer-exact Bareiss elimination of `a` in place, one pivot per step.
+
+    Step k yields its pivot, signed by the row swaps so far.  Before any swap
+    the pivot of step k is the (k+1) x (k+1) leading minor of `a`, and the
+    last one is det(a).  A zero pivot is swapped for a nonzero entry below it
+    when `swap` is set; a pivot that stays zero is yielded and ends the pass.
+    """
+    n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    for k in range(n):
+        if a[k][k] == 0 and swap:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
-            else:
-                return Fraction(0)
+        pivot = a[k][k]
+        yield sign * pivot
+        if pivot == 0:
+            return
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # exact by Bareiss' identity: prev divides the cross term
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1] * contents, row_scales)
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Exact determinant by Bareiss fraction-free elimination with row pivoting.
+
+    The determinant is the last pivot of the integer matrix from
+    `_integer_rows`, times the column contents over the row scales; an
+    all-zero column gives 0 at once.  Intermediate entries stay integral.
+    """
+    a, scales, contents = _integer_rows(m)
+    if 0 in contents:
+        return Fraction(0)
+    for pivot in _bareiss(a, swap=True):
+        pass
+    return Fraction(pivot * math.prod(contents), math.prod(scales))
+
+
+def leading_minors(m: ExactMatrix) -> list[Fraction]:
+    """D_1, ..., D_n: the determinants of the k x k leading submatrices of m.
+
+    One pass of det_exact's elimination without row swaps gives them all:
+    pivot k is the (k+1) x (k+1) leading minor of the integer matrix, times
+    the first k+1 column contents over the first k+1 row scales.  A zero
+    pivot makes that minor 0 and ends the pass; each later minor is then
+    det_exact of its own leading submatrix.  The last entry equals det_exact(m).
+    """
+    a, scales, contents = _integer_rows(m)
+    minors = []
+    scale = content = 1
+    for k, pivot in enumerate(_bareiss(a, swap=False)):
+        scale *= scales[k]
+        content *= contents[k]
+        minors.append(Fraction(pivot * content, scale))
+    for k in range(len(minors) + 1, m.dim + 1):
+        minors.append(det_exact(ExactMatrix.from_rows([row[:k] for row in m.entries[:k]])))
+    return minors
 
 
 def diag_scale(m: ExactMatrix, alpha: Fraction | int) -> ExactMatrix:

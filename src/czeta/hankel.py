@@ -6,7 +6,9 @@ return the direct fraction-free determinant, optionally cross-checking it
 against the closed routes.  Formulas never silently replace computation.
 
 Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`;
-the `verify=True` checks, the CLI and `verify-all` all evaluate them there.
+the `verify=True` checks, the CLI and `verify-all` all evaluate them there.  A
+route answers every n = 1..nmax in one evaluation (the direct one reads the
+leading minors of the nmax matrix), and a single-n consumer reads the last entry.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import DegenerateRecursion, SingularParameter, UnsupportedEll, VerificationError
-from .exact import ExactMatrix, det_exact
-from .zeta import CoulombParams, _check_nu, bernoulli, genocchi, zeta_table
+from .exact import ExactMatrix, det_exact, leading_minors
+from .zeta import CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, zeta_table
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,27 @@ def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(params, tuple(a), tuple(b))
 
 
+def _coulomb_moments(params: CoulombParams, nmax: int) -> list[Fraction]:
+    """The moment route for n = 1..nmax: one zeta_L(2), one set of recurrence
+    coefficients, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j."""
+    z2 = zeta_table(params, 2).value(2)
+    dets = [z2]
+    if nmax > 1:
+        coeffs = recurrence_coeffs(params, nmax - 1)
+        a_prod = Fraction(1)
+        for n in range(1, nmax):
+            a_prod *= coeffs.a(n)
+            dets.append(dets[-1] * z2 * a_prod)
+    return dets
+
+
 def det_coulomb_via_moments(params: CoulombParams, n: int) -> Fraction:
     """Moment route: zeta_L(2)^n * prod_{m=1}^{n-1} prod_{j=1}^{m} a_j.
 
     The double product is empty at n = 1.
     """
     _check_n(n)
-    table = zeta_table(params, 2)
-    out = table.value(2) ** n
-    if n > 1:
-        coeffs = recurrence_coeffs(params, n - 1)
-        for m in range(1, n):
-            for j in range(1, m + 1):
-                out *= coeffs.a(j)
-    return out
+    return _coulomb_moments(params, n)[-1]
 
 
 def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHankel:
@@ -222,17 +231,8 @@ def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
     return _rayleigh_closed(nu, 3, n)
 
 
-def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
-    """Determinant for arbitrary ell by the Desnanot-Jacobi recursion
-
-        d_n^(l) = ( d_{n+1}^(l-2) d_{n-1}^(l) + (d_n^(l-1))^2 ) / d_n^(l-2),
-
-    seeded by the ell in {0, 1} closed forms and the 1 x 1 values
-    sigma_{2l+2}(nu).  When a divisor determinant vanishes the recursion is
-    degenerate and the direct fraction-free determinant is returned instead.
-    """
-    nu = _check_nu(nu)
-    _check_n(n)
+def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
+    """det_rayleigh_dj at each n in `ns`, through one memo of the recursion."""
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2)
@@ -261,36 +261,61 @@ def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
         memo[key] = out
         return out
 
-    try:
-        return d(ell, n)
-    except DegenerateRecursion:
-        return rayleigh_hankel_det(nu, ell, n)
+    dets = []
+    for n in ns:
+        try:
+            dets.append(d(ell, n))
+        except DegenerateRecursion:
+            dets.append(rayleigh_hankel_det(nu, ell, n))
+    return dets
 
 
-# The named routes of each family, direct first.  Each looks its evaluator up
-# by name when it runs, so a replaced module attribute reaches every consumer.
+def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
+    """Determinant for arbitrary ell by the Desnanot-Jacobi recursion
+
+        d_n^(l) = ( d_{n+1}^(l-2) d_{n-1}^(l) + (d_n^(l-1))^2 ) / d_n^(l-2),
+
+    seeded by the ell in {0, 1} closed forms and the 1 x 1 values
+    sigma_{2l+2}(nu).  When a divisor determinant vanishes the recursion is
+    degenerate and the direct fraction-free determinant is returned instead.
+    """
+    nu = _check_nu(nu)
+    _check_n(n)
+    return _desnanot_jacobi(nu, ell, range(n, n + 1))[0]
+
+
+# The named routes of each family, direct first; each gives the determinants
+# for n = 1..nmax.  Each looks its evaluator up by name when it runs, so a
+# replaced module attribute reaches every consumer.
 _COULOMB_ROUTES = {
-    "direct": lambda params, n: det_exact(build_coulomb_hankel(params, n).matrix),
-    "closed": lambda params, n: det_coulomb_closed(params, n),
-    "moments": lambda params, n: det_coulomb_via_moments(params, n),
+    "direct": lambda params, nmax: leading_minors(build_coulomb_hankel(params, nmax).matrix),
+    "closed": lambda params, nmax: [det_coulomb_closed(params, n) for n in range(1, nmax + 1)],
+    "moments": lambda params, nmax: _coulomb_moments(params, nmax),
 }
 _RAYLEIGH_ROUTES = {
-    "direct": lambda nu, ell, n: det_exact(build_rayleigh_hankel(nu, ell, n).matrix),
-    "desnanot-jacobi": lambda nu, ell, n: det_rayleigh_dj(nu, ell, n),
-    "closed": lambda nu, ell, n: _rayleigh_closed(nu, ell, n),
+    "direct": lambda nu, ell, nmax: leading_minors(build_rayleigh_hankel(nu, ell, nmax).matrix),
+    "desnanot-jacobi": lambda nu, ell, nmax: _desnanot_jacobi(nu, ell, range(1, nmax + 1)),
+    "closed": lambda nu, ell, nmax: [_rayleigh_closed(nu, ell, n) for n in range(1, nmax + 1)],
 }
 
 
-def coulomb_routes(params: CoulombParams, n: int, names=None) -> dict[str, Fraction]:
-    """The zeta Hankel determinant by each route in `names` (default all), in that order."""
-    return {name: _COULOMB_ROUTES[name](params, n) for name in names or _COULOMB_ROUTES}
+def coulomb_routes(params: CoulombParams, nmax: int, names=None) -> dict[str, list[Fraction]]:
+    """The zeta Hankel determinants for n = 1..nmax by each route in `names`
+    (default all), in that order: one evaluation per route for all n."""
+    _check_n(nmax)
+    return {name: _COULOMB_ROUTES[name](params, nmax) for name in names or _COULOMB_ROUTES}
 
 
-def rayleigh_routes(nu: Fraction | int, ell: int, n: int, names=None) -> dict[str, Fraction]:
-    """The Rayleigh Hankel determinant by each route in `names` (default all), in that
-    order; "closed" is left out for an ell without a closed form (ell > 3)."""
+def rayleigh_routes(
+    nu: Fraction | int, ell: int, nmax: int, names=None
+) -> dict[str, list[Fraction]]:
+    """The Rayleigh Hankel determinants for n = 1..nmax by each route in `names`
+    (default all), in that order; "closed" is left out for an ell without a
+    closed form (ell > 3)."""
+    nu = _check_nu(nu)
+    _check_n(nmax)
     return {
-        name: _RAYLEIGH_ROUTES[name](nu, ell, n)
+        name: _RAYLEIGH_ROUTES[name](nu, ell, nmax)
         for name in names or _RAYLEIGH_ROUTES
         if name != "closed" or ell in _RAYLEIGH_POLY
     }
@@ -302,7 +327,8 @@ def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> F
     With verify=True the closed product and the moment route are evaluated as
     well and a mismatch raises VerificationError.
     """
-    routes = coulomb_routes(params, n, None if verify else ("direct",))
+    names = None if verify else ("direct",)
+    routes = {name: dets[-1] for name, dets in coulomb_routes(params, n, names).items()}
     if len(set(routes.values())) != 1:
         raise VerificationError(
             f"determinant routes disagree at (L={params.L}, eta={params.eta}, n={n}): "
@@ -317,7 +343,8 @@ def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = Fal
     With verify=True the Desnanot-Jacobi route (and the closed form when one
     exists for this ell) must reproduce the direct value.
     """
-    routes = rayleigh_routes(nu, ell, n, None if verify else ("direct",))
+    names = None if verify else ("direct",)
+    routes = {name: dets[-1] for name, dets in rayleigh_routes(nu, ell, n, names).items()}
     direct = routes.pop("direct")
     for name, value in routes.items():
         if value != direct:
@@ -329,7 +356,7 @@ def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = Fal
 
 
 def _factorial_hankel_det(label: str, numbers, g: int, ell: int, n: int) -> Fraction:
-    """Direct determinant with entries X_{2m}/(2m)!, X_{2m} = numbers(m), checked against
+    """Direct determinant with entries X_{2m}/(2m)!, X_{2m} = numbers(M)[m-1], checked against
 
     (-1)^(n(ell+g)) 2^(-n(4n+4ell-1-g)) prod_{k=1}^{2n+ell-1} (k+1/2-g)^(k-2n-ell),
 
@@ -338,10 +365,9 @@ def _factorial_hankel_det(label: str, numbers, g: int, ell: int, n: int) -> Frac
     if ell not in (0, 1):
         raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
     _check_n(n)
-    entries = []
-    for s in range(0, 2 * n - 1):
-        m = 2 * s + 2 * ell + 2  # = 2i+2j+2ell-2 at i+j = s+2 (1-based)
-        entries.append(numbers(m // 2) / factorial(m))
+    # entry (i, j) (1-based) is X_{2m}/(2m)! with m = i+j+ell-1, so m runs ell+1..2n+ell-1
+    xs = numbers(2 * n + ell - 1)
+    entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * n + ell)]
     closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (4 * n + 4 * ell - 1 - g)))
     for k in range(1, 2 * n + ell):
         closed *= (Fraction(2 * k + 1 - 2 * g, 2)) ** (k - 2 * n - ell)
@@ -364,7 +390,7 @@ def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
     are both evaluated; a mismatch raises VerificationError.  Returns the
     direct value.
     """
-    return _factorial_hankel_det("Bernoulli", bernoulli, 0, ell, n)
+    return _factorial_hankel_det("Bernoulli", _bernoulli_numbers, 0, ell, n)
 
 
 def genocchi_hankel_det(ell: int, n: int) -> Fraction:
@@ -372,7 +398,7 @@ def genocchi_hankel_det(ell: int, n: int) -> Fraction:
 
     Closed form: (-1)^(n(ell+1)) 2^(-n(4n+4ell-2)) prod_{k=1}^{2n+ell-1} (k-1/2)^(k-2n-ell).
     """
-    return _factorial_hankel_det("Genocchi", genocchi, 1, ell, n)
+    return _factorial_hankel_det("Genocchi", _genocchi_numbers, 1, ell, n)
 
 
 class ParitySplit(NamedTuple):
@@ -388,18 +414,15 @@ def parity_split_check(nu: Fraction | int, n: int) -> ParitySplit:
         det H_{2n+1}(nu-1/2, 0) = 2^(2n+1) det H_{n+1}^(0)(nu) det H_n^(1)(nu)
         det H_{2n}(nu-1/2, 0)   = 2^(2n)   det H_n^(0)(nu)     det H_n^(1)(nu)
 
-    All four determinants are computed directly; callers assert equality.
+    All four determinants are computed directly, each pair of sizes from one
+    matrix's leading minors; callers assert equality.
     """
     nu = _check_nu(nu)
     _check_n(n)
     params = CoulombParams(nu - Fraction(1, 2), Fraction(0))
-
-    def d_ray(ell, m):
-        return rayleigh_hankel_det(nu, ell, m)
-
-    def d_zeta(m):
-        return coulomb_hankel_det(params, m)
-
-    odd = (d_zeta(2 * n + 1), Fraction(2 ** (2 * n + 1)) * d_ray(0, n + 1) * d_ray(1, n))
-    even = (d_zeta(2 * n), Fraction(2 ** (2 * n)) * d_ray(0, n) * d_ray(1, n))
+    d_zeta = coulomb_routes(params, 2 * n + 1, ("direct",))["direct"]
+    d_ray0 = rayleigh_routes(nu, 0, n + 1, ("direct",))["direct"]
+    d_ray1 = rayleigh_hankel_det(nu, 1, n)
+    odd = (d_zeta[2 * n], Fraction(2 ** (2 * n + 1)) * d_ray0[n] * d_ray1)
+    even = (d_zeta[2 * n - 1], Fraction(2 ** (2 * n)) * d_ray0[n - 1] * d_ray1)
     return ParitySplit(odd=odd, even=even)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterator, NamedTuple
@@ -19,7 +20,6 @@ from .exact import parse_rational
 from .hankel import (
     _rayleigh_product,
     bernoulli_hankel_det,
-    coulomb_hankel_det,
     coulomb_routes,
     genocchi_hankel_det,
     rayleigh_hankel_det,
@@ -35,6 +35,7 @@ class FamilyResult:
     passed: bool
     cases: int
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time of the family's run
 
 
 def load_grid(quick: bool = False) -> dict:
@@ -57,8 +58,9 @@ def _param_grid(cfg) -> list[CoulombParams]:
 
 def _run_coulomb_hankel(cfg):
     for params in _param_grid(cfg):
-        for n in range(1, cfg["n_max"] + 1):
-            yield (params.L, params.eta, n), len(set(coulomb_routes(params, n).values())) == 1
+        routes = coulomb_routes(params, cfg["n_max"])
+        for n, values in enumerate(zip(*routes.values()), 1):
+            yield (params.L, params.eta, n), len(set(values)) == 1
 
 
 def _run_rayleigh(cfg, route, ells):
@@ -66,9 +68,9 @@ def _run_rayleigh(cfg, route, ells):
     for ns in cfg["nu"]:
         nu = parse_rational(ns)
         for ell in ells:
-            for n in range(1, cfg["n_max"] + 1):
-                values = rayleigh_routes(nu, ell, n, ("direct", route))
-                yield (nu, ell, n), values[route] == values["direct"]
+            routes = rayleigh_routes(nu, ell, cfg["n_max"], ("direct", route))
+            for n, (direct, value) in enumerate(zip(routes["direct"], routes[route]), 1):
+                yield (nu, ell, n), value == direct
 
 
 def _run_rayleigh_ell23(cfg):
@@ -90,10 +92,11 @@ def _run_bernoulli_genocchi(cfg):
 
 def _run_sign_products(cfg):
     for params in _param_grid(cfg):
-        dets = {m: coulomb_hankel_det(params, m) for m in range(1, cfg["n_max"] + 2)}
+        # dets[m] = det H_m, dets[0] = 1
+        dets = [Fraction(1), *coulomb_routes(params, cfg["n_max"] + 1, ("direct",))["direct"]]
         for n in range(cfg["n_max"] + 1):
             product = dd_product_closed(params, n)
-            direct = (dets[n] if n >= 1 else Fraction(1)) * dets[n + 1]
+            direct = dets[n] * dets[n + 1]
             lead = 2 * params.L + 2 * n + 3
             sign_ok = (product > 0) == (lead > 0)
             yield (params.L, params.eta, n), product == direct and sign_ok
@@ -111,13 +114,27 @@ def _run_classification(cfg):
 
 
 def _match_expected_zeros(report, expected, tol) -> bool:
-    pairs = [z for z in report.zeros if z.imag > 1e-7]
-    if len(pairs) != len(expected):
+    """True when the found upper-half-plane zeros and the expected ones pair off
+    one to one, each pair within tol in both coordinates (augmenting paths)."""
+    found = [z for z in report.zeros if z.imag > 1e-7]
+    if len(found) != len(expected):
         return False
-    for ere, eim in expected:
-        if not any(abs(z.real - ere) <= tol and abs(z.imag - eim) <= tol for z in pairs):
-            return False
-    return True
+    near = [
+        [i for i, z in enumerate(found) if abs(z.real - ere) <= tol and abs(z.imag - eim) <= tol]
+        for ere, eim in expected
+    ]
+    owner: dict[int, int] = {}  # found index -> the expected zero it is matched to
+
+    def claim(e: int, seen: set) -> bool:
+        for i in near[e]:
+            if i not in seen:
+                seen.add(i)
+                if i not in owner or claim(owner[i], seen):
+                    owner[i] = e
+                    return True
+        return False
+
+    return all(claim(e, set()) for e in range(len(expected)))
 
 
 def _run_zeros(cfg):
@@ -197,11 +214,14 @@ def run_verification(quick: bool = False) -> list[FamilyResult]:
     grid = load_grid(quick)
     results = []
     for family in _FAMILIES:
+        start = time.perf_counter()
         try:
             cases, bad, fields = _tally(family.run(grid[family.key]))
         except Exception as exc:  # a raised check is a failure, not a crash
-            results.append(FamilyResult(family.name, False, 0, f"{type(exc).__name__}: {exc}"))
-            continue
-        detail = family.failed.format(bad=bad[: family.shown]) if bad else family.passed.format(**fields)
-        results.append(FamilyResult(name=family.name, passed=not bad, cases=cases, detail=detail))
+            passed, cases, detail = False, 0, f"{type(exc).__name__}: {exc}"
+        else:
+            passed = not bad
+            detail = (family.failed.format(bad=bad[: family.shown]) if bad
+                      else family.passed.format(**fields))
+        results.append(FamilyResult(family.name, passed, cases, detail, time.perf_counter() - start))
     return results

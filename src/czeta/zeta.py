@@ -190,16 +190,45 @@ def rayleigh(nu: Fraction | int, k: int) -> Fraction:
     nu = _check_nu(nu)
     if k < 1:
         raise SingularParameter(f"Rayleigh order requires k >= 1, got {k}")
-    table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2 * k)
-    return table.value(2 * k) / 2
+    return _sigmas(nu, k)[-1]
+
+
+def _sigmas(nu: Fraction, kmax: int) -> list[Fraction]:
+    """sigma_2(nu), sigma_4(nu), ..., sigma_{2 kmax}(nu), from one zeta table."""
+    table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2 * kmax)
+    return [table.value(2 * k) / 2 for k in range(1, kmax + 1)]
+
+
+def _bernoulli_numbers(nmax: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_{2 nmax} (see `bernoulli`), from one zeta table."""
+    if nmax < 1:
+        raise SingularParameter(f"bernoulli(n) requires n >= 1, got {nmax}")
+    return [
+        (-1) ** (n + 1) * factorial(2 * n) * Fraction(2) ** (1 - 2 * n) * sigma
+        for n, sigma in enumerate(_sigmas(Fraction(1, 2), nmax), 1)
+    ]
+
+
+def _genocchi_numbers(nmax: int) -> list[Fraction]:
+    """G_2, G_4, ..., G_{2 nmax}, each cross-checked as in `genocchi`, from one
+    zeta table per route."""
+    if nmax < 1:
+        raise SingularParameter(f"genocchi(n) requires n >= 1, got {nmax}")
+    out = []
+    for n, (b, sigma) in enumerate(
+        zip(_bernoulli_numbers(nmax), _sigmas(Fraction(-1, 2), nmax)), 1
+    ):
+        g = 2 * (1 - 2 ** (2 * n)) * b
+        alt = (-1) ** n * factorial(2 * n) * Fraction(2) ** (2 - 2 * n) * sigma
+        if g != alt:
+            raise VerificationError(f"Genocchi bridge mismatch at n = {n}: {g} != {alt}")
+        out.append(g)
+    return out
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_{2n}, via B_{2n} = (-1)^(n+1) (2n)! 2^(1-2n) sigma_{2n}(1/2)."""
-    if n < 1:
-        raise SingularParameter(f"bernoulli(n) requires n >= 1, got {n}")
-    sigma = rayleigh(Fraction(1, 2), n)
-    return (-1) ** (n + 1) * factorial(2 * n) * Fraction(2) ** (1 - 2 * n) * sigma
+    return _bernoulli_numbers(n)[-1]
 
 
 def genocchi(n: int) -> Fraction:
@@ -209,12 +238,4 @@ def genocchi(n: int) -> Fraction:
     G_{2n} = (-1)^n (2n)! 2^(2-2n) sigma_{2n}(-1/2); a mismatch would mean the
     zeta recurrence and the Bernoulli bridge disagree.
     """
-    if n < 1:
-        raise SingularParameter(f"genocchi(n) requires n >= 1, got {n}")
-    g = 2 * (1 - 2 ** (2 * n)) * bernoulli(n)
-    alt = (-1) ** n * factorial(2 * n) * Fraction(2) ** (2 - 2 * n) * rayleigh(
-        Fraction(-1, 2), n
-    )
-    if g != alt:
-        raise VerificationError(f"Genocchi bridge mismatch at n = {n}: {g} != {alt}")
-    return g
+    return _genocchi_numbers(n)[-1]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -270,7 +271,7 @@ def test_verify_all_failure_exits_2(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-# every family record of `verify-all --quick`, pinned; the full grid is pinned in perfbench
+# every family record of `verify-all --quick`, pinned; the full grid is pinned below
 QUICK_FAMILIES = [
     ("coulomb-hankel", True, 30, "direct = closed product = moment route, exactly"),
     ("rayleigh-closed", True, 16, "closed form matches direct determinants for ell in {0,1}"),
@@ -291,3 +292,55 @@ def test_verify_all_quick_json_records_are_pinned(capsys):
     assert code == 0
     families = json.loads(out)["results"]["families"]
     assert [(f["name"], f["passed"], f["cases"], f["detail"]) for f in families] == QUICK_FAMILIES
+
+
+FULL_FAMILIES = [
+    ("coulomb-hankel", True, 192, "direct = closed product = moment route, exactly"),
+    ("rayleigh-closed", True, 48, "closed form matches direct determinants for ell in {0,1}"),
+    ("rayleigh-ell23", True, 33, "ell = 2, 3 closed forms hold; blind ell = 2 use of the {0,1} "
+     "form differs as expected (1/18432 vs 1/3072)"),
+    ("desnanot-jacobi", True, 112, "recursion route equals direct determinants"),
+    ("bernoulli-genocchi", True, 24, "closed forms hold and every value is a reciprocal integer"),
+    ("sign-products", True, 144,
+     "closed D-products equal determinant products; signs follow 2L+2n+3"),
+    ("classification", True, 11, "pair counts match the floor(-L-1/2) law"),
+    ("zeros", True, 3, "all listed non-real zeros recovered within 0.0005"),
+    ("hurwitz", True, 3, "numeric pair counts and axis flags match the order trichotomy"),
+]
+
+
+def test_verify_all_full_json_records_are_pinned(capsys):
+    code, out, _ = run(capsys, ["--format", "json", "verify-all"])
+    assert code == 0
+    families = json.loads(out)["results"]["families"]
+    assert [(f["name"], f["passed"], f["cases"], f["detail"]) for f in families] == FULL_FAMILIES
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verbose_logs_family_timings_to_stderr_only(capsys, fmt):
+    code, quiet_out, quiet_err = run(capsys, ["--format", fmt, "verify-all", "--quick"])
+    assert code == 0 and quiet_err == ""
+    code, out, err = run(capsys, ["--format", fmt, "-v", "verify-all", "--quick"])
+    assert code == 0 and out == quiet_out
+    lines = err.splitlines()
+    assert len(lines) == len(QUICK_FAMILIES)
+    for line, (name, _, cases, _) in zip(lines, QUICK_FAMILIES):
+        assert re.fullmatch(rf"{name}: {cases} cases in \d+\.\d{{3}} s", line)
+    # accepted after the subcommand too
+    code, out, err = run(capsys, ["--format", fmt, "verify-all", "--quick", "-v"])
+    assert out == quiet_out and len(err.splitlines()) == len(QUICK_FAMILIES)
+
+
+def test_logging_is_imported_only_under_verbose():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys; from czeta.cli import main; main(sys.argv[1:]); "
+        "print('logging' in sys.modules, file=sys.stderr)"
+    )
+    for flags, imported in (([], "False"), (["-v"], "True")):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *flags, "zeta", "--L", "0", "--eta", "0", "--kmax", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr.strip() == imported

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from czeta.errors import ParameterError
-from czeta.exact import ExactMatrix, det_exact, diag_scale, format_rational, parse_rational
+from czeta.exact import (
+    ExactMatrix,
+    det_exact,
+    diag_scale,
+    format_rational,
+    leading_minors,
+    parse_rational,
+)
 
 from oracles import leibniz_det
 
@@ -47,23 +54,64 @@ def test_det_singular():
     assert det_exact(m) == 0
 
 
+def assert_det_and_minors_match_leibniz(rows):
+    m = ExactMatrix.from_rows(rows)
+    minors = leading_minors(m)
+    assert minors == [leibniz_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+    assert det_exact(m) == leibniz_det(rows) == minors[-1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_leibniz(n):
     rng = random.Random(1000 + n)
     for _ in range(6):
-        rows = rational_matrix(rng, n)
-        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+        assert_det_and_minors_match_leibniz(rational_matrix(rng, n))
     for _ in range(3):
         # columns with a common integer content, negative entries included
         contents = [rng.choice([-12, -3, 2, 6, 35]) for _ in range(n)]
-        rows = [[c * rng.randint(-9, 9) for c in contents] for _ in range(n)]
-        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+        assert_det_and_minors_match_leibniz(
+            [[c * rng.randint(-9, 9) for c in contents] for _ in range(n)]
+        )
         # row denominators that differ by orders of magnitude
-        rows = [
-            [F(rng.randint(-9, 9), rng.randint(1, 9) * 10 ** (4 * i)) for _ in range(n)]
-            for i in range(n)
-        ]
-        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+        assert_det_and_minors_match_leibniz(
+            [
+                [F(rng.randint(-9, 9), rng.randint(1, 9) * 10 ** (4 * i)) for _ in range(n)]
+                for i in range(n)
+            ]
+        )
+
+
+def test_leading_minors_1x1():
+    assert leading_minors(ExactMatrix.from_rows([[F(-5, 3)]])) == [F(-5, 3)]
+
+
+def test_leading_minors_after_a_zero_pivot():
+    # D_1 = 0 ends the elimination; D_2 comes from its own determinant
+    assert leading_minors(ExactMatrix.from_rows([[0, 1], [1, 0]])) == [0, -1]
+
+
+def test_leading_minors_with_a_zero_column():
+    # an all-zero third column: D_1, D_2 are unaffected, every later minor is 0
+    rows = [[F(1, 3), 2, 0, 5], [F(-2, 7), 1, 0, 1], [4, F(1, 2), 0, F(9, 2)], [1, 1, 0, 1]]
+    assert leading_minors(ExactMatrix.from_rows(rows)) == [F(1, 3), F(19, 21), 0, 0]
+    assert_det_and_minors_match_leibniz(rows)
+
+
+def test_leading_minors_of_the_degenerate_rayleigh_matrix():
+    # at nu = -23/7, ell = 3 the 2 x 2 minor vanishes and the 3 x 3 and 4 x 4 do not
+    from czeta.hankel import build_rayleigh_hankel
+
+    m = build_rayleigh_hankel(F(-23, 7), 3, 4).matrix
+    minors = leading_minors(m)
+    assert minors[1] == 0 and all(minors[k] != 0 for k in (0, 2, 3))
+    assert_det_and_minors_match_leibniz([list(row) for row in m.entries])
+
+
+def test_leading_minors_keep_their_row_scales_and_contents():
+    # every minor below the last needs the row scales and column contents of
+    # its own rows and columns only: a dropped or full-matrix factor shows here
+    rows = [[F(1, 2), 6, F(9, 5)], [F(3, 4), F(8, 3), 12], [F(5, 7), 10, F(3, 11)]]
+    assert_det_and_minors_match_leibniz(rows)
 
 
 def test_matrix_validation():

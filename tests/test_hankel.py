@@ -10,6 +10,7 @@ from czeta.hankel import (
     build_coulomb_hankel,
     build_rayleigh_hankel,
     coulomb_hankel_det,
+    coulomb_routes,
     det_coulomb_closed,
     det_coulomb_via_moments,
     det_rayleigh_closed,
@@ -19,6 +20,7 @@ from czeta.hankel import (
     genocchi_hankel_det,
     parity_split_check,
     rayleigh_hankel_det,
+    rayleigh_routes,
     recurrence_coeffs,
     _rayleigh_product,
 )
@@ -268,3 +270,89 @@ def test_rayleigh_builders_reject_bad_parameters():
         build_rayleigh_hankel(1, 0, 0)
     with pytest.raises(SingularParameter):
         det_rayleigh_ell2(-1, 2)
+
+
+@pytest.mark.parametrize("L, eta", [(F(-2), F(0)), (F(1, 3), F(1, 2))])
+def test_coulomb_routes_over_n_equal_the_single_n_evaluators(L, eta):
+    # (-2, 0) is the Bessel branch at a negative integer L
+    p = CoulombParams(L, eta)
+    routes = coulomb_routes(p, 6)
+    assert list(routes) == ["direct", "closed", "moments"]
+    for n in range(1, 7):
+        assert routes["direct"][n - 1] == coulomb_hankel_det(p, n, verify=True)
+        assert routes["direct"][n - 1] == det_exact(build_coulomb_hankel(p, n).matrix)
+        assert routes["closed"][n - 1] == det_coulomb_closed(p, n)
+        assert routes["moments"][n - 1] == det_coulomb_via_moments(p, n)
+    assert coulomb_routes(p, 3, ("moments",)) == {"moments": routes["moments"][:3]}
+
+
+@pytest.mark.parametrize("ell", [3, 5])
+def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell):
+    # nu = -23/7: at ell = 3 the 2 x 2 minor vanishes, and the recursion toward
+    # ell = 5 divides by it, so Desnanot-Jacobi falls back to the direct value
+    nu = F(-23, 7)
+    routes = rayleigh_routes(nu, ell, 4)
+    assert list(routes) == (["direct", "desnanot-jacobi", "closed"] if ell == 3
+                            else ["direct", "desnanot-jacobi"])
+    for n in range(1, 5):
+        direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
+        assert routes["direct"][n - 1] == direct == rayleigh_hankel_det(nu, ell, n, verify=True)
+        assert routes["desnanot-jacobi"][n - 1] == det_rayleigh_dj(nu, ell, n) == direct
+        if ell == 3:
+            assert routes["closed"][n - 1] == det_rayleigh_ell3(nu, n)
+    if ell == 3:
+        assert routes["direct"][1] == 0
+
+
+def test_routes_reject_nmax_below_one():
+    with pytest.raises(SingularParameter, match="got 0"):
+        coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
+    with pytest.raises(SingularParameter, match="got 0"):
+        rayleigh_routes(1, 0, 0, ("closed",))
+
+
+def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
+    import czeta.hankel
+    import czeta.zeta
+    from czeta.exact import leading_minors
+    from czeta.verify import _FAMILIES, _tally, load_grid
+    from czeta.zeta import zeta_table
+
+    calls = {"leading_minors": 0, "zeta_table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(czeta.hankel, "leading_minors", counted("leading_minors", leading_minors))
+    for module in (czeta.hankel, czeta.zeta):
+        monkeypatch.setattr(module, "zeta_table", counted("zeta_table", zeta_table))
+    grid = load_grid(quick=True)
+    coulomb_pairs = len(grid["coulomb_hankel"]["L"]) * len(grid["coulomb_hankel"]["eta"])
+    assert coulomb_pairs == len(grid["sign_products"]["L"]) * len(grid["sign_products"]["eta"])
+    nus = len(grid["rayleigh_closed"]["nu"])
+    # (family, leading_minors calls, zeta tables) with 2 x 2 = 4 (nu, ell) pairs
+    # in rayleigh-closed and rayleigh-ell23 and 2 x 5 = 10 in desnanot-jacobi
+    expected = {
+        # one direct table per pair, and one zeta_L(2) table for the moment route
+        "coulomb-hankel": (coulomb_pairs, 2 * coulomb_pairs),
+        "sign-products": (coulomb_pairs, coulomb_pairs),
+        "rayleigh-closed": (2 * nus, 2 * nus),
+        # and the direct determinant of the blind ell = 2 witness
+        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1),
+        # one direct table and one recursion table per pair
+        "desnanot-jacobi": (5 * nus, 2 * 5 * nus),
+        # per (ell, n): one table for the Bernoulli entries, two for the Genocchi
+        # entries and their bridge check; no minors (one det_exact per matrix)
+        "bernoulli-genocchi": (0, 2 * grid["bernoulli_genocchi"]["n_max"] * 3),
+    }
+    for family in _FAMILIES:
+        if family.name not in expected:
+            continue
+        calls.update(leading_minors=0, zeta_table=0)
+        cases, bad, _ = _tally(family.run(grid[family.key]))
+        assert cases > 0 and not bad
+        assert (calls["leading_minors"], calls["zeta_table"]) == expected[family.name], family.name

@@ -1,0 +1,34 @@
+from types import SimpleNamespace
+
+from czeta.verify import FamilyResult, _match_expected_zeros
+
+
+def report(*zeros):
+    return SimpleNamespace(zeros=list(zeros))
+
+
+def test_one_found_zero_cannot_match_two_expected_zeros():
+    # both expected zeros lie within tol of the first found zero; the second
+    # found zero is far from both, so no one-to-one matching exists
+    expected = [(0.15, 0.252), (0.1501, 0.252)]
+    assert not _match_expected_zeros(report(0.15005 + 0.252j, 2 + 1j), expected, 5e-4)
+    assert _match_expected_zeros(report(0.15005 + 0.252j, 0.1501 + 0.2521j), expected, 5e-4)
+
+
+def test_zero_matching_tries_other_assignments():
+    # the first expected zero is near both found zeros, the second only near the
+    # first found zero: a greedy first choice would leave the second unmatched
+    expected = [(0.0, 1.0), (0.0008, 1.0)]
+    assert _match_expected_zeros(report(0.0004 + 1j, -0.0004 + 1j), expected, 5e-4)
+
+
+def test_zero_matching_ignores_the_lower_half_plane_and_counts():
+    expected = [(0.15, 0.252)]
+    assert _match_expected_zeros(report(0.15 + 0.252j, 0.15 - 0.252j, 3 + 0j), expected, 5e-4)
+    assert not _match_expected_zeros(report(0.15 + 0.252j, 0.9 + 0.5j), expected, 5e-4)
+    assert not _match_expected_zeros(report(), expected, 5e-4)
+
+
+def test_family_seconds_take_no_part_in_equality():
+    assert FamilyResult("f", True, 3, "ok", 1.5) == FamilyResult("f", True, 3, "ok")
+    assert FamilyResult("f", True, 3, "ok").seconds == 0.0
