@@ -27,7 +27,7 @@ from .errors import (
     SingularParameter,
     VerificationError,
 )
-from .hankel import _closed_product
+from .hankel import coulomb_routes
 from .zeta import CoulombParams
 
 
@@ -60,22 +60,14 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
           * prod_{k=0}^{n-1} (2L+2n-2k+1)^-(4k+4) * (1 + eta^2/(L+n-k)^2)^(2k+3)
 
     with every eta factor dropped when eta = 0 (that branch also admits
-    negative integer L).
+    negative integer L), evaluated as det H_n det H_{n+1} from one running
+    closed product.
     """
     _validate_for_classification(params)
     if n < 0:
         raise ExcludedParameter(f"n must be >= 0, got {n}")
-    L, eta = params.L, params.eta
-    lead = 2 * L + 2 * n + 3
-    if lead == 0:
-        raise SingularParameter(f"2L+2n+3 = 0 at L = {L}, n = {n}")
-    out = Fraction(1) / lead
-    if eta != 0:
-        shift = L + n + 1
-        if shift == 0:
-            raise SingularParameter(f"L+n+1 = 0 at L = {L}, n = {n}")
-        out *= 1 + (eta / shift) ** 2
-    return out * _closed_product(L, eta, n, lambda k: 4 * k + 4, lambda k: 2 * k + 3)
+    dets = coulomb_routes(params, n + 1, ("closed",))["closed"]  # det H_1 .. det H_{n+1}
+    return (dets[n - 1] if n else 1) * dets[n]
 
 
 def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassification:

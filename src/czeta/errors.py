@@ -39,7 +39,3 @@ class NoConvergence(ArithmeticError):
 
 class ContourTooClose(ArithmeticError):
     """A zero sits too close to the integration contour for phase tracking."""
-
-
-class NewtonDiverged(ArithmeticError):
-    """Newton refinement failed to converge inside a cell."""

@@ -8,7 +8,10 @@ against the closed routes.  Formulas never silently replace computation.
 Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`;
 the `verify=True` checks, the CLI and `verify-all` all evaluate them there.  A
 route answers every n = 1..nmax in one evaluation (the direct one reads the
-leading minors of the nmax matrix), and a single-n consumer reads the last entry.
+leading minors of the nmax matrix, the closed one runs one product over n), and
+a single-n consumer reads the last entry.  That one closed product also gives
+the D_{n-1} D_n of `czeta.classify`, and the Bernoulli and Genocchi closed forms
+are the Rayleigh product at nu = 1/2 and -1/2, rescaled.
 """
 
 from __future__ import annotations
@@ -89,35 +92,6 @@ def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
     return CoulombHankel(params, n, _hankel([table.value(k) for k in range(2, 2 * n + 1)], n))
 
 
-def _closed_product(L: Fraction, eta: Fraction, n: int, base_exp, shift_exp) -> Fraction:
-    """prod_{k=0}^{n-1} (2L+2n-2k+1)^-base_exp(k) * (1 + eta^2/(L+n-k)^2)^shift_exp(k),
-
-    the eta factors dropped when eta = 0; shared by the determinant and D_{n-1} D_n.
-    """
-    out = Fraction(1)
-    for k in range(n):
-        base = 2 * L + 2 * n - 2 * k + 1
-        if base == 0:
-            raise SingularParameter(f"2L+2n-2k+1 = 0 at L = {L}, n = {n}, k = {k}")
-        out /= base ** base_exp(k)
-        if eta != 0:
-            shift = L + n - k
-            if shift == 0:
-                raise SingularParameter(f"L+n-k = 0 at L = {L}, n = {n}, k = {k}")
-            out *= (1 + (eta / shift) ** 2) ** shift_exp(k)
-    return out
-
-
-def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
-    """Closed product for the determinant of the zeta Hankel matrix:
-
-    prod_{k=0}^{n-1} (2L+2n-2k+1)^-(2k+1) * (1 + eta^2/(L+n-k)^2)^(k+1)
-    """
-    _check_n(n)
-    params.validate()
-    return _closed_product(params.L, params.eta, n, lambda k: 2 * k + 1, lambda k: k + 1)
-
-
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     """Coefficients a_1..a_nmax and b_0..b_nmax, exactly."""
     if nmax < 1:
@@ -146,6 +120,40 @@ def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
                     raise SingularParameter(f"n+L+1 = 0 at n = {n}, L = {L}")
                 a.append((s + eta**2) / (s * d))
     return RecurrenceCoeffs(params, tuple(a), tuple(b))
+
+
+def _coulomb_closed(params: CoulombParams, nmax: int) -> list[Fraction]:
+    """The closed product for n = 1..nmax as one running product; with m = n - k,
+
+    det H_n / det H_{n-1} = prod_{m<n} (2L+2m+1)^-2 * prod_{m<=n} (1 + eta^2/(L+m)^2) / (2L+2n+1),
+
+    the eta factors dropped when eta = 0.  Each factor is checked for a zero once.
+    """
+    params.validate()
+    L, eta = params.L, params.eta
+    dets, det, ratio = [], Fraction(1), Fraction(1)  # ratio: prod_{m<=n} shift_m / base_m^2
+    for m in range(1, nmax + 1):
+        base = 2 * L + 2 * m + 1
+        if base == 0:
+            raise SingularParameter(f"2L+2m+1 = 0 at L = {L}, m = {m}")
+        ratio /= base**2
+        if eta != 0:
+            shift = L + m
+            if shift == 0:
+                raise SingularParameter(f"L+m = 0 at L = {L}, m = {m}")
+            ratio *= 1 + (eta / shift) ** 2
+        det *= ratio * base
+        dets.append(det)
+    return dets
+
+
+def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
+    """Closed product for the determinant of the zeta Hankel matrix:
+
+    prod_{k=0}^{n-1} (2L+2n-2k+1)^-(2k+1) * (1 + eta^2/(L+n-k)^2)^(k+1)
+    """
+    _check_n(n)
+    return _coulomb_closed(params, n)[-1]
 
 
 def _coulomb_moments(params: CoulombParams, nmax: int) -> list[Fraction]:
@@ -232,7 +240,8 @@ def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
 
 
 def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
-    """det_rayleigh_dj at each n in `ns`, through one memo of the recursion."""
+    """det_rayleigh_dj at each n in `ns`, through one memo of the recursion and
+    at most one direct leading-minor pass for the degenerate n."""
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2)
@@ -261,12 +270,14 @@ def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
         memo[key] = out
         return out
 
-    dets = []
+    dets, direct = [], None
     for n in ns:
         try:
             dets.append(d(ell, n))
         except DegenerateRecursion:
-            dets.append(rayleigh_hankel_det(nu, ell, n))
+            if direct is None:  # one direct pass serves every degenerate n
+                direct = leading_minors(build_rayleigh_hankel(nu, ell, ns[-1]).matrix)
+            dets.append(direct[n - 1])
     return dets
 
 
@@ -289,7 +300,7 @@ def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
 # replaced module attribute reaches every consumer.
 _COULOMB_ROUTES = {
     "direct": lambda params, nmax: leading_minors(build_coulomb_hankel(params, nmax).matrix),
-    "closed": lambda params, nmax: [det_coulomb_closed(params, n) for n in range(1, nmax + 1)],
+    "closed": lambda params, nmax: _coulomb_closed(params, nmax),
     "moments": lambda params, nmax: _coulomb_moments(params, nmax),
 }
 _RAYLEIGH_ROUTES = {
@@ -368,9 +379,9 @@ def _factorial_hankel_det(label: str, numbers, g: int, ell: int, n: int) -> Frac
     # entry (i, j) (1-based) is X_{2m}/(2m)! with m = i+j+ell-1, so m runs ell+1..2n+ell-1
     xs = numbers(2 * n + ell - 1)
     entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * n + ell)]
-    closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (4 * n + 4 * ell - 1 - g)))
-    for k in range(1, 2 * n + ell):
-        closed *= (Fraction(2 * k + 1 - 2 * g, 2)) ** (k - 2 * n - ell)
+    # the Rayleigh product at nu = 1/2 - g, whose factors are the (k+1/2-g)
+    closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g)))
+    closed *= _rayleigh_product(Fraction(1, 2) - g, ell, n)
     direct = det_exact(_hankel(entries, n))
     if direct != closed:
         raise VerificationError(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterator, NamedTuple
 
-from .classify import classify, dd_product_closed, hurwitz_counts
+from .classify import classify, hurwitz_counts
 from .exact import parse_rational
 from .hankel import (
     _rayleigh_product,
@@ -92,14 +92,14 @@ def _run_bernoulli_genocchi(cfg):
 
 def _run_sign_products(cfg):
     for params in _param_grid(cfg):
-        # dets[m] = det H_m, dets[0] = 1
-        dets = [Fraction(1), *coulomb_routes(params, cfg["n_max"] + 1, ("direct",))["direct"]]
+        # both routes with det H_0 = 1 in front, so D_{n-1} D_n = dets[n] * dets[n + 1]
+        routes = coulomb_routes(params, cfg["n_max"] + 1, ("direct", "closed"))
+        direct, closed = ([Fraction(1), *dets] for dets in routes.values())
         for n in range(cfg["n_max"] + 1):
-            product = dd_product_closed(params, n)
-            direct = dets[n] * dets[n + 1]
+            product = closed[n] * closed[n + 1]
             lead = 2 * params.L + 2 * n + 3
             sign_ok = (product > 0) == (lead > 0)
-            yield (params.L, params.eta, n), product == direct and sign_ok
+            yield (params.L, params.eta, n), product == direct[n] * direct[n + 1] and sign_ok
 
 
 def _run_classification(cfg):

@@ -3,8 +3,8 @@
 Nothing here imports the package's computational paths: determinants come
 from the Leibniz permutation expansion, Bernoulli numbers from the classical
 binomial recurrence, the entire Coulomb factor from a direct complex
-confluent-series product, and the normalized Bessel function from its own
-even power series.
+confluent-series product, the normalized Bessel function from its own
+even power series, and the Coulomb closed products from their k-indexed form.
 """
 
 from fractions import Fraction
@@ -46,6 +46,33 @@ def bernoulli_classical(n):
             acc += comb(m + 1, r) * values[r]
         values.append(-acc / (m + 1))
     return values[n]
+
+
+def _k_product(L, eta, n, base_exp, shift_exp):
+    """prod_{k=0}^{n-1} (2L+2n-2k+1)^-base_exp(k) (1 + eta^2/(L+n-k)^2)^shift_exp(k),
+    the eta factors dropped when eta = 0."""
+    L, eta = Fraction(L), Fraction(eta)
+    out = Fraction(1)
+    for k in range(n):
+        out /= (2 * L + 2 * n - 2 * k + 1) ** base_exp(k)
+        if eta != 0:
+            out *= (1 + (eta / (L + n - k)) ** 2) ** shift_exp(k)
+    return out
+
+
+def det_coulomb_k_product(L, eta, n):
+    """det H_n(L, eta) = prod_{k=0}^{n-1} (2L+2n-2k+1)^-(2k+1) (1 + eta^2/(L+n-k)^2)^(k+1)."""
+    return _k_product(L, eta, n, lambda k: 2 * k + 1, lambda k: k + 1)
+
+
+def dd_k_product(L, eta, n):
+    """D_{n-1} D_n = 1/(2L+2n+3) (1 + eta^2/(L+n+1)^2)
+    * prod_{k=0}^{n-1} (2L+2n-2k+1)^-(4k+4) (1 + eta^2/(L+n-k)^2)^(2k+3)."""
+    L, eta = Fraction(L), Fraction(eta)
+    lead = 1 / (2 * L + 2 * n + 3)
+    if eta != 0:
+        lead *= 1 + (eta / (L + n + 1)) ** 2
+    return lead * _k_product(L, eta, n, lambda k: 4 * k + 4, lambda k: 2 * k + 3)
 
 
 # classical Genocchi numbers G_2, G_4, ..., G_20

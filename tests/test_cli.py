@@ -55,7 +55,7 @@ def test_hankel_det_with_verification(capsys):
 
 
 def test_hankel_det_verification_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr("czeta.hankel.det_coulomb_closed", lambda p, n: F(999))
+    monkeypatch.setattr("czeta.hankel._coulomb_closed", lambda p, nmax: [F(999)] * nmax)
     code, out, _ = run(capsys, ["hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"])
     assert code == 2
 
@@ -66,7 +66,7 @@ def test_one_closed_product_reaches_api_cli_and_verify_all(capsys, monkeypatch):
     from czeta.hankel import coulomb_hankel_det
     from czeta.zeta import CoulombParams
 
-    monkeypatch.setattr("czeta.hankel.det_coulomb_closed", lambda p, n: F(999))
+    monkeypatch.setattr("czeta.hankel._coulomb_closed", lambda p, nmax: [F(999)] * nmax)
     with pytest.raises(VerificationError, match="closed=999"):
         coulomb_hankel_det(CoulombParams(0, 0), 2, verify=True)
     code, out, _ = run(

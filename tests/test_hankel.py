@@ -26,7 +26,7 @@ from czeta.hankel import (
 )
 from czeta.zeta import CoulombParams, rayleigh
 
-from oracles import dj_solution_formula, leibniz_det
+from oracles import dd_k_product, det_coulomb_k_product, dj_solution_formula, leibniz_det
 
 L_GRID = [F(-5, 4), F(-1, 2), F(0), F(1, 3), F(1), F(7, 2)]
 ETA_GRID = [F(0), F(1, 2), F(1), F(2)]
@@ -286,12 +286,36 @@ def test_coulomb_routes_over_n_equal_the_single_n_evaluators(L, eta):
     assert coulomb_routes(p, 3, ("moments",)) == {"moments": routes["moments"][:3]}
 
 
+@pytest.mark.parametrize("L, eta", [(F(-185, 4), F(3, 2)), (F(-2), F(0)), (F(1, 3), F(1, 2))])
+def test_running_closed_product_equals_the_k_indexed_products(L, eta):
+    from czeta.classify import dd_product_closed
+
+    p = CoulombParams(L, eta)
+    closed = coulomb_routes(p, 20, ("closed",))["closed"]
+    for n in range(1, 21):
+        assert closed[n - 1] == det_coulomb_closed(p, n) == det_coulomb_k_product(L, eta, n)
+    for n in range(0, 21):
+        assert dd_product_closed(p, n) == dd_k_product(L, eta, n)
+
+
 @pytest.mark.parametrize("ell", [3, 5])
-def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell):
+def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell, monkeypatch):
     # nu = -23/7: at ell = 3 the 2 x 2 minor vanishes, and the recursion toward
     # ell = 5 divides by it, so Desnanot-Jacobi falls back to the direct value
+    import czeta.hankel
+    from czeta.exact import leading_minors
+
+    passes = []
+
+    def counted(matrix):
+        passes.append(matrix)
+        return leading_minors(matrix)
+
+    monkeypatch.setattr(czeta.hankel, "leading_minors", counted)
     nu = F(-23, 7)
     routes = rayleigh_routes(nu, ell, 4)
+    # the direct route's pass, and at ell = 5 one more for every degenerate n
+    assert len(passes) == {3: 1, 5: 2}[ell]
     assert list(routes) == (["direct", "desnanot-jacobi", "closed"] if ell == 3
                             else ["direct", "desnanot-jacobi"])
     for n in range(1, 5):
@@ -315,10 +339,11 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     import czeta.hankel
     import czeta.zeta
     from czeta.exact import leading_minors
+    from czeta.hankel import _coulomb_closed
     from czeta.verify import _FAMILIES, _tally, load_grid
     from czeta.zeta import zeta_table
 
-    calls = {"leading_minors": 0, "zeta_table": 0}
+    calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -328,31 +353,36 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(czeta.hankel, "leading_minors", counted("leading_minors", leading_minors))
+    monkeypatch.setattr(czeta.hankel, "_coulomb_closed", counted("closed", _coulomb_closed))
     for module in (czeta.hankel, czeta.zeta):
         monkeypatch.setattr(module, "zeta_table", counted("zeta_table", zeta_table))
     grid = load_grid(quick=True)
     coulomb_pairs = len(grid["coulomb_hankel"]["L"]) * len(grid["coulomb_hankel"]["eta"])
     assert coulomb_pairs == len(grid["sign_products"]["L"]) * len(grid["sign_products"]["eta"])
     nus = len(grid["rayleigh_closed"]["nu"])
-    # (family, leading_minors calls, zeta tables) with 2 x 2 = 4 (nu, ell) pairs
-    # in rayleigh-closed and rayleigh-ell23 and 2 x 5 = 10 in desnanot-jacobi
+    # (family, leading_minors calls, zeta tables, closed products) with 2 x 2 = 4
+    # (nu, ell) pairs in rayleigh-closed and rayleigh-ell23 and 2 x 5 = 10 in
+    # desnanot-jacobi; only the two Coulomb families evaluate the closed product
     expected = {
         # one direct table per pair, and one zeta_L(2) table for the moment route
-        "coulomb-hankel": (coulomb_pairs, 2 * coulomb_pairs),
-        "sign-products": (coulomb_pairs, coulomb_pairs),
-        "rayleigh-closed": (2 * nus, 2 * nus),
+        "coulomb-hankel": (coulomb_pairs, 2 * coulomb_pairs, coulomb_pairs),
+        "rayleigh-closed": (2 * nus, 2 * nus, 0),
         # and the direct determinant of the blind ell = 2 witness
-        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1),
+        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0),
         # one direct table and one recursion table per pair
-        "desnanot-jacobi": (5 * nus, 2 * 5 * nus),
+        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0),
         # per (ell, n): one table for the Bernoulli entries, two for the Genocchi
         # entries and their bridge check; no minors (one det_exact per matrix)
-        "bernoulli-genocchi": (0, 2 * grid["bernoulli_genocchi"]["n_max"] * 3),
+        "bernoulli-genocchi": (0, 2 * grid["bernoulli_genocchi"]["n_max"] * 3, 0),
+        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs),
+        # the classifier reads signs off the product's factors; the rest is numeric
+        "classification": (0, 0, 0),
+        "zeros": (0, 0, 0),
+        "hurwitz": (0, 0, 0),
     }
+    assert [family.name for family in _FAMILIES] == list(expected)
     for family in _FAMILIES:
-        if family.name not in expected:
-            continue
-        calls.update(leading_minors=0, zeta_table=0)
+        calls.update(leading_minors=0, zeta_table=0, closed=0)
         cases, bad, _ = _tally(family.run(grid[family.key]))
         assert cases > 0 and not bad
-        assert (calls["leading_minors"], calls["zeta_table"]) == expected[family.name], family.name
+        assert tuple(calls.values()) == expected[family.name], family.name

@@ -29,3 +29,23 @@ def test_importing_the_package_loads_no_test_only_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_every_traced_layer_names_a_czeta_attribute():
+    # the benchmark's tracer wraps each (module, name) of its LAYERS table and
+    # fails with AttributeError on a name the package no longer has
+    import ast
+    import importlib
+
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]
+    )
+    assert layers
+    for module, qualname in layers:
+        owner = importlib.import_module(f"czeta.{module}")
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (module, qualname)
