@@ -5,13 +5,14 @@ determinant entry points (`coulomb_hankel_det`, `rayleigh_hankel_det`) always
 return the direct fraction-free determinant, optionally cross-checking it
 against the closed routes.  Formulas never silently replace computation.
 
-Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`;
-the `verify=True` checks, the CLI and `verify-all` all evaluate them there.  A
-route answers every n = 1..nmax in one evaluation (the direct one reads the
-leading minors of the nmax matrix, the closed one runs one product over n), and
-a single-n consumer reads the last entry.  That one closed product also gives
-the D_{n-1} D_n of `czeta.classify`, and the Bernoulli and Genocchi closed forms
-are the Rayleigh product at nu = 1/2 and -1/2, rescaled.
+Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`,
+and the `verify=True` checks, the CLI and `verify-all` all evaluate them there.
+A route answers every n = 1..nmax in one evaluation (direct: the leading minors
+of the nmax matrix; closed: one product over n, which also gives `czeta.classify`
+its D_{n-1} D_n), and a single-n consumer reads the last entry.  So do the
+Bernoulli and Genocchi determinants, checked against the Rayleigh product at
+nu = 1/2 and -1/2, rescaled.  `leading_minors` is the only determinant engine,
+and every sigma_{2k}(nu) comes from one helper, `czeta.zeta._sigmas`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import DegenerateRecursion, SingularParameter, UnsupportedEll, VerificationError
-from .exact import ExactMatrix, det_exact, leading_minors
-from .zeta import CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, zeta_table
+from .exact import ExactMatrix, leading_minors
+from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
+                   zeta_base, zeta_table)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
 def _coulomb_moments(params: CoulombParams, nmax: int) -> list[Fraction]:
     """The moment route for n = 1..nmax: one zeta_L(2), one set of recurrence
     coefficients, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j."""
-    z2 = zeta_table(params, 2).value(2)
+    z2 = zeta_base(params)
     dets = [z2]
     if nmax > 1:
         coeffs = recurrence_coeffs(params, nmax - 1)
@@ -185,9 +187,7 @@ def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHanke
     _check_n(n)
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
-    table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 4 * n + 2 * ell - 2)
-    sigmas = [table.value(2 * ell + 2 + 2 * s) / 2 for s in range(2 * n - 1)]
-    return RayleighHankel(nu, ell, n, _hankel(sigmas, n))
+    return RayleighHankel(nu, ell, n, _hankel(_sigmas(nu, 2 * n + ell - 1)[ell:], n))
 
 
 def _rayleigh_product(nu: Fraction, ell: int, n: int) -> Fraction:
@@ -244,11 +244,8 @@ def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
     at most one direct leading-minor pass for the degenerate n."""
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
-    table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2)
+    sigmas = _sigmas(nu, ell + 1)  # sigmas[l] = sigma_{2l+2}(nu), the 1 x 1 values
     memo: dict[tuple[int, int], Fraction] = {}
-
-    def sigma(k: int) -> Fraction:
-        return table.value(2 * k) / 2
 
     def d(l: int, m: int) -> Fraction:
         if m == 0:
@@ -259,7 +256,7 @@ def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
         if l <= 1:
             out = _rayleigh_product(nu, l, m)
         elif m == 1:
-            out = sigma(l + 1)
+            out = sigmas[l]
         else:
             div = d(l - 2, m)
             if div == 0:
@@ -366,29 +363,31 @@ def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = Fal
     return direct
 
 
-def _factorial_hankel_det(label: str, numbers, g: int, ell: int, n: int) -> Fraction:
-    """Direct determinant with entries X_{2m}/(2m)!, X_{2m} = numbers(M)[m-1], checked against
+def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
+    """Direct determinants for n = 1..nmax of entries X_{2m}/(2m)!, each checked against
 
     (-1)^(n(ell+g)) 2^(-n(4n+4ell-1-g)) prod_{k=1}^{2n+ell-1} (k+1/2-g)^(k-2n-ell),
 
-    g = 0 for the Bernoulli and 1 for the Genocchi numbers.
+    g = 0 for the Bernoulli and 1 for the Genocchi numbers X_{2m}.
     """
     if ell not in (0, 1):
         raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
-    _check_n(n)
-    # entry (i, j) (1-based) is X_{2m}/(2m)! with m = i+j+ell-1, so m runs ell+1..2n+ell-1
-    xs = numbers(2 * n + ell - 1)
-    entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * n + ell)]
-    # the Rayleigh product at nu = 1/2 - g, whose factors are the (k+1/2-g)
-    closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g)))
-    closed *= _rayleigh_product(Fraction(1, 2) - g, ell, n)
-    direct = det_exact(_hankel(entries, n))
-    if direct != closed:
-        raise VerificationError(
-            f"{label} Hankel determinant (ell={ell}, n={n}): "
-            f"direct {direct} != closed {closed}"
-        )
-    return direct
+    _check_n(nmax)
+    label, numbers = ("Genocchi", _genocchi_numbers) if g else ("Bernoulli", _bernoulli_numbers)
+    # entry (i, j) (1-based) is X_{2m}/(2m)! with m = i+j+ell-1, so m runs ell+1..2nmax+ell-1
+    xs = numbers(2 * nmax + ell - 1)
+    entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * nmax + ell)]
+    dets = leading_minors(_hankel(entries, nmax))
+    for n, direct in enumerate(dets, 1):
+        # the Rayleigh product at nu = 1/2 - g, whose factors are the (k+1/2-g)
+        closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g)))
+        closed *= _rayleigh_product(Fraction(1, 2) - g, ell, n)
+        if direct != closed:
+            raise VerificationError(
+                f"{label} Hankel determinant (ell={ell}, n={n}): "
+                f"direct {direct} != closed {closed}"
+            )
+    return dets
 
 
 def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
@@ -401,7 +400,7 @@ def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
     are both evaluated; a mismatch raises VerificationError.  Returns the
     direct value.
     """
-    return _factorial_hankel_det("Bernoulli", _bernoulli_numbers, 0, ell, n)
+    return _factorial_hankel_det(0, ell, n)[-1]
 
 
 def genocchi_hankel_det(ell: int, n: int) -> Fraction:
@@ -409,7 +408,7 @@ def genocchi_hankel_det(ell: int, n: int) -> Fraction:
 
     Closed form: (-1)^(n(ell+1)) 2^(-n(4n+4ell-2)) prod_{k=1}^{2n+ell-1} (k-1/2)^(k-2n-ell).
     """
-    return _factorial_hankel_det("Genocchi", _genocchi_numbers, 1, ell, n)
+    return _factorial_hankel_det(1, ell, n)[-1]
 
 
 class ParitySplit(NamedTuple):

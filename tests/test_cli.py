@@ -79,6 +79,30 @@ def test_one_closed_product_reaches_api_cli_and_verify_all(capsys, monkeypatch):
     assert "PASS rayleigh-closed" in out
 
 
+def test_one_factorial_closed_form_reaches_api_cli_and_verify_all(capsys, monkeypatch):
+    # the Genocchi closed form is the Rayleigh product at nu = -1/2; a wrong
+    # product there must reach every consumer of the factorial family
+    import czeta.hankel
+    from czeta.errors import VerificationError
+    from czeta.hankel import genocchi_hankel_det
+
+    product = czeta.hankel._rayleigh_product
+
+    def perturbed(nu, ell, n):
+        value = product(nu, ell, n)
+        return value * 2 if (nu, n) == (F(-1, 2), 2) else value
+
+    monkeypatch.setattr(czeta.hankel, "_rayleigh_product", perturbed)
+    with pytest.raises(VerificationError, match=r"Genocchi Hankel determinant \(ell=0, n=2\)"):
+        genocchi_hankel_det(0, 2)
+    code, _, _ = run(capsys, ["genocchi-det", "--ell", "0", "--n", "2"])
+    assert code == 2
+    code, out, _ = run(capsys, ["verify-all", "--quick"])
+    assert code == 2
+    assert "FAIL bernoulli-genocchi" in out and "(ell=0, n=2)" in out
+    assert "PASS rayleigh-closed" in out and "PASS desnanot-jacobi" in out
+
+
 def test_rayleigh_det_methods_agree(capsys):
     values = []
     for method in ("direct", "closed", "dj"):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from czeta.errors import SingularParameter, UnsupportedEll
-from czeta.exact import det_exact
+from czeta.exact import ExactMatrix, det_exact
 from czeta.hankel import (
     bernoulli_hankel_det,
     build_coulomb_hankel,
@@ -328,6 +328,27 @@ def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell, monkeypatch):
         assert routes["direct"][1] == 0
 
 
+@pytest.mark.parametrize("ell", [0, 1])
+def test_factorial_dets_over_n_equal_the_single_n_evaluators(ell):
+    from math import factorial
+
+    from czeta.hankel import _factorial_hankel_det
+    from czeta.zeta import bernoulli, genocchi
+
+    for g, (numbers, single) in enumerate(
+        ((bernoulli, bernoulli_hankel_det), (genocchi, genocchi_hankel_det))
+    ):
+        dets = _factorial_hankel_det(g, ell, 8)
+        assert len(dets) == 8
+        # entry (i, j), 0-based, is X_{2m}/(2m)! with m = i+j+ell+1
+        entries = {m: numbers(m) / factorial(2 * m) for m in range(ell + 1, ell + 16)}
+        for n in range(1, 9):
+            matrix = ExactMatrix.from_rows(
+                [[entries[i + j + ell + 1] for j in range(n)] for i in range(n)]
+            )
+            assert dets[n - 1] == single(ell, n) == det_exact(matrix)
+
+
 def test_routes_reject_nmax_below_one():
     with pytest.raises(SingularParameter, match="got 0"):
         coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
@@ -336,6 +357,7 @@ def test_routes_reject_nmax_below_one():
 
 
 def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
+    import czeta.exact
     import czeta.hankel
     import czeta.zeta
     from czeta.exact import leading_minors
@@ -343,7 +365,7 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     from czeta.verify import _FAMILIES, _tally, load_grid
     from czeta.zeta import zeta_table
 
-    calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0}
+    calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0, "det_exact": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -354,35 +376,37 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
 
     monkeypatch.setattr(czeta.hankel, "leading_minors", counted("leading_minors", leading_minors))
     monkeypatch.setattr(czeta.hankel, "_coulomb_closed", counted("closed", _coulomb_closed))
+    monkeypatch.setattr(czeta.exact, "det_exact", counted("det_exact", det_exact))
     for module in (czeta.hankel, czeta.zeta):
         monkeypatch.setattr(module, "zeta_table", counted("zeta_table", zeta_table))
     grid = load_grid(quick=True)
     coulomb_pairs = len(grid["coulomb_hankel"]["L"]) * len(grid["coulomb_hankel"]["eta"])
     assert coulomb_pairs == len(grid["sign_products"]["L"]) * len(grid["sign_products"]["eta"])
     nus = len(grid["rayleigh_closed"]["nu"])
-    # (family, leading_minors calls, zeta tables, closed products) with 2 x 2 = 4
-    # (nu, ell) pairs in rayleigh-closed and rayleigh-ell23 and 2 x 5 = 10 in
-    # desnanot-jacobi; only the two Coulomb families evaluate the closed product
+    # (family, leading_minors calls, zeta tables, closed products, det_exact calls)
+    # with 2 x 2 = 4 (nu, ell) pairs in rayleigh-closed and rayleigh-ell23 and
+    # 2 x 5 = 10 in desnanot-jacobi; only the two Coulomb families evaluate the
+    # closed product, and no family needs a determinant outside leading_minors
     expected = {
-        # one direct table per pair, and one zeta_L(2) table for the moment route
-        "coulomb-hankel": (coulomb_pairs, 2 * coulomb_pairs, coulomb_pairs),
-        "rayleigh-closed": (2 * nus, 2 * nus, 0),
+        # one direct table per pair; the moment route reads zeta_L(2) from zeta_base
+        "coulomb-hankel": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0),
+        "rayleigh-closed": (2 * nus, 2 * nus, 0, 0),
         # and the direct determinant of the blind ell = 2 witness
-        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0),
-        # one direct table and one recursion table per pair
-        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0),
-        # per (ell, n): one table for the Bernoulli entries, two for the Genocchi
-        # entries and their bridge check; no minors (one det_exact per matrix)
-        "bernoulli-genocchi": (0, 2 * grid["bernoulli_genocchi"]["n_max"] * 3, 0),
-        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs),
+        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0, 0),
+        # one direct table and one sigma table for the recursion per pair
+        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0),
+        # per ell: one pass and one table for the Bernoulli determinants, one pass
+        # and two tables for the Genocchi ones (entries and their bridge check)
+        "bernoulli-genocchi": (4, 6, 0, 0),
+        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0),
         # the classifier reads signs off the product's factors; the rest is numeric
-        "classification": (0, 0, 0),
-        "zeros": (0, 0, 0),
-        "hurwitz": (0, 0, 0),
+        "classification": (0, 0, 0, 0),
+        "zeros": (0, 0, 0, 0),
+        "hurwitz": (0, 0, 0, 0),
     }
     assert [family.name for family in _FAMILIES] == list(expected)
     for family in _FAMILIES:
-        calls.update(leading_minors=0, zeta_table=0, closed=0)
+        calls.update(leading_minors=0, zeta_table=0, closed=0, det_exact=0)
         cases, bad, _ = _tally(family.run(grid[family.key]))
         assert cases > 0 and not bad
         assert tuple(calls.values()) == expected[family.name], family.name
