@@ -16,7 +16,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .classify import classify
 from .errors import ParameterError, VerificationError
@@ -32,22 +31,6 @@ from .verify import run_verification
 from .zeta import CoulombParams, zeta_table
 
 
-@dataclass
-class OutputRecord:
-    """Machine-readable result envelope: echoed command, parameters, payload."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    verification: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {"command": self.command, "parameters": self.parameters, "results": self.results}
-        if self.verification is not None:
-            out["verification"] = self.verification
-        return out
-
-
 def _flatten(obj, prefix=""):
     """Depth-first (key, scalar) pairs with dotted paths; shared by csv and text."""
     if isinstance(obj, dict):
@@ -60,10 +43,11 @@ def _flatten(obj, prefix=""):
         yield prefix, obj
 
 
-def _render(record: OutputRecord, fmt: str) -> str:
+def _render(record: dict, fmt: str) -> str:
+    """Render a result envelope: {"command", "parameters", "results"[, "verification"]}."""
     if fmt == "json":
-        return json.dumps(record.to_dict(), indent=2)
-    rows = list(_flatten(record.to_dict()))
+        return json.dumps(record, indent=2)
+    rows = list(_flatten(record))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -99,39 +83,38 @@ def _complex_pair(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _cmd_zeta(args) -> tuple[OutputRecord, int]:
+def _cmd_zeta(args) -> tuple[dict, int]:
     params = CoulombParams(parse_rational(args.L), parse_rational(args.eta))
     if args.kmax < 2:
         raise ParameterError(f"--kmax must be >= 2, got {args.kmax}")
     table = zeta_table(params, args.kmax)
-    record = OutputRecord(
-        command="zeta",
-        parameters={"L": str(params.L), "eta": str(params.eta), "kmax": args.kmax},
-        results={"zeta": {str(k): format_rational(table.value(k)) for k in range(2, args.kmax + 1)}},
-    )
-    return record, 0
+    zeta = {str(k): format_rational(table.value(k)) for k in range(2, args.kmax + 1)}
+    return {
+        "command": "zeta",
+        "parameters": {"L": str(params.L), "eta": str(params.eta), "kmax": args.kmax},
+        "results": {"zeta": zeta},
+    }, 0
 
 
-def _cmd_hankel_det(args) -> tuple[OutputRecord, int]:
+def _cmd_hankel_det(args) -> tuple[dict, int]:
     params = CoulombParams(parse_rational(args.L), parse_rational(args.eta))
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     names = None if args.verify else ("direct",)
     routes = {name: dets[-1] for name, dets in coulomb_routes(params, args.n, names).items()}
     direct = routes.pop("direct")
-    record = OutputRecord(
-        command="hankel-det",
-        parameters={"L": str(params.L), "eta": str(params.eta), "n": args.n},
-        results={"det": format_rational(direct)},
-    )
-    record.results.update((name, format_rational(value)) for name, value in routes.items())
+    record = {
+        "command": "hankel-det",
+        "parameters": {"L": str(params.L), "eta": str(params.eta), "n": args.n},
+        "results": {name: format_rational(v) for name, v in {"det": direct, **routes}.items()},
+    }
     equal = all(value == direct for value in routes.values())
     if args.verify:
-        record.verification = {"routes_equal": equal}
+        record["verification"] = {"routes_equal": equal}
     return record, 0 if equal else 2
 
 
-def _cmd_rayleigh_det(args) -> tuple[OutputRecord, int]:
+def _cmd_rayleigh_det(args) -> tuple[dict, int]:
     nu = parse_rational(args.nu)
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
@@ -141,29 +124,27 @@ def _cmd_rayleigh_det(args) -> tuple[OutputRecord, int]:
     values = rayleigh_routes(nu, args.ell, args.n, (route,))
     if route not in values:
         raise ParameterError(f"no closed form for ell = {args.ell}; use --method direct or dj")
-    record = OutputRecord(
-        command="rayleigh-det",
-        parameters={"nu": str(nu), "ell": args.ell, "n": args.n, "method": args.method},
-        results={"det": format_rational(values[route][-1])},
-    )
-    return record, 0
+    return {
+        "command": "rayleigh-det",
+        "parameters": {"nu": str(nu), "ell": args.ell, "n": args.n, "method": args.method},
+        "results": {"det": format_rational(values[route][-1])},
+    }, 0
 
 
-def _cmd_factorial_det(args) -> tuple[OutputRecord, int]:
+def _cmd_factorial_det(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     fn = bernoulli_hankel_det if args.subcommand == "bernoulli-det" else genocchi_hankel_det
     value = fn(args.ell, args.n)  # VerificationError -> exit 2 in main()
-    record = OutputRecord(
-        command=args.subcommand,
-        parameters={"ell": args.ell, "n": args.n},
-        results={"det": format_rational(value)},
-        verification={"closed_form_equal": True},
-    )
-    return record, 0
+    return {
+        "command": args.subcommand,
+        "parameters": {"ell": args.ell, "n": args.n},
+        "results": {"det": format_rational(value)},
+        "verification": {"closed_form_equal": True},
+    }, 0
 
 
-def _cmd_classify(args) -> tuple[OutputRecord, int]:
+def _cmd_classify(args) -> tuple[dict, int]:
     params = CoulombParams(parse_rational(args.L), parse_rational(args.eta))
     if args.nmax == "auto":
         nmax = "auto"
@@ -173,19 +154,18 @@ def _cmd_classify(args) -> tuple[OutputRecord, int]:
         except ValueError:
             raise ParameterError(f"--nmax must be an integer or 'auto', got {args.nmax!r}")
     result = classify(params, nmax)
-    record = OutputRecord(
-        command="classify",
-        parameters={"L": str(params.L), "eta": str(params.eta), "nmax": args.nmax},
-        results={
+    return {
+        "command": "classify",
+        "parameters": {"L": str(params.L), "eta": str(params.eta), "nmax": args.nmax},
+        "results": {
             "pair_count": result.pair_count,
             "all_real": result.all_real,
             "sign_sequence": list(result.sign_sequence),
         },
-    )
-    return record, 0
+    }, 0
 
 
-def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
+def _cmd_find_zeros(args) -> tuple[dict, int]:
     bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(b is not None for b in bounds):
         if any(b is None for b in bounds):
@@ -194,22 +174,23 @@ def _cmd_find_zeros(args) -> tuple[OutputRecord, int]:
     else:
         search = None
     report = find_complex_zeros(args.L, args.eta, search=search, tol=args.tol)
-    record = OutputRecord(
-        command="find-zeros",
-        parameters={"L": args.L, "eta": args.eta, "tol": args.tol},
-        results={
-            "region": asdict(report.region),
+    r = report.region
+    region = {"re_min": r.re_min, "re_max": r.re_max, "im_min": r.im_min, "im_max": r.im_max}
+    return {
+        "command": "find-zeros",
+        "parameters": {"L": args.L, "eta": args.eta, "tol": args.tol},
+        "results": {
+            "region": region,
             "zeros": [_complex_pair(z) for z in report.zeros],
             "residuals": list(report.residuals),
             "counts": dict(report.counts),
             "unresolved_cells": len(report.unresolved),
             "stats": dict(report.stats),
         },
-    )
-    return record, 0
+    }, 0
 
 
-def _cmd_verify_all(args) -> tuple[OutputRecord, int]:
+def _cmd_verify_all(args) -> tuple[dict, int]:
     results = run_verification(quick=args.quick)
     if args.verbose:
         import logging
@@ -222,21 +203,20 @@ def _cmd_verify_all(args) -> tuple[OutputRecord, int]:
         for r in results
     ]
     all_passed = all(r.passed for r in results)
-    record = OutputRecord(
-        command="verify-all",
-        parameters={"quick": args.quick},
-        results={"families": families},
-        verification={"all_passed": all_passed},
-    )
-    return record, 0 if all_passed else 2
+    return {
+        "command": "verify-all",
+        "parameters": {"quick": args.quick},
+        "results": {"families": families},
+        "verification": {"all_passed": all_passed},
+    }, 0 if all_passed else 2
 
 
-def _render_verify_text(record: OutputRecord) -> str:
+def _render_verify_text(record: dict) -> str:
     lines = []
-    for fam in record.results["families"]:
+    for fam in record["results"]["families"]:
         status = "PASS" if fam["passed"] else "FAIL"
         lines.append(f"{status} {fam['name']} ({fam['cases']} cases): {fam['detail']}")
-    total = "PASS" if record.verification["all_passed"] else "FAIL"
+    total = "PASS" if record["verification"]["all_passed"] else "FAIL"
     lines.append(f"{total} overall")
     return "\n".join(lines)
 

@@ -29,10 +29,6 @@ class VerificationError(ArithmeticError):
     """An identity that is asserted internally failed to hold."""
 
 
-class DegenerateRecursion(ArithmeticError):
-    """A vanishing intermediate determinant blocks the Desnanot-Jacobi step."""
-
-
 class NoConvergence(ArithmeticError):
     """The series did not meet the tolerance within the iteration cap."""
 

@@ -8,11 +8,14 @@ against the closed routes.  Formulas never silently replace computation.
 Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`,
 and the `verify=True` checks, the CLI and `verify-all` all evaluate them there.
 A route answers every n = 1..nmax in one evaluation (direct: the leading minors
-of the nmax matrix; closed: one product over n, which also gives `czeta.classify`
-its D_{n-1} D_n), and a single-n consumer reads the last entry.  So do the
-Bernoulli and Genocchi determinants, checked against the Rayleigh product at
-nu = 1/2 and -1/2, rescaled.  `leading_minors` is the only determinant engine,
-and every sigma_{2k}(nu) comes from one helper, `czeta.zeta._sigmas`.
+of the nmax matrix; closed: one running product over n, which also gives
+`czeta.classify` its D_{n-1} D_n; Desnanot-Jacobi: one row table of the
+recursion, with one direct pass for the degenerate n), and a single-n consumer
+reads the last entry.  So do the Bernoulli and Genocchi determinants.  The
+Rayleigh, Bernoulli and Genocchi closed forms all come from one running Rayleigh
+product per (nu, ell), the latter two at nu = 1/2 and -1/2, rescaled.
+`leading_minors` is the only determinant engine, and every sigma_{2k}(nu) comes
+from one helper, `czeta.zeta._sigmas`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .errors import DegenerateRecursion, SingularParameter, UnsupportedEll, VerificationError
+from .errors import SingularParameter, UnsupportedEll, VerificationError
 from .exact import ExactMatrix, leading_minors
 from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
                    zeta_base, zeta_table)
@@ -190,11 +193,26 @@ def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHanke
     return RayleighHankel(nu, ell, n, _hankel(_sigmas(nu, 2 * n + ell - 1)[ell:], n))
 
 
-def _rayleigh_product(nu: Fraction, ell: int, n: int) -> Fraction:
-    """2^(-2n(n+ell)) * prod_{k=1}^{2n+ell-1} (nu+k)^(k-2n-ell), the ell in {0,1} shape."""
-    out = Fraction(1, 2 ** (2 * n * (n + ell)))
-    for k in range(1, 2 * n + ell):
-        out *= (nu + k) ** (k - 2 * n - ell)
+def _rayleigh_products(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
+    """P_n = 2^(-2n(n+ell)) prod_{k=1}^{2n+ell-1} (nu+k)^(k-2n-ell), the ell in {0,1} shape,
+    for n = 1..nmax as one running product from P_0 = prod_{k=1}^{ell-1} (nu+k)^(k-ell):
+
+    P_n = P_{n-1} / (4^(2n+ell-1) S^2 (nu+2n+ell-1)),  S = prod_{k=1}^{2n+ell-2} (nu+k),
+
+    with S kept as the integer s = S b^(2n+ell-2) over nu = a/b.
+    """
+    a, b = nu.numerator, nu.denominator
+    out, p, s = [], Fraction(1), 1
+    for k in range(1, ell):
+        p *= (nu + k) ** (k - ell)
+        if k < ell - 1:
+            s *= a + k * b
+    for n in range(1, nmax + 1):
+        top = 2 * n + ell - 1
+        for k in range(max(1, top - 2), top):
+            s *= a + k * b
+        p *= Fraction(b ** (2 * top - 1), 4**top * s * s * (a + top * b))
+        out.append(p)
     return out
 
 
@@ -210,11 +228,13 @@ _RAYLEIGH_POLY = {
 }
 
 
-def _rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
-    """Closed form for an ell in _RAYLEIGH_POLY: the product times the ell's polynomial."""
+def _rayleigh_closed(nu: Fraction | int, ell: int, ns: range) -> list[Fraction]:
+    """Closed form at each n in `ns` for an ell in _RAYLEIGH_POLY: one running
+    product, times the ell's polynomial at those n only."""
     nu = _check_nu(nu)
-    _check_n(n)
-    return _rayleigh_product(nu, ell, n) * _RAYLEIGH_POLY[ell](nu, n)
+    _check_n(ns[0])
+    products = _rayleigh_products(nu, ell, ns[-1])
+    return [products[n - 1] * _RAYLEIGH_POLY[ell](nu, n) for n in ns]
 
 
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
@@ -223,12 +243,12 @@ def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
     _check_n(n)
     if ell not in (0, 1):
         raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
-    return _rayleigh_closed(nu, ell, n)
+    return _rayleigh_closed(nu, ell, range(n, n + 1))[0]
 
 
 def det_rayleigh_ell2(nu: Fraction | int, n: int) -> Fraction:
     """ell = 2 family: 2^(-2n(n+2)) (n+1)(n+nu+1) prod_{k=1}^{2n+1} (nu+k)^(k-2n-2)."""
-    return _rayleigh_closed(nu, 2, n)
+    return _rayleigh_closed(nu, 2, range(n, n + 1))[0]
 
 
 def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
@@ -236,45 +256,33 @@ def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
 
     (1/6)(n+1)(n+2)(n+nu+1)(n+nu+2) [2n^2 + 6n + 3 + nu(2n+3)]
     """
-    return _rayleigh_closed(nu, 3, n)
+    return _rayleigh_closed(nu, 3, range(n, n + 1))[0]
 
 
-def _desnanot_jacobi(nu: Fraction, ell: int, ns: range) -> list[Fraction]:
-    """det_rayleigh_dj at each n in `ns`, through one memo of the recursion and
-    at most one direct leading-minor pass for the degenerate n."""
+def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
+    """det_rayleigh_dj for n = 1..nmax from one table of the recursion, and at
+    most one direct leading-minor pass for the degenerate n.
+
+    Row l holds d_0^(l) = 1 .. d_{nmax+(ell-l)//2}^(l); an entry whose divisor
+    vanishes, or that depends on such an entry, is None.
+    """
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     sigmas = _sigmas(nu, ell + 1)  # sigmas[l] = sigma_{2l+2}(nu), the 1 x 1 values
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def d(l: int, m: int) -> Fraction:
-        if m == 0:
-            return Fraction(1)
-        key = (l, m)
-        if key in memo:
-            return memo[key]
-        if l <= 1:
-            out = _rayleigh_product(nu, l, m)
-        elif m == 1:
-            out = sigmas[l]
-        else:
-            div = d(l - 2, m)
-            if div == 0:
-                raise DegenerateRecursion(
-                    f"vanishing intermediate determinant at (ell={l - 2}, n={m})"
-                )
-            out = (d(l - 2, m + 1) * d(l, m - 1) + d(l - 1, m) ** 2) / div
-        memo[key] = out
-        return out
-
-    dets, direct = [], None
-    for n in ns:
-        try:
-            dets.append(d(ell, n))
-        except DegenerateRecursion:
-            if direct is None:  # one direct pass serves every degenerate n
-                direct = leading_minors(build_rayleigh_hankel(nu, ell, ns[-1]).matrix)
-            dets.append(direct[n - 1])
+    rows = [[Fraction(1), *_rayleigh_products(nu, l, nmax + (ell - l) // 2)] for l in (0, 1)]
+    for l in range(2, ell + 1):
+        up2, up1, row = rows[l - 2], rows[l - 1], [Fraction(1), sigmas[l]]
+        for m in range(2, nmax + (ell - l) // 2 + 1):
+            div = up2[m]
+            if None in (div, up2[m + 1], row[m - 1], up1[m]) or div == 0:
+                row.append(None)
+            else:
+                row.append((up2[m + 1] * row[m - 1] + up1[m] ** 2) / div)
+        rows.append(row)
+    dets = rows[ell][1:]
+    if None in dets:  # one direct pass serves every degenerate n
+        direct = leading_minors(build_rayleigh_hankel(nu, ell, nmax).matrix)
+        dets = [direct[i] if d is None else d for i, d in enumerate(dets)]
     return dets
 
 
@@ -289,7 +297,7 @@ def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
     """
     nu = _check_nu(nu)
     _check_n(n)
-    return _desnanot_jacobi(nu, ell, range(n, n + 1))[0]
+    return _desnanot_jacobi(nu, ell, n)[-1]
 
 
 # The named routes of each family, direct first; each gives the determinants
@@ -302,8 +310,8 @@ _COULOMB_ROUTES = {
 }
 _RAYLEIGH_ROUTES = {
     "direct": lambda nu, ell, nmax: leading_minors(build_rayleigh_hankel(nu, ell, nmax).matrix),
-    "desnanot-jacobi": lambda nu, ell, nmax: _desnanot_jacobi(nu, ell, range(1, nmax + 1)),
-    "closed": lambda nu, ell, nmax: [_rayleigh_closed(nu, ell, n) for n in range(1, nmax + 1)],
+    "desnanot-jacobi": lambda nu, ell, nmax: _desnanot_jacobi(nu, ell, nmax),
+    "closed": lambda nu, ell, nmax: _rayleigh_closed(nu, ell, range(1, nmax + 1)),
 }
 
 
@@ -378,10 +386,10 @@ def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
     xs = numbers(2 * nmax + ell - 1)
     entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * nmax + ell)]
     dets = leading_minors(_hankel(entries, nmax))
-    for n, direct in enumerate(dets, 1):
-        # the Rayleigh product at nu = 1/2 - g, whose factors are the (k+1/2-g)
-        closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g)))
-        closed *= _rayleigh_product(Fraction(1, 2) - g, ell, n)
+    # the Rayleigh products at nu = 1/2 - g, whose factors are the (k+1/2-g)
+    products = _rayleigh_products(Fraction(1, 2) - g, ell, nmax)
+    for n, (direct, product) in enumerate(zip(dets, products), 1):
+        closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g))) * product
         if direct != closed:
             raise VerificationError(
                 f"{label} Hankel determinant (ell={ell}, n={n}): "

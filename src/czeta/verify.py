@@ -19,7 +19,7 @@ from .classify import classify, hurwitz_counts
 from .exact import parse_rational
 from .hankel import (
     _factorial_hankel_det,
-    _rayleigh_product,
+    _rayleigh_products,
     coulomb_routes,
     rayleigh_hankel_det,
     rayleigh_routes,
@@ -75,7 +75,7 @@ def _run_rayleigh(cfg, route, ells):
 def _run_rayleigh_ell23(cfg):
     yield from _run_rayleigh(cfg, "closed", (2, 3))
     # witness: the ell in {0,1} product evaluated blindly at ell = 2 must fail
-    blind = _rayleigh_product(Fraction(1), 2, 1)
+    blind = _rayleigh_products(Fraction(1), 2, 1)[-1]
     direct = rayleigh_hankel_det(Fraction(1), 2, 1)
     yield ("blind ell = 2", blind, direct), blind != direct
     return {"blind": blind, "direct": direct}

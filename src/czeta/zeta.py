@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .errors import SingularParameter, VerificationError
 
@@ -100,15 +100,13 @@ class ZetaTable:
     """
 
     params: CoulombParams
-    _values: list[Fraction] = field(default_factory=list)  # _values[i] = zeta(i+2)
+    _values: list[Fraction] = field(init=False)  # _values[i] = zeta(i+2)
     _den: int = field(init=False, repr=False, compare=False)  # M
     _nums: list[int] = field(init=False, repr=False, compare=False)  # _nums[i] = N_i
 
     def __post_init__(self):
-        if not self._values:
-            self._values.append(zeta_base(self.params))
-        self._den = lcm(*[v.denominator for v in self._values])
-        self._nums = [v.numerator * (self._den // v.denominator) for v in self._values]
+        base = zeta_base(self.params)
+        self._values, self._den, self._nums = [base], base.denominator, [base.numerator]
 
     @property
     def kmax(self) -> int:

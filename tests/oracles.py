@@ -4,7 +4,8 @@ Nothing here imports the package's computational paths: determinants come
 from the Leibniz permutation expansion, Bernoulli numbers from the classical
 binomial recurrence, the entire Coulomb factor from a direct complex
 confluent-series product, the normalized Bessel function from its own
-even power series, and the Coulomb closed products from their k-indexed form.
+even power series, and the Coulomb and Rayleigh closed products from their
+k-indexed form.
 """
 
 from fractions import Fraction
@@ -73,6 +74,15 @@ def dd_k_product(L, eta, n):
     if eta != 0:
         lead *= 1 + (eta / (L + n + 1)) ** 2
     return lead * _k_product(L, eta, n, lambda k: 4 * k + 4, lambda k: 2 * k + 3)
+
+
+def rayleigh_k_product(nu, ell, n):
+    """2^(-2n(n+ell)) prod_{k=1}^{2n+ell-1} (nu+k)^(k-2n-ell), the ell in {0,1} shape."""
+    nu = Fraction(nu)
+    out = Fraction(1, 2 ** (2 * n * (n + ell)))
+    for k in range(1, 2 * n + ell):
+        out *= (nu + k) ** (k - 2 * n - ell)
+    return out
 
 
 # classical Genocchi numbers G_2, G_4, ..., G_20

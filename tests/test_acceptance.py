@@ -25,7 +25,7 @@ from czeta.hankel import (
     det_rayleigh_ell2,
     det_rayleigh_ell3,
     genocchi_hankel_det,
-    _rayleigh_product,
+    _rayleigh_products,
 )
 from czeta.classify import dd_product_closed
 from czeta.numeric import find_complex_zeros, phi
@@ -79,7 +79,7 @@ def test_criterion_03_ell2_ell3_closed_forms_with_witness():
                 build_rayleigh_hankel(nu, 3, n).matrix
             ), (nu, 3, n)
     # witness: the {0,1}-shape product evaluated blindly at ell = 2 must differ
-    blind = _rayleigh_product(F(1), 2, 1)
+    blind = _rayleigh_products(F(1), 2, 1)[-1]
     direct = det_exact(build_rayleigh_hankel(F(1), 2, 1).matrix)
     assert blind != direct
     _passed(3, "ell = 2, 3 closed forms plus blind-extension witness")

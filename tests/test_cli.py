@@ -86,13 +86,15 @@ def test_one_factorial_closed_form_reaches_api_cli_and_verify_all(capsys, monkey
     from czeta.errors import VerificationError
     from czeta.hankel import genocchi_hankel_det
 
-    product = czeta.hankel._rayleigh_product
+    products = czeta.hankel._rayleigh_products
 
-    def perturbed(nu, ell, n):
-        value = product(nu, ell, n)
-        return value * 2 if (nu, n) == (F(-1, 2), 2) else value
+    def perturbed(nu, ell, nmax):
+        values = products(nu, ell, nmax)
+        if nu == F(-1, 2) and nmax >= 2:
+            values[1] *= 2
+        return values
 
-    monkeypatch.setattr(czeta.hankel, "_rayleigh_product", perturbed)
+    monkeypatch.setattr(czeta.hankel, "_rayleigh_products", perturbed)
     with pytest.raises(VerificationError, match=r"Genocchi Hankel determinant \(ell=0, n=2\)"):
         genocchi_hankel_det(0, 2)
     code, _, _ = run(capsys, ["genocchi-det", "--ell", "0", "--n", "2"])

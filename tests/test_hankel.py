@@ -22,11 +22,17 @@ from czeta.hankel import (
     rayleigh_hankel_det,
     rayleigh_routes,
     recurrence_coeffs,
-    _rayleigh_product,
+    _rayleigh_products,
 )
 from czeta.zeta import CoulombParams, rayleigh
 
-from oracles import dd_k_product, det_coulomb_k_product, dj_solution_formula, leibniz_det
+from oracles import (
+    dd_k_product,
+    det_coulomb_k_product,
+    dj_solution_formula,
+    leibniz_det,
+    rayleigh_k_product,
+)
 
 L_GRID = [F(-5, 4), F(-1, 2), F(0), F(1, 3), F(1), F(7, 2)]
 ETA_GRID = [F(0), F(1, 2), F(1), F(2)]
@@ -129,7 +135,7 @@ def test_rayleigh_closed_rejects_higher_ell():
 
 
 def test_ell01_formula_fails_at_ell2_witness():
-    blind = _rayleigh_product(F(1), 2, 1)
+    blind = _rayleigh_products(F(1), 2, 1)[-1]
     direct = det_exact(build_rayleigh_hankel(1, 2, 1).matrix)
     assert blind == F(1, 18432) and direct == F(1, 3072)
     assert blind != direct
@@ -349,6 +355,41 @@ def test_factorial_dets_over_n_equal_the_single_n_evaluators(ell):
             assert dets[n - 1] == single(ell, n) == det_exact(matrix)
 
 
+@pytest.mark.parametrize("nu", [F(-23, 7), F(-1, 2), F(1, 3), F(1, 2), F(5, 2)])
+def test_running_rayleigh_product_equals_its_k_indexed_form(nu):
+    # the running product starts from P_0 = prod_{k<ell} (nu+k)^(k-ell), not 1
+    for ell in range(6):
+        products = _rayleigh_products(nu, ell, 12)
+        assert products == [rayleigh_k_product(nu, ell, n) for n in range(1, 13)], ell
+
+
+def test_desnanot_jacobi_degenerate_entries_take_the_direct_value(monkeypatch):
+    # at nu = -23/7 the ell = 3, n = 2 minor vanishes; every recursion entry that
+    # divides by it, or depends on one that does, takes the direct value, and
+    # one leading-minor pass beside the direct route's serves all of them
+    import czeta.hankel
+    from czeta.exact import leading_minors
+
+    nu = F(-23, 7)
+    for ell, n in itertools.product(range(9), range(1, 6)):
+        direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
+        assert det_rayleigh_dj(nu, ell, n) == direct, (ell, n)
+    passes = []
+
+    def counted(matrix):
+        passes.append(matrix)
+        return leading_minors(matrix)
+
+    monkeypatch.setattr(czeta.hankel, "leading_minors", counted)
+    counts = []
+    for ell in range(9):
+        passes.clear()
+        routes = rayleigh_routes(nu, ell, 5)
+        assert routes["desnanot-jacobi"] == routes["direct"], ell
+        counts.append(len(passes))
+    assert max(counts) == 2 and min(counts) == 1, counts
+
+
 def test_routes_reject_nmax_below_one():
     with pytest.raises(SingularParameter, match="got 0"):
         coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
@@ -365,7 +406,7 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     from czeta.verify import _FAMILIES, _tally, load_grid
     from czeta.zeta import zeta_table
 
-    calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0, "det_exact": 0}
+    calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0, "det_exact": 0, "products": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -377,36 +418,42 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     monkeypatch.setattr(czeta.hankel, "leading_minors", counted("leading_minors", leading_minors))
     monkeypatch.setattr(czeta.hankel, "_coulomb_closed", counted("closed", _coulomb_closed))
     monkeypatch.setattr(czeta.exact, "det_exact", counted("det_exact", det_exact))
+    monkeypatch.setattr(czeta.hankel, "_rayleigh_products", counted("products", _rayleigh_products))
     for module in (czeta.hankel, czeta.zeta):
         monkeypatch.setattr(module, "zeta_table", counted("zeta_table", zeta_table))
     grid = load_grid(quick=True)
     coulomb_pairs = len(grid["coulomb_hankel"]["L"]) * len(grid["coulomb_hankel"]["eta"])
     assert coulomb_pairs == len(grid["sign_products"]["L"]) * len(grid["sign_products"]["eta"])
     nus = len(grid["rayleigh_closed"]["nu"])
-    # (family, leading_minors calls, zeta tables, closed products, det_exact calls)
-    # with 2 x 2 = 4 (nu, ell) pairs in rayleigh-closed and rayleigh-ell23 and
-    # 2 x 5 = 10 in desnanot-jacobi; only the two Coulomb families evaluate the
-    # closed product, and no family needs a determinant outside leading_minors
+    # (family, leading_minors calls, zeta tables, closed products, det_exact calls,
+    # Rayleigh products) with 2 x 2 = 4 (nu, ell) pairs in rayleigh-closed and
+    # rayleigh-ell23 and 2 x 5 = 10 in desnanot-jacobi; only the two Coulomb
+    # families evaluate the closed product, and no family needs a determinant
+    # outside leading_minors
     expected = {
         # one direct table per pair; the moment route reads zeta_L(2) from zeta_base
-        "coulomb-hankel": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0),
-        "rayleigh-closed": (2 * nus, 2 * nus, 0, 0),
-        # and the direct determinant of the blind ell = 2 witness
-        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0, 0),
-        # one direct table and one sigma table for the recursion per pair
-        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0),
+        "coulomb-hankel": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0, 0),
+        # one running product per pair for the closed route
+        "rayleigh-closed": (2 * nus, 2 * nus, 0, 0, 2 * nus),
+        # and the direct determinant of the blind ell = 2 witness, whose product
+        # czeta.verify reads through its own import
+        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0, 0, 2 * nus),
+        # one direct table and one sigma table per pair; the recursion table's
+        # rows 0 and 1 are two running products
+        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0, 2 * 5 * nus),
         # per ell: one pass and one table for the Bernoulli determinants, one pass
-        # and two tables for the Genocchi ones (entries and their bridge check)
-        "bernoulli-genocchi": (4, 6, 0, 0),
-        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0),
+        # and two tables for the Genocchi ones (entries and their bridge check),
+        # and one running product for each one's closed form
+        "bernoulli-genocchi": (4, 6, 0, 0, 4),
+        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0, 0),
         # the classifier reads signs off the product's factors; the rest is numeric
-        "classification": (0, 0, 0, 0),
-        "zeros": (0, 0, 0, 0),
-        "hurwitz": (0, 0, 0, 0),
+        "classification": (0, 0, 0, 0, 0),
+        "zeros": (0, 0, 0, 0, 0),
+        "hurwitz": (0, 0, 0, 0, 0),
     }
     assert [family.name for family in _FAMILIES] == list(expected)
     for family in _FAMILIES:
-        calls.update(leading_minors=0, zeta_table=0, closed=0, det_exact=0)
+        calls.update(leading_minors=0, zeta_table=0, closed=0, det_exact=0, products=0)
         cases, bad, _ = _tally(family.run(grid[family.key]))
         assert cases > 0 and not bad
         assert tuple(calls.values()) == expected[family.name], family.name
