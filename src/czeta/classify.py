@@ -76,32 +76,23 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     The sign of D_{n-1} D_n for n = 0..nmax is read off the factors of its
     closed product (see ``dd_product_closed``), which is never evaluated:
     every power base^(4k+4) and (1 + eta^2/shift^2)^(2k+3) is positive, so
-    the sign is that of 2L+2n+3.  The factor sets are nested in n, so each
-    factor is checked for zero once, at the n where it first appears, and a
-    zero raises the same SingularParameter as the closed product.  In auto
+    the sign is that of 2L+2n+3.  No factor vanishes off the excluded set,
+    which the parameter check rejects as ExcludedParameter.  In auto
     mode nmax = max(ceil(-L) + 2, 3), which covers every possible negative
     sign (they require 2L+2n+3 < 0) with a margin of at least two; the
     trailing margin must be positive, and the negative count is checked
     against floor(-L-1/2).
     """
     _validate_for_classification(params)
-    L, eta = params.L, params.eta
+    L = params.L
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
     if not isinstance(nmax, int) or nmax < 0:
         raise ExcludedParameter(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
 
-    # factors times the denominator q > 0 of L: integers with the same signs
+    # 2L+2n+3 times the denominator q > 0 of L: an integer with the same sign
     p, q = L.numerator, L.denominator
-    signs = []
-    for n in range(nmax + 1):
-        # the factors new at n; those of the product at n - 1 were checked there
-        lead = 2 * p + (2 * n + 3) * q
-        if lead == 0:
-            raise SingularParameter(f"2L+2n+3 = 0 at L = {L}, n = {n}")
-        if eta != 0 and p + (n + 1) * q == 0:
-            raise SingularParameter(f"L+n+1 = 0 at L = {L}, n = {n}")
-        signs.append(1 if lead > 0 else -1)
+    signs = [1 if 2 * p + (2 * n + 3) * q > 0 else -1 for n in range(nmax + 1)]
     m = signs.count(-1)
 
     # the negatives all sit at the front: n < -L - 3/2

@@ -109,20 +109,13 @@ def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
         if eta == 0:
             b.append(Fraction(0))
         else:
-            d = (n + L + 1) * (n + L + 2)
-            if d == 0:
-                raise SingularParameter(f"(n+L+1)(n+L+2) = 0 at n = {n}, L = {L}")
-            b.append(-eta / d)
+            b.append(-eta / ((n + L + 1) * (n + L + 2)))
         if n >= 1:
             d = (2 * n + 2 * L + 1) * (2 * n + 2 * L + 3)
-            if d == 0:
-                raise SingularParameter(f"(2n+2L+1)(2n+2L+3) = 0 at n = {n}, L = {L}")
             if eta == 0:
                 a.append(Fraction(1) / d)
             else:
                 s = (n + L + 1) ** 2
-                if s == 0:
-                    raise SingularParameter(f"n+L+1 = 0 at n = {n}, L = {L}")
                 a.append((s + eta**2) / (s * d))
     return RecurrenceCoeffs(params, tuple(a), tuple(b))
 
@@ -132,21 +125,16 @@ def _coulomb_closed(params: CoulombParams, nmax: int) -> list[Fraction]:
 
     det H_n / det H_{n-1} = prod_{m<n} (2L+2m+1)^-2 * prod_{m<=n} (1 + eta^2/(L+m)^2) / (2L+2n+1),
 
-    the eta factors dropped when eta = 0.  Each factor is checked for a zero once.
+    the eta factors dropped when eta = 0.  Every pole lies in the excluded set.
     """
     params.validate()
     L, eta = params.L, params.eta
     dets, det, ratio = [], Fraction(1), Fraction(1)  # ratio: prod_{m<=n} shift_m / base_m^2
     for m in range(1, nmax + 1):
         base = 2 * L + 2 * m + 1
-        if base == 0:
-            raise SingularParameter(f"2L+2m+1 = 0 at L = {L}, m = {m}")
         ratio /= base**2
         if eta != 0:
-            shift = L + m
-            if shift == 0:
-                raise SingularParameter(f"L+m = 0 at L = {L}, m = {m}")
-            ratio *= 1 + (eta / shift) ** 2
+            ratio *= 1 + (eta / (L + m)) ** 2
         det *= ratio * base
         dets.append(det)
     return dets
@@ -269,7 +257,8 @@ def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     sigmas = _sigmas(nu, ell + 1)  # sigmas[l] = sigma_{2l+2}(nu), the 1 x 1 values
-    rows = [[Fraction(1), *_rayleigh_products(nu, l, nmax + (ell - l) // 2)] for l in (0, 1)]
+    rows = [[Fraction(1), *_rayleigh_products(nu, l, nmax + (ell - l) // 2)]
+            for l in range(min(ell, 1) + 1)]  # row 1 only when ell >= 1 reads it
     for l in range(2, ell + 1):
         up2, up1, row = rows[l - 2], rows[l - 1], [Fraction(1), sigmas[l]]
         for m in range(2, nmax + (ell - l) // 2 + 1):

@@ -45,6 +45,7 @@ _SERIES_CAP = 500
 _COEFF_CHUNK = 16  # coefficients computed per growth step of a series' table
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
 _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
+_NEWTON_STEPS = 60  # Newton steps per start before it is given up
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,8 @@ class Rect:
             complex(self.re_min, self.im_min),
         ]
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re_min - margin <= z.real <= self.re_max + margin
-            and self.im_min - margin <= z.imag <= self.im_max + margin
-        )
+    def contains(self, z: complex) -> bool:
+        return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
     def split(self, ratio: float = 0.5) -> tuple["Rect", "Rect"]:
         """Cut across the longer side at the given ratio."""
@@ -385,10 +383,10 @@ def _split_cell(ev: _Evaluator, cell: Rect, count: int) -> list[tuple[Rect, int]
     raise last
 
 
-def _newton(ev: _Evaluator, z0: complex, maxiter: int = 60) -> complex | None:
+def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     ev.stats["newton_starts"] += 1
     z = z0
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_STEPS):
         try:
             f, df = ev.newton_values(z)
         except NoConvergence:

@@ -28,18 +28,6 @@ from math import factorial, gcd
 from .errors import SingularParameter, VerificationError
 
 
-def _is_neg_half_integer_general(L: Fraction) -> bool:
-    # membership in -(N+1)/2 = {-1, -3/2, -2, -5/2, ...}
-    twice = 2 * L
-    return twice.denominator == 1 and twice.numerator <= -2
-
-
-def _is_neg_half_odd(L: Fraction) -> bool:
-    # membership in -N - 1/2 = {-3/2, -5/2, ...}
-    twice = 2 * L
-    return twice.denominator == 1 and twice.numerator % 2 != 0 and twice.numerator <= -3
-
-
 @dataclass(frozen=True)
 class CoulombParams:
     """The parameter pair (L, eta), exact rationals."""
@@ -51,38 +39,26 @@ class CoulombParams:
         object.__setattr__(self, "L", Fraction(self.L))
         object.__setattr__(self, "eta", Fraction(self.eta))
 
-    @property
-    def is_bessel(self) -> bool:
-        return self.eta == 0
-
-    def valid_general(self) -> bool:
-        """L avoids the recurrence poles -(N+1)/2; required whenever eta != 0."""
-        return not _is_neg_half_integer_general(self.L)
-
-    def valid_bessel(self) -> bool:
-        """eta = 0 branch: only half-integers L in -N - 1/2 are excluded."""
-        return not _is_neg_half_odd(self.L)
-
     def validate(self) -> None:
-        if self.is_bessel:
-            if not self.valid_bessel():
-                raise SingularParameter(
-                    f"L = {self.L} on excluded set -N-1/2 (eta = 0 branch)"
-                )
-        elif not self.valid_general():
-            raise SingularParameter(
-                f"L = {self.L} on excluded set -(N+1)/2 (eta != 0)"
-            )
+        """Reject L on the excluded set -(N+1)/2, or only -N-1/2 when eta = 0.
+
+        Every pole of the closed formulas (zeta_L(2), the recurrence
+        coefficients, the closed product, the classifier's signs) lies in this
+        set, so this is the only check of it.
+        """
+        twice = 2 * self.L
+        if twice.denominator != 1 or twice.numerator > -2:
+            return
+        if self.eta != 0:
+            raise SingularParameter(f"L = {self.L} on excluded set -(N+1)/2 (eta != 0)")
+        if twice.numerator % 2:
+            raise SingularParameter(f"L = {self.L} on excluded set -N-1/2 (eta = 0 branch)")
 
 
 def zeta_base(params: CoulombParams) -> Fraction:
     """zeta_L(2) = (1 + eta^2/(L+1)^2) / (2L+3)."""
     params.validate()
     L, eta = params.L, params.eta
-    if 2 * L + 3 == 0:
-        raise SingularParameter(f"2L+3 = 0 at L = {L}")
-    if eta != 0 and L + 1 == 0:
-        raise SingularParameter(f"L+1 = 0 at L = {L} with eta != 0")
     value = Fraction(1, 1)
     if eta != 0:
         value += (eta / (L + 1)) ** 2

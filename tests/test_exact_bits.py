@@ -1,0 +1,94 @@
+"""Bit-level pins of the exact layer's domain behaviour.
+
+Each probe call is recorded as its value's ``repr``, or as the type and message
+of the ``czeta`` error it raised, and the records are hashed.  Where the
+parameters sit decides which check rejects them and with which message, so a
+change that moves or merges domain checks must leave these digests unchanged;
+a change that means to alter a value or a message must re-pin them and say why.
+"""
+
+import hashlib
+from fractions import Fraction as F
+
+from czeta.classify import classify, dd_product_closed
+from czeta.errors import ParameterError, VerificationError
+from czeta.hankel import (
+    coulomb_hankel_det,
+    coulomb_routes,
+    det_coulomb_closed,
+    det_coulomb_via_moments,
+    det_rayleigh_dj,
+    rayleigh_routes,
+    recurrence_coeffs,
+)
+from czeta.zeta import CoulombParams, zeta_base, zeta_table
+
+# L = p/q over every small denominator: integers, half-integers and the rest,
+# on and off the excluded set, for the Bessel branch and two eta != 0
+LS = [F(p, q) for q in (1, 2, 3, 4, 7) for p in range(-30, 9)]
+ETAS = (F(0), F(1, 2), F(-3, 2))
+NUS = (F(0), F(1, 2), F(-1, 2), F(1, 3), F(5, 2), F(-3, 2), F(-23, 7), F(-1))
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except (ParameterError, VerificationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _coulomb_records() -> list[str]:
+    calls = [
+        ("validate", lambda p: p.validate()),
+        ("zeta_base", zeta_base),
+        ("zeta_table", lambda p: zeta_table(p, 12).values()),
+        ("recurrence_coeffs", lambda p: recurrence_coeffs(p, 6)),
+        ("det_coulomb_closed", lambda p: det_coulomb_closed(p, 6)),
+        ("det_coulomb_via_moments", lambda p: det_coulomb_via_moments(p, 6)),
+        ("coulomb_routes", lambda p: coulomb_routes(p, 5)),
+        ("coulomb_hankel_det", lambda p: coulomb_hankel_det(p, 4, verify=True)),
+        ("classify", classify),
+        ("classify2", lambda p: classify(p, 2)),
+        *((f"dd_product_closed{n}", lambda p, n=n: dd_product_closed(p, n)) for n in range(5)),
+    ]
+    return [
+        f"{L} {eta} {name} {_outcome(fn, CoulombParams(L, eta))}"
+        for L in LS
+        for eta in ETAS
+        for name, fn in calls
+    ]
+
+
+def _rayleigh_records() -> list[str]:
+    return [
+        f"{nu} {ell} {n} {name} {_outcome(fn, nu, ell, n)}"
+        for nu in NUS
+        for ell in range(-1, 8)
+        for n in range(7)
+        for name, fn in (("dj", det_rayleigh_dj), ("routes", rayleigh_routes))
+    ]
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_probe_covers_every_rejection():
+    records = _coulomb_records()
+    assert len(records) >= 6435
+    # values, both excluded-set messages and the classifier's own refusals
+    for needle in ("Fraction(", "(eta = 0 branch)", "(eta != 0)", "ExcludedParameter",
+                   "too small"):
+        assert any(needle in r for r in records), needle
+
+
+def test_coulomb_domain_behaviour_is_pinned():
+    assert _digest(_coulomb_records()) == (
+        "1576c4b7961233409acf7cbfa52250ded40dd7765a5388e7fe1df7b4fd7c213a"
+    )
+
+
+def test_rayleigh_domain_behaviour_is_pinned():
+    assert _digest(_rayleigh_records()) == (
+        "d07eea49a9eebfc8f3ba8701a054707ad34968db51b74c548fd22c18bc191acd"
+    )

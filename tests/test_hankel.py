@@ -439,8 +439,8 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
         # czeta.verify reads through its own import
         "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0, 0, 2 * nus),
         # one direct table and one sigma table per pair; the recursion table's
-        # rows 0 and 1 are two running products
-        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0, 2 * 5 * nus),
+        # rows 0 and 1 are two running products, and ell = 0 needs only row 0
+        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0, (2 * 5 - 1) * nus),
         # per ell: one pass and one table for the Bernoulli determinants, one pass
         # and two tables for the Genocchi ones (entries and their bridge check),
         # and one running product for each one's closed form

@@ -49,3 +49,31 @@ def test_every_traced_layer_names_a_czeta_attribute():
         for attr in qualname.split("."):
             owner = getattr(owner, attr)
         assert callable(owner), (module, qualname)
+
+
+def test_every_czeta_attribute_the_benchmark_reads_resolves():
+    # the benchmark also calls the package outside tracing (each workload's
+    # case code, the worker, the tracer's entry point); a name it reads as
+    # czeta.<name>[.<name>...] must still exist
+    import ast
+    import importlib
+
+    seen = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id == "czeta":
+                seen.add((path.name, ".".join(reversed(chain))))
+    assert {"zeta_table", "det_exact", "classify", "format_rational", "Rect"} <= {
+        dotted for name, dotted in seen if name == "workloads.py"
+    }
+    for _, dotted in sorted(seen):
+        owner, qualname = importlib.import_module("czeta"), "czeta"
+        for attr in dotted.split("."):
+            qualname += "." + attr
+            if not hasattr(owner, attr):  # a submodule the file imports itself
+                importlib.import_module(qualname)
+            owner = getattr(owner, attr)

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from czeta.classify import classify
 from czeta.errors import SingularParameter
+from czeta.hankel import _coulomb_closed, recurrence_coeffs
 from czeta.zeta import (
     CoulombParams,
     bernoulli,
@@ -57,6 +59,42 @@ def test_negative_integer_orbital_on_bessel_branch():
     assert t.value(3) == 0 and t.value(5) == 0 and t.value(7) == 0
     assert t.value(2) == -1
     assert t.value(4) == 1  # zeta(2)^2 / (2L+5) = 1/1
+
+
+def test_validate_rejects_every_closed_formula_pole():
+    # CoulombParams.validate is the only check of the excluded set: each zero of
+    # a factor of zeta_L(2), of the recurrence coefficients a_n, b_n, of the
+    # closed product or of the classifier's signs must lie in it
+    for m in range(1, 61):
+        n = m - 1  # b_n and the classifier's sign index start at 0
+        every_eta = {
+            "2L+3 of zeta_L(2)": F(-3, 2),
+            "2m+2L+1 of a_m and the closed product": F(-2 * m - 1, 2),
+            "2m+2L+3 of a_m": F(-2 * m - 3, 2),
+            "2L+2n+3 of the classifier": F(-2 * n - 3, 2),
+        }
+        eta_nonzero = {
+            "L+1 of zeta_L(2)": F(-1),
+            "n+L+1 of b_n": F(-n - 1),
+            "n+L+2 of b_n": F(-n - 2),
+            "m+L+1 of a_m": F(-m - 1),
+            "L+m of the closed product": F(-m),
+            "L+n+1 of the classifier": F(-n - 1),
+        }
+        for etas, poles in (((0, F(1, 2)), every_eta), ((F(1, 2),), eta_nonzero)):
+            for factor, L in poles.items():
+                for eta in etas:
+                    try:
+                        CoulombParams(L, eta).validate()
+                    except SingularParameter:
+                        continue
+                    pytest.fail(f"{factor} vanishes at L = {L}, eta = {eta}; validate accepts it")
+        # the eta = 0 branch keeps negative integer L, and the formulas answer there
+        params = CoulombParams(-m, 0)
+        params.validate()
+        assert len(_coulomb_closed(params, 8)) == 8
+        assert recurrence_coeffs(params, 8).nmax == 8
+        assert classify(params).pair_count == m - 1
 
 
 def test_table_is_memoized_and_monotone():
