@@ -90,7 +90,6 @@ def _cmd_zeta(args) -> tuple[dict, int]:
     table = zeta_table(params, args.kmax)
     zeta = {str(k): format_rational(table.value(k)) for k in range(2, args.kmax + 1)}
     return {
-        "command": "zeta",
         "parameters": {"L": str(params.L), "eta": str(params.eta), "kmax": args.kmax},
         "results": {"zeta": zeta},
     }, 0
@@ -104,7 +103,6 @@ def _cmd_hankel_det(args) -> tuple[dict, int]:
     routes = {name: dets[-1] for name, dets in coulomb_routes(params, args.n, names).items()}
     direct = routes.pop("direct")
     record = {
-        "command": "hankel-det",
         "parameters": {"L": str(params.L), "eta": str(params.eta), "n": args.n},
         "results": {name: format_rational(v) for name, v in {"det": direct, **routes}.items()},
     }
@@ -125,7 +123,6 @@ def _cmd_rayleigh_det(args) -> tuple[dict, int]:
     if route not in values:
         raise ParameterError(f"no closed form for ell = {args.ell}; use --method direct or dj")
     return {
-        "command": "rayleigh-det",
         "parameters": {"nu": str(nu), "ell": args.ell, "n": args.n, "method": args.method},
         "results": {"det": format_rational(values[route][-1])},
     }, 0
@@ -137,7 +134,6 @@ def _cmd_factorial_det(args) -> tuple[dict, int]:
     fn = bernoulli_hankel_det if args.subcommand == "bernoulli-det" else genocchi_hankel_det
     value = fn(args.ell, args.n)  # VerificationError -> exit 2 in main()
     return {
-        "command": args.subcommand,
         "parameters": {"ell": args.ell, "n": args.n},
         "results": {"det": format_rational(value)},
         "verification": {"closed_form_equal": True},
@@ -155,7 +151,6 @@ def _cmd_classify(args) -> tuple[dict, int]:
             raise ParameterError(f"--nmax must be an integer or 'auto', got {args.nmax!r}")
     result = classify(params, nmax)
     return {
-        "command": "classify",
         "parameters": {"L": str(params.L), "eta": str(params.eta), "nmax": args.nmax},
         "results": {
             "pair_count": result.pair_count,
@@ -177,7 +172,6 @@ def _cmd_find_zeros(args) -> tuple[dict, int]:
     r = report.region
     region = {"re_min": r.re_min, "re_max": r.re_max, "im_min": r.im_min, "im_max": r.im_max}
     return {
-        "command": "find-zeros",
         "parameters": {"L": args.L, "eta": args.eta, "tol": args.tol},
         "results": {
             "region": region,
@@ -204,7 +198,6 @@ def _cmd_verify_all(args) -> tuple[dict, int]:
     ]
     all_passed = all(r.passed for r in results)
     return {
-        "command": "verify-all",
         "parameters": {"quick": args.quick},
         "results": {"families": families},
         "verification": {"all_passed": all_passed},
@@ -231,8 +224,9 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
+    def add_parser(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         # accepted after the subcommand too; SUPPRESS keeps a pre-subcommand
         # --format from being clobbered by the subparser default
         p.add_argument(
@@ -241,34 +235,37 @@ def build_parser() -> _Parser:
         p.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS)
         return p
 
-    p = add_parser("zeta", help="spectral zeta table zeta_L(2..kmax)")
+    p = add_parser("zeta", _cmd_zeta, help="spectral zeta table zeta_L(2..kmax)")
     p.add_argument("--L", required=True, help="orbital parameter, rational p/q")
     p.add_argument("--eta", required=True, help="Coulomb strength, rational p/q")
     p.add_argument("--kmax", type=int, required=True)
 
-    p = add_parser("hankel-det", help="determinant of the zeta Hankel matrix")
+    p = add_parser("hankel-det", _cmd_hankel_det, help="determinant of the zeta Hankel matrix")
     p.add_argument("--L", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--verify", action="store_true", help="also evaluate closed and moment routes")
 
-    p = add_parser("rayleigh-det", help="determinant of the Rayleigh Hankel matrix")
+    p = add_parser("rayleigh-det", _cmd_rayleigh_det,
+                   help="determinant of the Rayleigh Hankel matrix")
     p.add_argument("--nu", required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("direct", "closed", "dj"), default="direct")
 
     for name in ("bernoulli-det", "genocchi-det"):
-        p = add_parser(name, help=f"factorially normalized {name.split('-')[0]} Hankel determinant")
+        p = add_parser(name, _cmd_factorial_det,
+                       help=f"factorially normalized {name.split('-')[0]} Hankel determinant")
         p.add_argument("--ell", type=int, choices=(0, 1), required=True)
         p.add_argument("--n", type=int, required=True)
 
-    p = add_parser("classify", help="count complex-conjugate zero pairs algebraically")
+    p = add_parser("classify", _cmd_classify,
+                   help="count complex-conjugate zero pairs algebraically")
     p.add_argument("--L", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--nmax", default="auto", help="largest index of the sign sequence, or 'auto'")
 
-    p = add_parser("find-zeros", help="locate zeros numerically in a rectangle")
+    p = add_parser("find-zeros", _cmd_find_zeros, help="locate zeros numerically in a rectangle")
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--re-min", type=float, default=None)
@@ -277,22 +274,11 @@ def build_parser() -> _Parser:
     p.add_argument("--im-max", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = add_parser("verify-all", help="run the pinned identity grids, report per family")
+    p = add_parser("verify-all", _cmd_verify_all,
+                   help="run the pinned identity grids, report per family")
     p.add_argument("--quick", action="store_true", help="trimmed grid, completes in seconds")
 
     return parser
-
-
-_HANDLERS = {
-    "zeta": _cmd_zeta,
-    "hankel-det": _cmd_hankel_det,
-    "rayleigh-det": _cmd_rayleigh_det,
-    "bernoulli-det": _cmd_factorial_det,
-    "genocchi-det": _cmd_factorial_det,
-    "classify": _cmd_classify,
-    "find-zeros": _cmd_find_zeros,
-    "verify-all": _cmd_verify_all,
-}
 
 
 def main(argv=None) -> int:
@@ -318,7 +304,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        record, code = _HANDLERS[args.subcommand](args)
+        record, code = args.handler(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
@@ -330,6 +316,7 @@ def _run(args) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
+    record = {"command": args.subcommand, **record}
     if args.subcommand == "verify-all" and args.format == "text":
         print(_render_verify_text(record))
     else:

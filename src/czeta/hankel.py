@@ -256,7 +256,7 @@ def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
     """
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
-    sigmas = _sigmas(nu, ell + 1)  # sigmas[l] = sigma_{2l+2}(nu), the 1 x 1 values
+    sigmas = _sigmas(nu, ell + 1) if ell >= 2 else None  # sigma_{2l+2}(nu) at [l], for rows l >= 2
     rows = [[Fraction(1), *_rayleigh_products(nu, l, nmax + (ell - l) // 2)]
             for l in range(min(ell, 1) + 1)]  # row 1 only when ell >= 1 reads it
     for l in range(2, ell + 1):

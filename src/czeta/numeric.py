@@ -407,13 +407,15 @@ def _refine_cell(ev: _Evaluator, cell: Rect) -> complex | None:
     # the cell holds exactly one zero by winding count, so only accept a
     # Newton limit strictly inside it; an iterate that escapes to a
     # neighboring zero is rejected and the cell is subdivided instead
-    starts = [cell.center]
+    # starts keyed by their bits: the grid's middle point is often the centre
+    # itself, and a second run from the same bits would only repeat the first
+    center = cell.center
+    starts = {_point_bits(center.real, center.imag): center}
     for fx in (0.25, 0.5, 0.75):
         for fy in (0.25, 0.5, 0.75):
-            starts.append(
-                complex(cell.re_min + fx * cell.width, cell.im_min + fy * cell.height)
-            )
-    for z0 in starts:
+            z0 = complex(cell.re_min + fx * cell.width, cell.im_min + fy * cell.height)
+            starts.setdefault(_point_bits(z0.real, z0.imag), z0)
+    for z0 in starts.values():
         z = _newton(ev, z0)
         if z is not None and cell.contains(z):
             return z

@@ -2,7 +2,8 @@
 
 The grids live in ``verify_grid.json`` next to this module (a versioned data
 file, so runs are reproducible); ``quick`` selects the trimmed variant.  The
-families are one table, ``_FAMILIES``; the routes they compare come from ``czeta.hankel``.
+families are one table, ``_FAMILIES``; the routes they compare come from ``czeta.hankel``
+through one route table per run, which evaluates each parameter pair once.
 """
 
 from __future__ import annotations
@@ -12,18 +13,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Callable, Iterator, NamedTuple
 
 from .classify import classify, hurwitz_counts
 from .exact import parse_rational
-from .hankel import (
-    _factorial_hankel_det,
-    _rayleigh_products,
-    coulomb_routes,
-    rayleigh_hankel_det,
-    rayleigh_routes,
-)
+from .hankel import _factorial_hankel_det, _rayleigh_products, coulomb_routes, rayleigh_routes
 from .numeric import Rect, find_complex_zeros
 from .zeta import CoulombParams
 
@@ -51,37 +47,47 @@ def _param_grid(cfg) -> list[CoulombParams]:
     ]
 
 
-# Each runner takes its section of the grid and yields (inputs, ok) once per
-# case; what it returns fills the placeholders of its family's pass detail.
+def _read_routes(evaluated: dict, route_set, *pair, nmax: int) -> dict[str, list[Fraction]]:
+    """The first nmax values of each route of `route_set` at `pair`; every route is
+    evaluated once, at the largest nmax asked so far, since its n-th value does not
+    depend on nmax.  `evaluated` is one run's route table."""
+    key = (route_set, *pair)
+    if key not in evaluated or len(evaluated[key]["direct"]) < nmax:
+        evaluated[key] = route_set(*pair, nmax)
+    return {name: dets[:nmax] for name, dets in evaluated[key].items()}
 
 
-def _run_coulomb_hankel(cfg):
+# Each runner takes its grid section and the run's route table, and yields (inputs,
+# ok) once per case; what it returns fills the placeholders of its family's pass detail.
+
+
+def _run_coulomb_hankel(cfg, table):
     for params in _param_grid(cfg):
-        routes = coulomb_routes(params, cfg["n_max"])
+        routes = table(coulomb_routes, params, nmax=cfg["n_max"])
         for n, values in enumerate(zip(*routes.values()), 1):
             yield (params.L, params.eta, n), len(set(values)) == 1
 
 
-def _run_rayleigh(cfg, route, ells):
+def _run_rayleigh(cfg, table, route, ells):
     """The named Rayleigh route against the direct determinant, over the nu grid."""
     for ns in cfg["nu"]:
         nu = parse_rational(ns)
         for ell in ells:
-            routes = rayleigh_routes(nu, ell, cfg["n_max"], ("direct", route))
+            routes = table(rayleigh_routes, nu, ell, nmax=cfg["n_max"])
             for n, (direct, value) in enumerate(zip(routes["direct"], routes[route]), 1):
                 yield (nu, ell, n), value == direct
 
 
-def _run_rayleigh_ell23(cfg):
-    yield from _run_rayleigh(cfg, "closed", (2, 3))
+def _run_rayleigh_ell23(cfg, table):
+    yield from _run_rayleigh(cfg, table, "closed", (2, 3))
     # witness: the ell in {0,1} product evaluated blindly at ell = 2 must fail
     blind = _rayleigh_products(Fraction(1), 2, 1)[-1]
-    direct = rayleigh_hankel_det(Fraction(1), 2, 1)
+    direct = table(rayleigh_routes, Fraction(1), 2, nmax=1)["direct"][0]
     yield ("blind ell = 2", blind, direct), blind != direct
     return {"blind": blind, "direct": direct}
 
 
-def _run_bernoulli_genocchi(cfg):
+def _run_bernoulli_genocchi(cfg, _table):
     for ell in (0, 1):
         # one leading-minor pass per g; a closed-form mismatch at any n raises VerificationError
         dets = [_factorial_hankel_det(g, ell, cfg["n_max"]) for g in (0, 1)]
@@ -90,11 +96,11 @@ def _run_bernoulli_genocchi(cfg):
                 yield (label, ell, n, value), abs(value.numerator) == 1
 
 
-def _run_sign_products(cfg):
+def _run_sign_products(cfg, table):
     for params in _param_grid(cfg):
         # both routes with det H_0 = 1 in front, so D_{n-1} D_n = dets[n] * dets[n + 1]
-        routes = coulomb_routes(params, cfg["n_max"] + 1, ("direct", "closed"))
-        direct, closed = ([Fraction(1), *dets] for dets in routes.values())
+        routes = table(coulomb_routes, params, nmax=cfg["n_max"] + 1)
+        direct, closed = ([Fraction(1), *routes[name]] for name in ("direct", "closed"))
         for n in range(cfg["n_max"] + 1):
             product = closed[n] * closed[n + 1]
             lead = 2 * params.L + 2 * n + 3
@@ -102,7 +108,7 @@ def _run_sign_products(cfg):
             yield (params.L, params.eta, n), product == direct[n] * direct[n + 1] and sign_ok
 
 
-def _run_classification(cfg):
+def _run_classification(cfg, _table):
     for ls in cfg["all_real"]["L"]:
         for es in cfg["all_real"]["eta"]:
             result = classify(CoulombParams(parse_rational(ls), parse_rational(es)))
@@ -137,7 +143,7 @@ def _match_expected_zeros(report, expected, tol) -> bool:
     return all(claim(e, set()) for e in range(len(expected)))
 
 
-def _run_zeros(cfg):
+def _run_zeros(cfg, _table):
     for case in cfg["cases"]:
         report = find_complex_zeros(case["L"], case["eta"], search=Rect(*case["region"]))
         ok = _match_expected_zeros(report, case["expected"], cfg["tol_abs"])
@@ -145,7 +151,7 @@ def _run_zeros(cfg):
     return {"tol": cfg["tol_abs"]}
 
 
-def _run_hurwitz(cfg):
+def _run_hurwitz(cfg, _table):
     for case in cfg["cases"]:
         nu = Fraction(case["nu"])
         counts = hurwitz_counts(nu)
@@ -180,7 +186,7 @@ def _tally(checks) -> tuple[int, list, dict]:
 class _Family(NamedTuple):
     name: str
     key: str  # section of verify_grid.json
-    run: Callable[[dict], Iterator[tuple[tuple, bool]]]
+    run: Callable[[dict, Callable], Iterator[tuple[tuple, bool]]]
     passed: str  # detail when no input is bad, formatted with the runner's fields
     failed: str = "mismatches at {bad}"  # detail otherwise, with the first `shown` bad inputs
     shown: int = 3
@@ -189,13 +195,15 @@ class _Family(NamedTuple):
 _FAMILIES = (
     _Family("coulomb-hankel", "coulomb_hankel", _run_coulomb_hankel,
             "direct = closed product = moment route, exactly"),
-    _Family("rayleigh-closed", "rayleigh_closed", lambda cfg: _run_rayleigh(cfg, "closed", (0, 1)),
+    _Family("rayleigh-closed", "rayleigh_closed",
+            lambda cfg, table: _run_rayleigh(cfg, table, "closed", (0, 1)),
             "closed form matches direct determinants for ell in {{0,1}}"),
     _Family("rayleigh-ell23", "rayleigh_ell23", _run_rayleigh_ell23,
             "ell = 2, 3 closed forms hold; blind ell = 2 use of the {{0,1}} form "
             "differs as expected ({blind} vs {direct})"),
     _Family("desnanot-jacobi", "desnanot_jacobi",
-            lambda cfg: _run_rayleigh(cfg, "desnanot-jacobi", range(cfg["ell_max"] + 1)),
+            lambda cfg, table: _run_rayleigh(cfg, table, "desnanot-jacobi",
+                                             range(cfg["ell_max"] + 1)),
             "recursion route equals direct determinants"),
     _Family("bernoulli-genocchi", "bernoulli_genocchi", _run_bernoulli_genocchi,
             "closed forms hold and every value is a reciprocal integer", "non-reciprocal values {bad}"),
@@ -212,11 +220,12 @@ _FAMILIES = (
 
 def run_verification(quick: bool = False) -> list[FamilyResult]:
     grid = load_grid(quick)
+    table = partial(_read_routes, {})  # one evaluation per parameter pair and route set
     results = []
     for family in _FAMILIES:
         start = time.perf_counter()
         try:
-            cases, bad, fields = _tally(family.run(grid[family.key]))
+            cases, bad, fields = _tally(family.run(grid[family.key], table))
         except Exception as exc:  # a raised check is a failure, not a crash
             passed, cases, detail = False, 0, f"{type(exc).__name__}: {exc}"
         else:

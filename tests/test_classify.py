@@ -148,3 +148,13 @@ def test_hurwitz_boundary_refusals():
     for nu in (-1, -2, F(-3)):
         with pytest.raises(BoundaryParameter):
             hurwitz_counts(nu)
+
+
+def test_classifier_input_checks():
+    params = CoulombParams(0, 1)
+    with pytest.raises(ExcludedParameter, match=r"^n must be >= 0, got -1$"):
+        dd_product_closed(params, -1)
+    for nmax in ("x", -1):
+        message = rf"^nmax must be a nonnegative integer or 'auto', got {nmax!r}$"
+        with pytest.raises(ExcludedParameter, match=message):
+            classify(params, nmax)

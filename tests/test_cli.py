@@ -245,6 +245,38 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["no-such-command"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeta", "--L", "0", "--eta", "0", "--kmax", "1"], "--kmax must be >= 2, got 1"),
+        (["hankel-det", "--L", "0", "--eta", "0", "--n", "0"], "--n must be >= 1, got 0"),
+        (["rayleigh-det", "--nu", "1", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
+        (["bernoulli-det", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
+        (["genocchi-det", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
+        (["rayleigh-det", "--nu", "1", "--ell", "-1", "--n", "1"], "--ell must be >= 0, got -1"),
+        (["classify", "--L", "0", "--eta", "1", "--nmax", "x"],
+         "--nmax must be an integer or 'auto', got 'x'"),
+    ],
+)
+def test_flag_checks_exit_1_naming_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"parameter error: {message}\n"
+
+
+def test_list_results_flatten_to_indexed_fields(capsys):
+    argv = ["classify", "--L", "-7/4", "--eta", "3/2"]
+    code, out, _ = run(capsys, ["--format", "csv", *argv])
+    assert code == 0
+    rows = dict(csv.reader(io.StringIO(out)))
+    assert rows["results.sign_sequence.0"] == "-1"
+    assert [rows[f"results.sign_sequence.{i}"] for i in range(5)] == ["-1", "1", "1", "1", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    fields = dict(line.split(None, 1) for line in out.splitlines())
+    assert fields["results.sign_sequence.0"] == "-1" and fields["results.sign_sequence.4"] == "1"
+
+
 def test_numeric_failure_reported_cleanly(capsys):
     # region far outside the series' double-precision range
     code, _, err = run(

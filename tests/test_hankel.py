@@ -390,6 +390,43 @@ def test_desnanot_jacobi_degenerate_entries_take_the_direct_value(monkeypatch):
     assert max(counts) == 2 and min(counts) == 1, counts
 
 
+def test_recurrence_coeffs_input_checks():
+    params = CoulombParams(0, 1)
+    with pytest.raises(SingularParameter, match=r"^nmax must be >= 1, got 0$"):
+        recurrence_coeffs(params, 0)
+    coeffs = recurrence_coeffs(params, 2)
+    for n in (0, 3):
+        with pytest.raises(IndexError, match=rf"^a_n available for 1 <= n <= 2, got {n}$"):
+            coeffs.a(n)
+    for n in (-1, 3):
+        with pytest.raises(IndexError, match=rf"^b_n available for 0 <= n <= 2, got {n}$"):
+            coeffs.b(n)
+
+
+def test_routes_are_prefixes_of_longer_runs():
+    # a route's n-th value does not depend on nmax, so one evaluation at the
+    # largest nmax serves every shorter request; the quick verify grid's pairs
+    # and the degenerate Desnanot-Jacobi nu = -23/7
+    from czeta.verify import _param_grid, load_grid
+
+    grid = load_grid(quick=True)
+    N = 6
+    for params in _param_grid(grid["coulomb_hankel"]):
+        full = coulomb_routes(params, N)
+        for k in range(1, N):
+            assert coulomb_routes(params, k) == {name: v[:k] for name, v in full.items()}
+    nus = {F(nu) for key in ("rayleigh_closed", "rayleigh_ell23", "desnanot_jacobi")
+           for nu in grid[key]["nu"]}
+    ells = range(max(grid["desnanot_jacobi"]["ell_max"], 3) + 1)
+    pairs = [(nu, ell) for nu in sorted(nus) for ell in ells]
+    pairs += [(F(-23, 7), ell) for ell in range(8)]
+    for nu, ell in pairs:
+        full = rayleigh_routes(nu, ell, N)
+        for k in range(1, N):
+            prefix = {name: v[:k] for name, v in full.items()}
+            assert rayleigh_routes(nu, ell, k) == prefix, (nu, ell, k)
+
+
 def test_routes_reject_nmax_below_one():
     with pytest.raises(SingularParameter, match="got 0"):
         coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
@@ -401,9 +438,11 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     import czeta.exact
     import czeta.hankel
     import czeta.zeta
+    from functools import partial
+
     from czeta.exact import leading_minors
     from czeta.hankel import _coulomb_closed
-    from czeta.verify import _FAMILIES, _tally, load_grid
+    from czeta.verify import _FAMILIES, _read_routes, _tally, load_grid
     from czeta.zeta import zeta_table
 
     calls = {"leading_minors": 0, "zeta_table": 0, "closed": 0, "det_exact": 0, "products": 0}
@@ -422,38 +461,47 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     for module in (czeta.hankel, czeta.zeta):
         monkeypatch.setattr(module, "zeta_table", counted("zeta_table", zeta_table))
     grid = load_grid(quick=True)
-    coulomb_pairs = len(grid["coulomb_hankel"]["L"]) * len(grid["coulomb_hankel"]["eta"])
-    assert coulomb_pairs == len(grid["sign_products"]["L"]) * len(grid["sign_products"]["eta"])
+    # sign-products reads a prefix of what coulomb-hankel evaluated, and
+    # desnanot-jacobi reads ell <= 3 from rayleigh-closed and rayleigh-ell23
+    coulomb, signs = grid["coulomb_hankel"], grid["sign_products"]
+    assert (coulomb["L"], coulomb["eta"]) == (signs["L"], signs["eta"])
+    assert signs["n_max"] + 1 <= coulomb["n_max"]
     nus = len(grid["rayleigh_closed"]["nu"])
+    dj = grid["desnanot_jacobi"]
+    assert all(grid[key]["nu"] == dj["nu"] and grid[key]["n_max"] >= dj["n_max"]
+               for key in ("rayleigh_closed", "rayleigh_ell23"))
+    coulomb_pairs, new_ells = len(coulomb["L"]) * len(coulomb["eta"]), dj["ell_max"] - 3
     # (family, leading_minors calls, zeta tables, closed products, det_exact calls,
-    # Rayleigh products) with 2 x 2 = 4 (nu, ell) pairs in rayleigh-closed and
-    # rayleigh-ell23 and 2 x 5 = 10 in desnanot-jacobi; only the two Coulomb
-    # families evaluate the closed product, and no family needs a determinant
-    # outside leading_minors
+    # Rayleigh products) when the families run in order through one route table:
+    # each family evaluates every route of the pairs no earlier family evaluated
+    # at as large an n, and no family needs a determinant outside leading_minors
     expected = {
         # one direct table per pair; the moment route reads zeta_L(2) from zeta_base
         "coulomb-hankel": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0, 0),
-        # one running product per pair for the closed route
-        "rayleigh-closed": (2 * nus, 2 * nus, 0, 0, 2 * nus),
-        # and the direct determinant of the blind ell = 2 witness, whose product
-        # czeta.verify reads through its own import
-        "rayleigh-ell23": (2 * nus + 1, 2 * nus + 1, 0, 0, 2 * nus),
-        # one direct table and one sigma table per pair; the recursion table's
-        # rows 0 and 1 are two running products, and ell = 0 needs only row 0
-        "desnanot-jacobi": (5 * nus, 2 * 5 * nus, 0, 0, (2 * 5 - 1) * nus),
+        # per nu: the direct pass and table at ell = 0, 1; a running product for
+        # each closed form, and the recursion's rows 0 (ell = 0) and 0, 1 (ell = 1)
+        "rayleigh-closed": (2 * nus, 2 * nus, 0, 0, 5 * nus),
+        # per pair: the direct pass and table, the recursion's sigma table, its rows
+        # 0 and 1 and the closed product; the blind ell = 2 witness reads the
+        # table, and czeta.verify reads its product through its own import
+        "rayleigh-ell23": (2 * nus, 2 * 2 * nus, 0, 0, 2 * 3 * nus),
+        # only the ell > 3 pairs are new: a direct pass and table, a sigma table and
+        # the recursion's rows 0 and 1 each
+        "desnanot-jacobi": (new_ells * nus, 2 * new_ells * nus, 0, 0, 2 * new_ells * nus),
         # per ell: one pass and one table for the Bernoulli determinants, one pass
         # and two tables for the Genocchi ones (entries and their bridge check),
         # and one running product for each one's closed form
         "bernoulli-genocchi": (4, 6, 0, 0, 4),
-        "sign-products": (coulomb_pairs, coulomb_pairs, coulomb_pairs, 0, 0),
+        "sign-products": (0, 0, 0, 0, 0),
         # the classifier reads signs off the product's factors; the rest is numeric
         "classification": (0, 0, 0, 0, 0),
         "zeros": (0, 0, 0, 0, 0),
         "hurwitz": (0, 0, 0, 0, 0),
     }
     assert [family.name for family in _FAMILIES] == list(expected)
+    table = partial(_read_routes, {})
     for family in _FAMILIES:
         calls.update(leading_minors=0, zeta_table=0, closed=0, det_exact=0, products=0)
-        cases, bad, _ = _tally(family.run(grid[family.key]))
+        cases, bad, _ = _tally(family.run(grid[family.key], table))
         assert cases > 0 and not bad
         assert tuple(calls.values()) == expected[family.name], family.name

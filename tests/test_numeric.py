@@ -289,3 +289,35 @@ def test_zero_report_stats_count_the_work():
     # the counters describe the call, not the result
     again = find_complex_zeros(-2.75, 1.5)
     assert again == report and again.stats == stats
+
+
+def test_outer_contour_through_a_zero_is_nudged():
+    # sin(rho)/rho has the zero pi on the lower edge of this region
+    region = Rect(2, 4, 0, 0.5)
+    with pytest.raises(ContourTooClose):
+        count_zeros_region(0, 0, region)
+    report = find_complex_zeros(0, 0, search=region)
+    assert report.region == region.expand(1.3e-3)
+    assert report.stats["nudge_retries"] == 1
+    (z,) = report.zeros
+    assert abs(z - math.pi) < 1e-12
+
+
+def test_newton_runs_once_from_each_distinct_start(monkeypatch):
+    import czeta.numeric
+
+    starts = []
+
+    def failing_newton(ev, z0):
+        starts.append(z0)
+        return None
+
+    monkeypatch.setattr(czeta.numeric, "_newton", failing_newton)
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    # the grid's middle point has the centre's bits: it is not run a second time
+    assert czeta.numeric._refine_cell(ev, Rect(-1, 1, 0, 2)) is None
+    assert len(starts) == 9 and starts[0] == 1j
+    # here it is one ulp off the centre in each part, so both run
+    starts.clear()
+    assert czeta.numeric._refine_cell(ev, Rect(0.1, 0.7, 0.1, 0.7)) is None
+    assert len(starts) == len(set(starts)) == 10

@@ -1,6 +1,9 @@
+from functools import partial
 from types import SimpleNamespace
 
-from czeta.verify import FamilyResult, _match_expected_zeros
+import pytest
+
+from czeta.verify import FamilyResult, _match_expected_zeros, _read_routes
 
 
 def report(*zeros):
@@ -32,3 +35,25 @@ def test_zero_matching_ignores_the_lower_half_plane_and_counts():
 def test_family_seconds_take_no_part_in_equality():
     assert FamilyResult("f", True, 3, "ok", 1.5) == FamilyResult("f", True, 3, "ok")
     assert FamilyResult("f", True, 3, "ok").seconds == 0.0
+
+
+def test_route_table_evaluates_a_pair_again_only_for_a_longer_prefix():
+    calls = []
+
+    def route_set(pair, nmax):
+        calls.append((pair, nmax))
+        if pair == "bad":
+            raise ValueError("no routes")
+        return {"direct": list(range(nmax)), "other": [-n for n in range(nmax)]}
+
+    table = partial(_read_routes, {})
+    assert table(route_set, "a", nmax=2) == {"direct": [0, 1], "other": [0, -1]}
+    assert table(route_set, "a", nmax=4)["direct"] == [0, 1, 2, 3]
+    table(route_set, "a", nmax=3)["direct"].append("caller's own copy")
+    assert table(route_set, "a", nmax=3) == {"direct": [0, 1, 2], "other": [0, -1, -2]}
+    assert calls == [("a", 2), ("a", 4)]
+    # a raising evaluation stores nothing, so the next reader raises as well
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no routes"):
+            table(route_set, "bad", nmax=1)
+    assert calls[2:] == [("bad", 1), ("bad", 1)]

@@ -169,3 +169,27 @@ def test_bernoulli_frozen_small_cases():
     assert genocchi(1) == -1
     assert genocchi(2) == 1
     assert genocchi(3) == -3
+
+
+def test_zeta_input_checks_name_the_bad_index():
+    params = CoulombParams(0, 1)
+    table = zeta_table(params, 3)
+    for call in (lambda: zeta_table(params, 1), lambda: zeta_extend(table, 1)):
+        with pytest.raises(SingularParameter, match=r"^kmax must be >= 2, got 1$"):
+            call()
+    with pytest.raises(SingularParameter, match=r"^zeta_L\(k\) requires k >= 2, got 1$"):
+        table.value(1)
+    with pytest.raises(SingularParameter, match=r"^Rayleigh order requires k >= 1, got 0$"):
+        rayleigh(1, 0)
+    with pytest.raises(SingularParameter, match=r"^bernoulli\(n\) requires n >= 1, got 0$"):
+        bernoulli(0)
+    with pytest.raises(SingularParameter, match=r"^genocchi\(n\) requires n >= 1, got 0$"):
+        genocchi(0)
+
+
+def test_zeta_value_beyond_kmax_extends_the_table():
+    params = CoulombParams(0, 1)
+    table = zeta_table(params, 3)
+    assert table.kmax == 3
+    assert table.value(6) == zeta_table(params, 6).values()[-1]
+    assert table.kmax == 6 and table.values() == zeta_table(params, 6).values()
