@@ -3,6 +3,12 @@
 Rational values are ``fractions.Fraction`` throughout: the stdlib type already
 guarantees a positive denominator and full reduction after every operation,
 which is the normalization every identity check in this package relies on.
+
+`leading_minors` is the one determinant entry point the rest of the package
+uses, and `det_exact` gives the last minor alone.  Both pick their engine
+from the matrix itself: a Hankel matrix goes through the Chebyshev algorithm
+on integer rows (`_hankel_minors`), and every other matrix, or a Hankel matrix
+with a zero leading minor below the last, through Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ class ExactMatrix:
     def __post_init__(self):
         # tuples are built from lists, not generators: CPython grows a tuple from
         # a generator by resizing, and keeps each resized tuple in its free list
-        # for that length, so repeated calls hold more memory every time
-        rows = tuple([tuple([Fraction(e) for e in row]) for row in self.entries])
+        # for that length, so repeated calls hold more memory every time.  An
+        # entry that is already a Fraction is kept as it is, not copied.
+        rows = tuple([tuple([e if type(e) is Fraction else Fraction(e) for e in row])
+                      for row in self.entries])
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")
         n = len(rows)
@@ -125,13 +133,58 @@ def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
         prev = pivot
 
 
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination with row pivoting.
+def _hankel_minors(m: ExactMatrix) -> list[Fraction] | None:
+    """D_1, D_2, ... of a Hankel matrix by the Chebyshev algorithm; None for any other matrix.
 
-    The determinant is the last pivot of the integer matrix from
-    `_integer_rows`, times the column contents over the row scales; an
-    all-zero column gives 0 at once.  Intermediate entries stay integral.
+    The moments mu_0..mu_{2n-2} are m's first row and last column.  Row k of
+    the algorithm holds sigma_{k,l} = T_k[l] / R_k for l = k..2n-2-k, as
+    integers over one denominator: row 0 is the moments over their lcm, and
+    with p = T_{k-1}[k-1], q = T_{k-2}[k-2] (q = 1 and T_{-1} = 0 at k = 1),
+
+        T_k[l] = p q T_{k-1}[l+1] - (q T_{k-1}[k] - p T_{k-2}[k-1]) T_{k-1}[l] - p^2 T_{k-2}[l],
+        R_k = R_{k-1} p q,
+
+    each row then divided with R_k by their gcd.  sigma_{k,k} = D_{k+1} / D_k.
+    A zero minor D_k with k < n ends the list there, at that 0 (W. Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, OUP 2004, sec. 2.1).
     """
+    rows = m.entries
+    n = len(rows)
+    for upper, lower in zip(rows, rows[1:]):
+        if upper[1:] != lower[:-1]:
+            return None
+    moments = [*rows[0], *[row[-1] for row in rows[1:]]]
+    r = math.lcm(*[e.denominator for e in moments])
+    t = [e.numerator * (r // e.denominator) for e in moments]
+    prev, q = [0] * len(t), 1
+    minors = [Fraction(t[0], r)]
+    for k in range(1, n):
+        p = t[k - 1]
+        if p == 0:
+            return minors
+        pq, c, p2 = p * q, q * t[k] - p * prev[k - 1], p * p
+        row = [0] * k + [pq * t[l + 1] - c * t[l] - p2 * prev[l] for l in range(k, 2 * n - 1 - k)]
+        r *= pq
+        g = math.gcd(r, *row)
+        if g > 1:
+            row = [x // g for x in row]
+            r //= g
+        prev, q, t = t, p, row
+        minors.append(minors[-1] * Fraction(t[k], r))
+    return minors
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Exact determinant: the last of `_hankel_minors` for a Hankel matrix that has
+    no zero leading minor below the last, else Bareiss elimination with row pivoting.
+
+    Bareiss gives the last pivot of the integer matrix from `_integer_rows`,
+    times the column contents over the row scales; an all-zero column gives 0
+    at once.  Intermediate entries stay integral.
+    """
+    minors = _hankel_minors(m)
+    if minors is not None and len(minors) == m.dim:
+        return minors[-1]
     a, scales, contents = _integer_rows(m)
     if 0 in contents:
         return Fraction(0)
@@ -143,19 +196,22 @@ def det_exact(m: ExactMatrix) -> Fraction:
 def leading_minors(m: ExactMatrix) -> list[Fraction]:
     """D_1, ..., D_n: the determinants of the k x k leading submatrices of m.
 
-    One pass of det_exact's elimination without row swaps gives them all:
-    pivot k is the (k+1) x (k+1) leading minor of the integer matrix, times
-    the first k+1 column contents over the first k+1 row scales.  A zero
-    pivot makes that minor 0 and ends the pass; each later minor is then
-    det_exact of its own leading submatrix.  The last entry equals det_exact(m).
+    A Hankel matrix takes them from `_hankel_minors`.  Any other matrix takes
+    them from one pass of det_exact's elimination without row swaps: pivot k
+    is the (k+1) x (k+1) leading minor of the integer matrix, times the first
+    k+1 column contents over the first k+1 row scales.  Either way a zero
+    minor below the last ends the pass; each later minor is then det_exact of
+    its own leading submatrix.  The last entry equals det_exact(m).
     """
-    a, scales, contents = _integer_rows(m)
-    minors = []
-    scale = content = 1
-    for k, pivot in enumerate(_bareiss(a, swap=False)):
-        scale *= scales[k]
-        content *= contents[k]
-        minors.append(Fraction(pivot * content, scale))
+    minors = _hankel_minors(m)
+    if minors is None:
+        a, scales, contents = _integer_rows(m)
+        minors = []
+        scale = content = 1
+        for k, pivot in enumerate(_bareiss(a, swap=False)):
+            scale *= scales[k]
+            content *= contents[k]
+            minors.append(Fraction(pivot * content, scale))
     for k in range(len(minors) + 1, m.dim + 1):
         minors.append(det_exact(ExactMatrix.from_rows([row[:k] for row in m.entries[:k]])))
     return minors

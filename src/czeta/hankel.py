@@ -14,8 +14,10 @@ recursion, with one direct pass for the degenerate n), and a single-n consumer
 reads the last entry.  So do the Bernoulli and Genocchi determinants.  The
 Rayleigh, Bernoulli and Genocchi closed forms all come from one running Rayleigh
 product per (nu, ell), the latter two at nu = 1/2 and -1/2, rescaled.
-`leading_minors` is the only determinant engine, and every sigma_{2k}(nu) comes
-from one helper, `czeta.zeta._sigmas`.
+`leading_minors` is the only determinant entry point (it takes the Chebyshev
+algorithm for these Hankel matrices, and Bareiss only when a leading minor below
+the last vanishes), and every sigma_{2k}(nu) comes from one helper,
+`czeta.zeta._sigmas`.
 """
 
 from __future__ import annotations
@@ -102,41 +104,54 @@ def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     if nmax < 1:
         raise SingularParameter(f"nmax must be >= 1, got {nmax}")
     params.validate()
-    L, eta = params.L, params.eta
+    # over integers, with L = p/q, eta = r/s and u = (n+L+1) q:
+    # a_n = (u^2 s^2 + r^2 q^2) q^2 / (u^2 s^2 d) with d = (2n+2L+1)(2n+2L+3) q^2,
+    # a_n = q^2 / d at eta = 0, and b_n = -r q^2 / (s u (u+q))
+    p, q = params.L.numerator, params.L.denominator
+    r, s = params.eta.numerator, params.eta.denominator
+    q2, rq2 = q * q, (r * q) ** 2
     a = []
     b = []
     for n in range(0, nmax + 1):
-        if eta == 0:
-            b.append(Fraction(0))
-        else:
-            b.append(-eta / ((n + L + 1) * (n + L + 2)))
+        u = p + (n + 1) * q
+        b.append(Fraction(-r * q2, s * u * (u + q)) if r else Fraction(0))
         if n >= 1:
-            d = (2 * n + 2 * L + 1) * (2 * n + 2 * L + 3)
-            if eta == 0:
-                a.append(Fraction(1) / d)
+            d = (2 * p + (2 * n + 1) * q) * (2 * p + (2 * n + 3) * q)
+            if r:
+                us2 = (u * s) ** 2
+                a.append(Fraction((us2 + rq2) * q2, us2 * d))
             else:
-                s = (n + L + 1) ** 2
-                a.append((s + eta**2) / (s * d))
+                a.append(Fraction(q2, d))
     return RecurrenceCoeffs(params, tuple(a), tuple(b))
 
 
-def _coulomb_closed(params: CoulombParams, nmax: int) -> list[Fraction]:
-    """The closed product for n = 1..nmax as one running product; with m = n - k,
+def _coulomb_closed(params: CoulombParams, nmax: int, first: int = 1) -> list[Fraction]:
+    """The closed product for n = first..nmax from one running product; with m = n - k,
 
     det H_n / det H_{n-1} = prod_{m<n} (2L+2m+1)^-2 * prod_{m<=n} (1 + eta^2/(L+m)^2) / (2L+2n+1),
 
-    the eta factors dropped when eta = 0.  Every pole lies in the excluded set.
+    the eta factors dropped when eta = 0.  The product runs over integers: with
+    L = p/q and eta = r/s, 2L+2m+1 = (2p+(2m+1)q)/q and 1 + eta^2/(L+m)^2 =
+    (t^2+r^2q^2)/t^2 with t = (p+mq)s, so det H_n = q^(n^2) num_n / den_n, and
+    only the n >= first become Fractions.  Every pole lies in the excluded set.
     """
     params.validate()
-    L, eta = params.L, params.eta
-    dets, det, ratio = [], Fraction(1), Fraction(1)  # ratio: prod_{m<=n} shift_m / base_m^2
+    p, q = params.L.numerator, params.L.denominator
+    r, s = params.eta.numerator, params.eta.denominator
+    rq2 = (r * q) ** 2
+    # num/den: det H_n without its q^(n^2); ratio_num/ratio_den: prod_{m<=n} shift_m / base_m^2
+    dets, num, den, ratio_num, ratio_den = [], 1, 1, 1, 1
     for m in range(1, nmax + 1):
-        base = 2 * L + 2 * m + 1
-        ratio /= base**2
-        if eta != 0:
-            ratio *= 1 + (eta / (L + m)) ** 2
-        det *= ratio * base
-        dets.append(det)
+        base = 2 * p + (2 * m + 1) * q
+        ratio_den *= base * base
+        if r:
+            t2 = ((p + m * q) * s) ** 2
+            ratio_num *= t2 + rq2
+            ratio_den *= t2
+        num *= ratio_num * base
+        den *= ratio_den
+        if m >= first:
+            dets.append(Fraction(num * q ** (m * m), den))
     return dets
 
 
@@ -146,20 +161,27 @@ def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
     prod_{k=0}^{n-1} (2L+2n-2k+1)^-(2k+1) * (1 + eta^2/(L+n-k)^2)^(k+1)
     """
     _check_n(n)
-    return _coulomb_closed(params, n)[-1]
+    return _coulomb_closed(params, n, n)[0]
 
 
-def _coulomb_moments(params: CoulombParams, nmax: int) -> list[Fraction]:
-    """The moment route for n = 1..nmax: one zeta_L(2), one set of recurrence
-    coefficients, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j."""
+def _coulomb_moments(params: CoulombParams, nmax: int, first: int = 1) -> list[Fraction]:
+    """The moment route for n = first..nmax: one zeta_L(2), one set of recurrence
+    coefficients, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j,
+    kept as integer numerator and denominator; only the n >= first become Fractions."""
     z2 = zeta_base(params)
-    dets = [z2]
+    dets = [z2] if first == 1 else []
     if nmax > 1:
         coeffs = recurrence_coeffs(params, nmax - 1)
-        a_prod = Fraction(1)
+        z_num, z_den = z2.numerator, z2.denominator
+        num, den, a_num, a_den = z_num, z_den, 1, 1
         for n in range(1, nmax):
-            a_prod *= coeffs.a(n)
-            dets.append(dets[-1] * z2 * a_prod)
+            a = coeffs.a(n)
+            a_num *= a.numerator
+            a_den *= a.denominator
+            num *= z_num * a_num
+            den *= z_den * a_den
+            if n >= first - 1:
+                dets.append(Fraction(num, den))
     return dets
 
 
@@ -169,7 +191,7 @@ def det_coulomb_via_moments(params: CoulombParams, n: int) -> Fraction:
     The double product is empty at n = 1.
     """
     _check_n(n)
-    return _coulomb_moments(params, n)[-1]
+    return _coulomb_moments(params, n, n)[0]
 
 
 def build_rayleigh_hankel(nu: Fraction | int, ell: int, n: int) -> RayleighHankel:

@@ -25,6 +25,10 @@ def rational_matrix(rng, n, span=9):
     ]
 
 
+def hankel_rows(moments, n):
+    return [[moments[i + j] for j in range(n)] for i in range(n)]
+
+
 def test_det_1x1_identity_case():
     assert det_exact(ExactMatrix.from_rows([[F(5, 3)]])) == F(5, 3)
 
@@ -79,6 +83,13 @@ def test_det_matches_leibniz(n):
                 for i in range(n)
             ]
         )
+    for i in range(6):
+        # Hankel matrices: zero and negative moments, and mu_0 = 0 in the first
+        moments = [F(rng.choice([0, 1, 1]) * rng.randint(-9, 9), rng.randint(1, 9))
+                   for _ in range(2 * n - 1)]
+        if i == 0:
+            moments[0] = F(0)
+        assert_det_and_minors_match_leibniz(hankel_rows(moments, n))
 
 
 def test_leading_minors_1x1():
@@ -88,6 +99,39 @@ def test_leading_minors_1x1():
 def test_leading_minors_after_a_zero_pivot():
     # D_1 = 0 ends the elimination; D_2 comes from its own determinant
     assert leading_minors(ExactMatrix.from_rows([[0, 1], [1, 0]])) == [0, -1]
+
+
+def test_hankel_leading_minors_after_a_zero_minor_in_the_middle():
+    # mu_0 mu_2 = mu_1^2 makes D_2 = 0; D_3 and D_4 come from their own determinants
+    rows = hankel_rows([F(2), F(-2), F(2), F(5, 3), F(-1, 4), F(7), F(3, 2)], 4)
+    minors = leading_minors(ExactMatrix.from_rows(rows))
+    assert minors[1] == 0 and all(minors[k] != 0 for k in (0, 2, 3))
+    assert_det_and_minors_match_leibniz(rows)
+
+
+def test_bareiss_runs_only_for_non_hankel_input_and_zero_minors(monkeypatch):
+    import czeta.exact
+    from czeta.hankel import build_coulomb_hankel, build_rayleigh_hankel
+    from czeta.zeta import CoulombParams
+
+    passes, bareiss = [], czeta.exact._bareiss  # the size of each Bareiss pass
+
+    def counted(a, swap):
+        passes.append(len(a))
+        return bareiss(a, swap)
+
+    monkeypatch.setattr(czeta.exact, "_bareiss", counted)
+    zeta_matrix = build_coulomb_hankel(CoulombParams(F(-185, 4), F(3, 2)), 12).matrix
+    assert leading_minors(zeta_matrix)[-1] == det_exact(zeta_matrix)
+    assert passes == []
+    non_hankel = ExactMatrix.from_rows([[F(1, 3), 2, 5], [F(-2, 7), 1, 1], [4, F(1, 2), F(9, 2)]])
+    leading_minors(non_hankel)
+    det_exact(non_hankel)
+    assert passes == [3, 3]
+    passes.clear()
+    # at nu = -23/7, ell = 3 the 2 x 2 minor vanishes: the 3 x 3 and 4 x 4 take Bareiss
+    leading_minors(build_rayleigh_hankel(F(-23, 7), 3, 4).matrix)
+    assert passes == [3, 4]
 
 
 def test_leading_minors_with_a_zero_column():

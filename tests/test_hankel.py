@@ -292,6 +292,23 @@ def test_coulomb_routes_over_n_equal_the_single_n_evaluators(L, eta):
     assert coulomb_routes(p, 3, ("moments",)) == {"moments": routes["moments"][:3]}
 
 
+@pytest.mark.parametrize(
+    "L, eta",
+    [(F(-185, 4), F(3, 2)), (F(-139, 3), F(0)), (F(-41, 4), F(-5, 4)), (F(-2), F(0)),
+     (F(1, 3), F(1, 2))],
+)
+def test_engine_minors_give_the_recurrence_coefficients(L, eta):
+    # a_k = D_{k+1} D_{k-1} / D_k^2 (D_0 = 1) from the engine's leading minors,
+    # and b_k from the docstring's formula in Fraction arithmetic
+    p = CoulombParams(L, eta)
+    minors = [F(1), *coulomb_routes(p, 20, ("direct",))["direct"]]
+    coeffs = recurrence_coeffs(p, 19)
+    for k in range(1, 20):
+        assert minors[k + 1] * minors[k - 1] / minors[k] ** 2 == coeffs.a(k)
+    for k in range(20):
+        assert coeffs.b(k) == (-eta / ((k + L + 1) * (k + L + 2)) if eta else 0)
+
+
 @pytest.mark.parametrize("L, eta", [(F(-185, 4), F(3, 2)), (F(-2), F(0)), (F(1, 3), F(1, 2))])
 def test_running_closed_product_equals_the_k_indexed_products(L, eta):
     from czeta.classify import dd_product_closed
