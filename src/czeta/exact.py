@@ -8,7 +8,8 @@ which is the normalization every identity check in this package relies on.
 uses, and `det_exact` gives the last minor alone.  Both pick their engine
 from the matrix itself: a Hankel matrix goes through the Chebyshev algorithm
 on integer rows (`_hankel_minors`), and every other matrix, or a Hankel matrix
-with a zero leading minor below the last, through Bareiss elimination.
+with a zero leading minor below the last, through Bareiss elimination of its
+rows, each scaled to integers by the lcm of its own denominators.
 """
 
 from __future__ import annotations
@@ -80,30 +81,6 @@ class ExactMatrix:
         )
 
 
-def _integer_rows(m: ExactMatrix) -> tuple[list[list[int]], list[int], list[int]]:
-    """The integer matrix det_exact eliminates, with its row scales and column contents.
-
-    Each row is scaled to integers by the lcm of its own denominators, and
-    each column of the result is divided by the gcd of its integers (its
-    content).  An all-zero column keeps content 0 and is left as it is.  No
-    entry is widened to the worst denominator of the whole matrix.
-    """
-    a = []
-    scales = []
-    for row in m.entries:
-        scale = math.lcm(*[e.denominator for e in row])
-        scales.append(scale)
-        a.append([e.numerator * (scale // e.denominator) for e in row])
-    contents = []
-    for j in range(m.dim):
-        g = math.gcd(*[row[j] for row in a])
-        contents.append(g)
-        if g > 1:
-            for row in a:
-                row[j] //= g
-    return a, scales, contents
-
-
 def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
     """Integer-exact Bareiss elimination of `a` in place, one pivot per step.
 
@@ -131,6 +108,22 @@ def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
                 # exact by Bareiss' identity: prev divides the cross term
                 a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = pivot
+
+
+def _bareiss_minors(rows: Sequence[Sequence[Fraction]], swap: bool) -> list[Fraction]:
+    """Pivot k of `_bareiss` over the first k+1 row scales, for each step k.
+
+    Each row is scaled to integers by the lcm of its own denominators.  Without
+    `swap`, entry k is the (k+1) x (k+1) leading minor; with it, the last entry
+    is the determinant, and 0 when a column has no nonzero pivot left.
+    """
+    scales = [math.lcm(*[e.denominator for e in row]) for row in rows]
+    a = [[e.numerator * (scale // e.denominator) for e in row] for scale, row in zip(scales, rows)]
+    minors, scale = [], 1
+    for k, pivot in enumerate(_bareiss(a, swap)):
+        scale *= scales[k]
+        minors.append(Fraction(pivot, scale))
+    return minors
 
 
 def _hankel_minors(m: ExactMatrix) -> list[Fraction] | None:
@@ -176,44 +169,26 @@ def _hankel_minors(m: ExactMatrix) -> list[Fraction] | None:
 
 def det_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant: the last of `_hankel_minors` for a Hankel matrix that has
-    no zero leading minor below the last, else Bareiss elimination with row pivoting.
-
-    Bareiss gives the last pivot of the integer matrix from `_integer_rows`,
-    times the column contents over the row scales; an all-zero column gives 0
-    at once.  Intermediate entries stay integral.
-    """
+    no zero leading minor below the last, else `_bareiss_minors` with row pivoting."""
     minors = _hankel_minors(m)
     if minors is not None and len(minors) == m.dim:
         return minors[-1]
-    a, scales, contents = _integer_rows(m)
-    if 0 in contents:
-        return Fraction(0)
-    for pivot in _bareiss(a, swap=True):
-        pass
-    return Fraction(pivot * math.prod(contents), math.prod(scales))
+    return _bareiss_minors(m.entries, swap=True)[-1]
 
 
 def leading_minors(m: ExactMatrix) -> list[Fraction]:
     """D_1, ..., D_n: the determinants of the k x k leading submatrices of m.
 
-    A Hankel matrix takes them from `_hankel_minors`.  Any other matrix takes
-    them from one pass of det_exact's elimination without row swaps: pivot k
-    is the (k+1) x (k+1) leading minor of the integer matrix, times the first
-    k+1 column contents over the first k+1 row scales.  Either way a zero
-    minor below the last ends the pass; each later minor is then det_exact of
+    A Hankel matrix takes them from `_hankel_minors`, any other matrix from one
+    `_bareiss_minors` pass without row swaps.  Either way a zero minor below the
+    last ends the pass; each later minor then comes from one pivoting pass over
     its own leading submatrix.  The last entry equals det_exact(m).
     """
     minors = _hankel_minors(m)
     if minors is None:
-        a, scales, contents = _integer_rows(m)
-        minors = []
-        scale = content = 1
-        for k, pivot in enumerate(_bareiss(a, swap=False)):
-            scale *= scales[k]
-            content *= contents[k]
-            minors.append(Fraction(pivot * content, scale))
+        minors = _bareiss_minors(m.entries, swap=False)
     for k in range(len(minors) + 1, m.dim + 1):
-        minors.append(det_exact(ExactMatrix.from_rows([row[:k] for row in m.entries[:k]])))
+        minors.append(_bareiss_minors([row[:k] for row in m.entries[:k]], swap=True)[-1])
     return minors
 
 

@@ -341,6 +341,8 @@ def rayleigh_routes(
     closed form (ell > 3)."""
     nu = _check_nu(nu)
     _check_n(nmax)
+    if ell < 0:
+        raise SingularParameter(f"ell must be >= 0, got {ell}")
     return {
         name: _RAYLEIGH_ROUTES[name](nu, ell, nmax)
         for name in names or _RAYLEIGH_ROUTES

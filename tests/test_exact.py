@@ -115,12 +115,18 @@ def test_bareiss_runs_only_for_non_hankel_input_and_zero_minors(monkeypatch):
     from czeta.zeta import CoulombParams
 
     passes, bareiss = [], czeta.exact._bareiss  # the size of each Bareiss pass
+    chebyshev, hankel_minors = [], czeta.exact._hankel_minors  # one entry per call
 
     def counted(a, swap):
         passes.append(len(a))
         return bareiss(a, swap)
 
+    def counted_hankel(m):
+        chebyshev.append(m.dim)
+        return hankel_minors(m)
+
     monkeypatch.setattr(czeta.exact, "_bareiss", counted)
+    monkeypatch.setattr(czeta.exact, "_hankel_minors", counted_hankel)
     zeta_matrix = build_coulomb_hankel(CoulombParams(F(-185, 4), F(3, 2)), 12).matrix
     assert leading_minors(zeta_matrix)[-1] == det_exact(zeta_matrix)
     assert passes == []
@@ -128,10 +134,14 @@ def test_bareiss_runs_only_for_non_hankel_input_and_zero_minors(monkeypatch):
     leading_minors(non_hankel)
     det_exact(non_hankel)
     assert passes == [3, 3]
-    passes.clear()
-    # at nu = -23/7, ell = 3 the 2 x 2 minor vanishes: the 3 x 3 and 4 x 4 take Bareiss
-    leading_minors(build_rayleigh_hankel(F(-23, 7), 3, 4).matrix)
-    assert passes == [3, 4]
+    # at nu = -23/7, ell = 3 the 2 x 2 minor vanishes: every later minor takes
+    # one Bareiss pass, after one Chebyshev pass that stops at that zero
+    for n in (4, 12):
+        passes.clear()
+        chebyshev.clear()
+        leading_minors(build_rayleigh_hankel(F(-23, 7), 3, n).matrix)
+        assert passes == list(range(3, n + 1))
+        assert chebyshev == [n]
 
 
 def test_leading_minors_with_a_zero_column():
@@ -152,8 +162,8 @@ def test_leading_minors_of_the_degenerate_rayleigh_matrix():
 
 
 def test_leading_minors_keep_their_row_scales_and_contents():
-    # every minor below the last needs the row scales and column contents of
-    # its own rows and columns only: a dropped or full-matrix factor shows here
+    # every minor below the last needs the row scales of its own rows only:
+    # a dropped or full-matrix factor shows here
     rows = [[F(1, 2), 6, F(9, 5)], [F(3, 4), F(8, 3), 12], [F(5, 7), 10, F(3, 11)]]
     assert_det_and_minors_match_leibniz(rows)
 

@@ -8,10 +8,12 @@ a change that means to alter a value or a message must re-pin them and say why.
 """
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 from czeta.classify import classify, dd_product_closed
 from czeta.errors import ParameterError, VerificationError
+from czeta.exact import ExactMatrix, det_exact, leading_minors
 from czeta.hankel import (
     coulomb_hankel_det,
     coulomb_routes,
@@ -22,6 +24,8 @@ from czeta.hankel import (
     recurrence_coeffs,
 )
 from czeta.zeta import CoulombParams, zeta_base, zeta_table
+
+from oracles import leibniz_det
 
 # L = p/q over every small denominator: integers, half-integers and the rest,
 # on and off the excluded set, for the Bessel branch and two eta != 0
@@ -69,6 +73,46 @@ def _rayleigh_records() -> list[str]:
     ]
 
 
+def _fallback_matrices():
+    """Seeded n = 7..12 matrices that reach the Bareiss fallback, two of each kind per n.
+
+    Entries of row i (moment i for a Hankel matrix) have denominators near
+    10^(3i), so the row scales differ by orders of magnitude.  "zero-minor"
+    makes row k-1 start as a combination of the rows above it, and
+    "hankel-zero-minor" moves one moment so that D_k = 0 (mu_0 = 0 at k = 1);
+    the later minors are nonzero.
+    """
+    rng = random.Random(1968)
+
+    def entry(i):
+        return F(rng.randint(-99, 99), rng.randint(1, 9) * 10 ** (3 * i))
+
+    for n in [n for n in range(7, 13) for _ in range(2)]:
+        rows = [[entry(i) for _ in range(n)] for i in range(n)]
+        yield n, "non-hankel", rows
+        zero = rng.randrange(n)
+        yield n, "zero-column", [[F(0) if j == zero else e for j, e in enumerate(row)]
+                                 for row in rows]
+        k = rng.randint(2, n - 2)
+        coeffs = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(k - 1)]
+        start = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(k)]
+        yield n, "zero-minor", [*rows[:k - 1], start + rows[k - 1][k:], *rows[k:]]
+        moments = [entry(i % n) for i in range(2 * n - 1)]
+        k = rng.randint(1, 6)
+        hankel = [[moments[i + j] for j in range(k)] for i in range(k)]
+        below = leibniz_det([row[:-1] for row in hankel[:-1]]) if k > 1 else 1
+        moments[2 * k - 2] -= leibniz_det(hankel) / below  # D_k is affine in it, slope D_{k-1}
+        yield n, "hankel-zero-minor", [[moments[i + j] for j in range(n)] for i in range(n)]
+
+
+def _fallback_records() -> list[str]:
+    records = []
+    for n, kind, rows in _fallback_matrices():
+        m = ExactMatrix.from_rows(rows)
+        records.append(f"{n} {kind} {det_exact(m)!r} {leading_minors(m)!r}")
+    return records
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -91,4 +135,22 @@ def test_coulomb_domain_behaviour_is_pinned():
 def test_rayleigh_domain_behaviour_is_pinned():
     assert _digest(_rayleigh_records()) == (
         "d07eea49a9eebfc8f3ba8701a054707ad34968db51b74c548fd22c18bc191acd"
+    )
+
+
+def test_fallback_probe_covers_zero_columns_and_zero_minors():
+    for n, kind, rows in _fallback_matrices():
+        minors = leading_minors(ExactMatrix.from_rows(rows))
+        zeros = [k for k, d in enumerate(minors) if d == 0]
+        if kind == "non-hankel":
+            assert zeros == [], n
+        elif kind == "zero-column":
+            assert zeros == list(range(zeros[0], n)), n
+        else:
+            assert len(zeros) == 1 and zeros[0] < n - 1, (n, kind)
+
+
+def test_bareiss_fallback_is_pinned():
+    assert _digest(_fallback_records()) == (
+        "fc6a8eccff32d6fc2c8d0941d5f30d0d26bff4477f51d0ac9bbb99734ae2a755"
     )

@@ -449,6 +449,10 @@ def test_routes_reject_nmax_below_one():
         coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
     with pytest.raises(SingularParameter, match="got 0"):
         rayleigh_routes(1, 0, 0, ("closed",))
+    # a negative ell is refused whichever routes are asked for
+    for names in (None, ("closed",)):
+        with pytest.raises(SingularParameter, match=r"^ell must be >= 0, got -1$"):
+            rayleigh_routes(1, -1, 3, names)
 
 
 def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
