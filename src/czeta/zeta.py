@@ -69,20 +69,34 @@ def zeta_base(params: CoulombParams) -> Fraction:
 class ZetaTable:
     """Memoized zeta_L(2..kmax) for fixed (L, eta); grows monotonically.
 
-    Beside the values the table keeps their running common denominator M (the
-    lcm of every denominator so far) and the integer numerators
-    N_j = zeta_L(j+2) * M, so the convolution sums integer products and each
-    new value costs one reduction instead of one per term.
+    Beside the values the table keeps their integer numerators on two scales,
+    so the convolution sums integer products and each new value costs one
+    reduction instead of one per term.  With z_i = zeta_L(i+2), every pair of
+    the sum for zeta(k+1) has one index at most h = (k-3)//2:
+
+    - N_i = z_i M, where M is the lcm of every denominator so far; every
+      later pair takes its larger index at or above h, so an N_i below h is
+      not rescaled again;
+    - P_i = z_i M_h for i <= h only, where M_h is the lcm of the denominators of
+      z_0..z_h; it grows (and P is rescaled) only when h advances.
+
+    Each product P_i N_j is then S_h x S_k bits instead of S_k x S_k, and the
+    sum and the drift term share the denominator b M_h M.  The pole factor
+    2L+k+2 is the integer 2p+(k+2)q over q, with L = p/q, so a step builds
+    no Fraction but its value.
     """
 
     params: CoulombParams
     _values: list[Fraction] = field(init=False)  # _values[i] = zeta(i+2)
     _den: int = field(init=False, repr=False, compare=False)  # M
-    _nums: list[int] = field(init=False, repr=False, compare=False)  # _nums[i] = N_i
+    _nums: list[int] = field(init=False, repr=False, compare=False)  # _nums[i] = N_i, i >= h
+    _half_den: int = field(init=False, repr=False, compare=False)  # M_h
+    _half: list[int] = field(init=False, repr=False, compare=False)  # _half[i] = P_i
 
     def __post_init__(self):
         base = zeta_base(self.params)
         self._values, self._den, self._nums = [base], base.denominator, [base.numerator]
+        self._half_den, self._half = 1, []
 
     @property
     def kmax(self) -> int:
@@ -100,26 +114,32 @@ class ZetaTable:
 
     def extend_to(self, kmax: int) -> "ZetaTable":
         L, eta = self.params.L, self.params.eta
-        z, nums = self._values, self._nums
+        p, q = L.numerator, L.denominator
+        z, nums, half = self._values, self._nums, self._half
         # zeta(k+1) = (drift * zeta(k) + conv) / (2L+k+2), drift = 2 eta/(L+1) = a/b;
-        # over the common denominator b M^2 this is one integer numerator
+        # over the common denominator b M_h M this is one integer numerator
         drift = 2 * eta / (L + 1) if eta != 0 else Fraction(0)
         a, b = drift.numerator, drift.denominator
         while len(z) + 1 < kmax:
             k = len(z) + 1  # producing zeta(k+1)
-            M = self._den
-            # the convolution sum_{i+j=k-3} N_i N_j is symmetric: twice the half
-            # plus the middle square when k-3 is even
-            last = k - 3
+            last = k - 3  # the convolution runs over i + j = last
+            h = max(last, 0) // 2
+            while len(half) <= h:
+                zi = z[len(half)]
+                self._half_den = _rescale(half, 0, self._half_den, zi.denominator)
+                half.append(zi.numerator * (self._half_den // zi.denominator))
+            M, Mh = self._den, self._half_den
+            # the sum is symmetric: twice the half plus the middle term when
+            # last is even
             conv = 0
             for i in range((last + 1) // 2):
-                conv += nums[i] * nums[last - i]
+                conv += half[i] * nums[last - i]
             conv *= 2
             if last >= 0 and last % 2 == 0:
-                conv += nums[last // 2] ** 2
-            num = b * conv + a * nums[k - 2] * M
-            den = 2 * L + k + 2
-            if den == 0:
+                conv += half[h] * nums[h]
+            num = b * conv + a * nums[k - 2] * Mh
+            pole = 2 * p + (k + 2) * q  # (2L+k+2) q
+            if pole == 0:
                 # only reachable at eta = 0 with negative integer L, where the
                 # target index k+1 is odd and the value is 0 by evenness
                 if eta == 0 and num == 0 and (k + 1) % 2 == 1:
@@ -127,15 +147,20 @@ class ZetaTable:
                     nums.append(0)
                     continue
                 raise SingularParameter(f"2L+k+2 = 0 at L = {L}, k = {k}")
-            value = Fraction(num * den.denominator, b * M * M * den.numerator)
-            d = value.denominator
-            if M % d:
-                grow = d // gcd(M, d)
-                nums[:] = [x * grow for x in nums]
-                M = self._den = M * grow
+            value = Fraction(num * q, b * Mh * M * pole)
+            M = self._den = _rescale(nums, h, M, value.denominator)
             z.append(value)
-            nums.append(value.numerator * (M // d))
+            nums.append(value.numerator * (M // value.denominator))
         return self
+
+
+def _rescale(nums: list[int], start: int, scale: int, d: int) -> int:
+    """lcm(scale, d), with nums[start:] rescaled to it in place."""
+    if scale % d:
+        grow = d // gcd(scale, d)
+        nums[start:] = [x * grow for x in nums[start:]]
+        scale *= grow
+    return scale
 
 
 def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:

@@ -113,6 +113,23 @@ def _fallback_records() -> list[str]:
     return records
 
 
+def _deep_table_pairs():
+    """24 exact-deep-sized pairs L = -(m+q) at their own kmax in 50..110, eta = 0
+    among them, and (1/3, 1/2) at kmax 200."""
+    qs = (F(1, 4), F(3, 4), F(1, 3), F(2, 3))
+    for i in range(24):
+        m = 10 + (11 * i) % 36
+        yield -(m + qs[i % 4]), F(i % 13, 4), 50 + 5 * ((5 * m) % 13)
+    yield F(1, 3), F(1, 2), 200
+
+
+def _deep_table_records() -> list[str]:
+    return [
+        f"{L} {eta} {kmax} {zeta_table(CoulombParams(L, eta), kmax).values()!r}"
+        for L, eta, kmax in _deep_table_pairs()
+    ]
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -153,4 +170,13 @@ def test_fallback_probe_covers_zero_columns_and_zero_minors():
 def test_bareiss_fallback_is_pinned():
     assert _digest(_fallback_records()) == (
         "fc6a8eccff32d6fc2c8d0941d5f30d0d26bff4477f51d0ac9bbb99734ae2a755"
+    )
+
+
+def test_deep_tables_are_pinned():
+    pairs = list(_deep_table_pairs())
+    assert sum(eta == 0 for _, eta, _ in pairs) >= 2
+    assert {kmax for _, _, kmax in pairs[:-1]} <= set(range(50, 111))
+    assert _digest(_deep_table_records()) == (
+        "b305c2c562898eaeb09f279c40517c5d573192b103f126aa84b38cf66a8d99fc"
     )

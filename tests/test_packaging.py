@@ -77,3 +77,16 @@ def test_every_czeta_attribute_the_benchmark_reads_resolves():
             if not hasattr(owner, attr):  # a submodule the file imports itself
                 importlib.import_module(qualname)
             owner = getattr(owner, attr)
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, and every check of czeta must fire
+    # under it: a check raises a czeta.errors type instead
+    import ast
+
+    sources = sorted((ROOT / "src" / "czeta").glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

@@ -1,3 +1,5 @@
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from czeta.errors import SingularParameter
 from czeta.hankel import _coulomb_closed, recurrence_coeffs
 from czeta.zeta import (
     CoulombParams,
+    ZetaTable,
     bernoulli,
     genocchi,
     rayleigh,
@@ -107,14 +110,52 @@ def test_table_is_memoized_and_monotone():
 
 @pytest.mark.parametrize(
     "L, eta",
-    [(0, 1), (-2, 0), (-5, 0)],  # at eta = 0 the negative integers pass the 0/0 branch
+    [
+        (0, 1),
+        (-2, 0),  # at eta = 0 the negative integers pass the 0/0 branch
+        (-5, 0),
+        # eta != 0 pairs from the exact-deep grid L = -(m+q), |L| up to 46
+        *(pytest.param(-(m + q), eta, id=f"{-(m + q)}-{eta}") for m, q, eta in [
+            (10, F(1, 4), F(3, 4)),
+            (23, F(2, 3), F(3, 2)),
+            (31, F(1, 3), F(1, 4)),
+            (38, F(3, 4), F(11, 4)),
+            (45, F(2, 3), F(3)),
+        ]),
+    ],
 )
 def test_table_grown_in_steps_equals_one_call(L, eta):
+    # the two scales of ZetaTable survive growth in any steps, through
+    # zeta_extend and through .value(k) past kmax
     p = CoulombParams(L, eta)
-    stepped = zeta_table(p, 4)
-    for kmax in (10, 60):
+    whole = zeta_table(p, 110).values()
+    single = zeta_table(p, 2)
+    for kmax in range(3, 111):
+        zeta_extend(single, kmax)
+    assert single.values() == whole
+    rng = random.Random(f"{L} {eta}")
+    uneven, by_value, kmax = zeta_table(p, 2), zeta_table(p, 2), 2
+    while kmax < 110:
+        kmax = min(110, kmax + rng.choice((1, 2, 3, 7, 13, 29)))
+        zeta_extend(uneven, kmax)
+        assert by_value.value(kmax) == whole[kmax - 2]
+    assert uneven.values() == by_value.values() == whole
+    assert uneven == by_value == single
+
+
+def test_table_repr_and_equality_see_only_params_and_values():
+    p = CoulombParams(F(-1, 3), F(1, 2))
+    table = zeta_table(p, 12)
+    assert repr(table) == f"ZetaTable(params={p!r}, _values={table.values()!r})"
+    assert [f.name for f in fields(ZetaTable) if f.repr] == ["params", "_values"]
+    assert [f.name for f in fields(ZetaTable) if f.compare] == ["params", "_values"]
+    # grown in other steps, the scales and numerators differ; the tables do not
+    stepped = zeta_table(p, 3)
+    for kmax in (5, 8, 12):
         zeta_extend(stepped, kmax)
-    assert stepped.values() == zeta_table(p, 60).values()
+    assert stepped == table and repr(stepped) == repr(table)
+    assert stepped != zeta_table(p, 13)
+    assert table != zeta_table(CoulombParams(F(-1, 3), F(1, 3)), 12)
 
 
 def test_rayleigh_against_closed_formulas():
