@@ -1,5 +1,12 @@
 """Exact spectral-zeta / Hankel determinant toolkit for the regular Coulomb
-wave function, with algebraic and numeric classification of its zeros."""
+wave function, with algebraic and numeric classification of its zeros.
+
+``czeta.classify`` is the function, re-exported under its submodule's name;
+the module is ``sys.modules["czeta.classify"]``.  This file loads the module
+before it binds the name to the function, so a later ``import czeta.classify``
+(or of ``czeta.cli`` or ``czeta.verify``) finds it loaded and leaves the name
+alone; a lazy package ``__init__`` would lose that.
+"""
 
 from .exact import (
     ExactMatrix,

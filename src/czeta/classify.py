@@ -17,10 +17,10 @@ zero count of the corresponding Bessel function when eta = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import Frozen
 from .errors import (
     BoundaryParameter,
     ExcludedParameter,
@@ -31,14 +31,15 @@ from .hankel import coulomb_routes
 from .zeta import CoulombParams
 
 
-@dataclass(frozen=True)
-class ZeroClassification:
+class ZeroClassification(Frozen):
     """Predicted conjugate-pair count plus the sign data that produced it."""
 
-    params: CoulombParams
-    pair_count: int
-    sign_sequence: tuple[int, ...]  # sign of D_{n-1} D_n for n = 0..nmax
-    all_real: bool
+    __slots__ = ("params", "pair_count", "sign_sequence", "all_real")
+
+    def __init__(self, params: CoulombParams, pair_count: int,
+                 sign_sequence: tuple[int, ...], all_real: bool):
+        # sign_sequence: the sign of D_{n-1} D_n for n = 0..nmax
+        self._set_fields(params, pair_count, sign_sequence, all_real)
 
 
 class HurwitzCount(NamedTuple):

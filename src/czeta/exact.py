@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Frozen
 from .errors import ParameterError
 
 ExactRational = Fraction
@@ -42,25 +42,24 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Immutable square matrix of exact rationals."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: Iterable[Sequence[Fraction | int]]):
         # tuples are built from lists, not generators: CPython grows a tuple from
         # a generator by resizing, and keeps each resized tuple in its free list
         # for that length, so repeated calls hold more memory every time.  An
         # entry that is already a Fraction is kept as it is, not copied.
         rows = tuple([tuple([e if type(e) is Fraction else Fraction(e) for e in row])
-                      for row in self.entries])
+                      for row in entries])
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ParameterError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        self._set_fields(rows)
 
     @property
     def dim(self) -> int:

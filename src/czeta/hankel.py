@@ -22,38 +22,36 @@ the last vanishes), and every sigma_{2k}(nu) comes from one helper,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
+from ._record import Frozen
 from .errors import SingularParameter, UnsupportedEll, VerificationError
 from .exact import ExactMatrix, leading_minors
 from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
                    zeta_base, zeta_table)
 
 
-@dataclass(frozen=True)
-class CoulombHankel:
+class CoulombHankel(Frozen):
     """n x n Hankel matrix with entry (i, j) = zeta_L(i+j+2)."""
 
-    params: CoulombParams
-    n: int
-    matrix: ExactMatrix
+    __slots__ = ("params", "n", "matrix")
+
+    def __init__(self, params: CoulombParams, n: int, matrix: ExactMatrix):
+        self._set_fields(params, n, matrix)
 
 
-@dataclass(frozen=True)
-class RayleighHankel:
+class RayleighHankel(Frozen):
     """n x n Hankel matrix with entry (i, j) = sigma_{2*ell+2+2*(i+j)}(nu)."""
 
-    nu: Fraction
-    ell: int
-    n: int
-    matrix: ExactMatrix
+    __slots__ = ("nu", "ell", "n", "matrix")
+
+    def __init__(self, nu: Fraction, ell: int, n: int, matrix: ExactMatrix):
+        self._set_fields(nu, ell, n, matrix)
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
+class RecurrenceCoeffs(Frozen):
     """Three-term recurrence coefficients of the associated orthogonal polynomials.
 
     a_n = ((n+L+1)^2 + eta^2) / ((n+L+1)^2 (2n+2L+1)(2n+2L+3)),  n >= 1
@@ -63,9 +61,10 @@ class RecurrenceCoeffs:
     usable on the Bessel branch.
     """
 
-    params: CoulombParams
-    _a: tuple[Fraction, ...]  # _a[i] = a_{i+1}
-    _b: tuple[Fraction, ...]  # _b[i] = b_i
+    __slots__ = ("params", "_a", "_b")  # _a[i] = a_{i+1}, _b[i] = b_i
+
+    def __init__(self, params: CoulombParams, _a: tuple[Fraction, ...], _b: tuple[Fraction, ...]):
+        self._set_fields(params, _a, _b)
 
     @property
     def nmax(self) -> int:

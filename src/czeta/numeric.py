@@ -36,9 +36,9 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._record import Frozen, Record
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB, VerificationError
 
 _SERIES_CAP = 500
@@ -48,19 +48,15 @@ _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
 _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(Frozen):
     """Axis-aligned rectangle in the complex plane."""
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
+    __slots__ = ("re_min", "re_max", "im_min", "im_max")
 
-    def __post_init__(self):
+    def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float):
+        self._set_fields(re_min, re_max, im_min, im_max)
         # finite and ordered; a nan bound fails every comparison
-        if not (-math.inf < self.re_min < self.re_max < math.inf
-                and -math.inf < self.im_min < self.im_max < math.inf):
+        if not (-math.inf < re_min < re_max < math.inf and -math.inf < im_min < im_max < math.inf):
             raise ParameterError(f"degenerate rectangle {self}")
 
     @property
@@ -108,27 +104,24 @@ class Rect:
         return Rect(self.re_min - dw, self.re_max + dw, self.im_min - dh, self.im_max + dh)
 
 
-@dataclass
-class _PhiSeries:
+class _PhiSeries(Record):
     """Lazily extended coefficient table for one (L, eta) parameter pair."""
 
-    L: float
-    eta: float
-    coeffs: list[float] = field(default_factory=list)
+    __slots__ = ("L", "eta", "coeffs")
 
-    def __post_init__(self):
-        b = 2 * self.L + 2
-        if not (math.isfinite(b) and math.isfinite(self.eta)):
-            raise ParameterError(f"series parameters out of range: L = {self.L}, eta = {self.eta}")
+    def __init__(self, L: float, eta: float):
+        b = 2 * L + 2
+        if not (math.isfinite(b) and math.isfinite(eta)):
+            raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
         b_round = round(b)
         if abs(b - b_round) < 1e-9 and b_round <= 0:
             # nonpositive integer series parameter; only the eta = 0 even
             # (Bessel-type) branch with integer L stays meaningful
-            if not (self.eta == 0 and b_round % 2 == 0):
+            if not (eta == 0 and b_round % 2 == 0):
                 raise SingularB(
-                    f"2L+2 = {b_round} is a nonpositive integer at L = {self.L}"
+                    f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
                 )
-        self.coeffs.append(1.0)
+        self.L, self.eta, self.coeffs = L, eta, [1.0]
 
     def _ensure(self, n: int) -> None:
         c = self.coeffs
@@ -422,8 +415,7 @@ def _refine_cell(ev: _Evaluator, cell: Rect) -> complex | None:
     return None
 
 
-@dataclass(frozen=True)
-class ZeroReport:
+class ZeroReport(Frozen):
     """Zeros located in a search rectangle.
 
     `zeros` holds one representative per zero: real zeros as found, and the
@@ -438,12 +430,14 @@ class ZeroReport:
     one) and "split_retries" (cell cuts given up for another ratio).
     """
 
-    region: Rect
-    zeros: tuple[complex, ...]
-    residuals: tuple[float, ...]
-    counts: dict[str, int]
-    unresolved: tuple[Rect, ...] = ()
-    stats: dict[str, int] = field(default_factory=dict, compare=False)
+    __slots__ = ("region", "zeros", "residuals", "counts", "unresolved", "stats")
+    _compared = 5  # stats is shown only
+
+    def __init__(self, region: Rect, zeros: tuple[complex, ...], residuals: tuple[float, ...],
+                 counts: dict[str, int], unresolved: tuple[Rect, ...] = (),
+                 stats: dict[str, int] | None = None):
+        stats = {} if stats is None else stats
+        self._set_fields(region, zeros, residuals, counts, unresolved, stats)
 
 
 def find_complex_zeros(

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from importlib import resources
 from typing import Callable, Iterator, NamedTuple
 
+from ._record import Frozen
 from .classify import classify, hurwitz_counts
 from .exact import parse_rational
 from .hankel import _factorial_hankel_det, _rayleigh_products, coulomb_routes, rayleigh_routes
@@ -24,13 +24,12 @@ from .numeric import Rect, find_complex_zeros
 from .zeta import CoulombParams
 
 
-@dataclass(frozen=True)
-class FamilyResult:
-    name: str
-    passed: bool
-    cases: int
-    detail: str
-    seconds: float = field(default=0.0, compare=False)  # wall time of the family's run
+class FamilyResult(Frozen):
+    __slots__ = ("name", "passed", "cases", "detail", "seconds")
+    _compared = 4  # seconds, the wall time of the family's run, is shown only
+
+    def __init__(self, name: str, passed: bool, cases: int, detail: str, seconds: float = 0.0):
+        self._set_fields(name, passed, cases, detail, seconds)
 
 
 def load_grid(quick: bool = False) -> dict:

@@ -21,23 +21,20 @@ numbers are recovered from sigma_{2n}(1/2) and sigma_{2n}(-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd
 
+from ._record import Frozen, Record
 from .errors import SingularParameter, VerificationError
 
 
-@dataclass(frozen=True)
-class CoulombParams:
+class CoulombParams(Frozen):
     """The parameter pair (L, eta), exact rationals."""
 
-    L: Fraction
-    eta: Fraction
+    __slots__ = ("L", "eta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", Fraction(self.L))
-        object.__setattr__(self, "eta", Fraction(self.eta))
+    def __init__(self, L: Fraction, eta: Fraction):
+        self._set_fields(Fraction(L), Fraction(eta))
 
     def validate(self) -> None:
         """Reject L on the excluded set -(N+1)/2, or only -N-1/2 when eta = 0.
@@ -65,8 +62,7 @@ def zeta_base(params: CoulombParams) -> Fraction:
     return value / (2 * L + 3)
 
 
-@dataclass
-class ZetaTable:
+class ZetaTable(Record):
     """Memoized zeta_L(2..kmax) for fixed (L, eta); grows monotonically.
 
     Beside the values the table keeps their integer numerators on two scales,
@@ -86,16 +82,15 @@ class ZetaTable:
     no Fraction but its value.
     """
 
-    params: CoulombParams
-    _values: list[Fraction] = field(init=False)  # _values[i] = zeta(i+2)
-    _den: int = field(init=False, repr=False, compare=False)  # M
-    _nums: list[int] = field(init=False, repr=False, compare=False)  # _nums[i] = N_i, i >= h
-    _half_den: int = field(init=False, repr=False, compare=False)  # M_h
-    _half: list[int] = field(init=False, repr=False, compare=False)  # _half[i] = P_i
+    # _values[i] = zeta(i+2); _den = M, _nums[i] = N_i (i >= h), _half_den = M_h,
+    # _half[i] = P_i; repr and == see only the first two
+    __slots__ = ("params", "_values", "_den", "_nums", "_half_den", "_half")
+    _shown = _compared = 2
 
-    def __post_init__(self):
-        base = zeta_base(self.params)
-        self._values, self._den, self._nums = [base], base.denominator, [base.numerator]
+    def __init__(self, params: CoulombParams):
+        base = zeta_base(params)
+        self.params, self._values = params, [base]
+        self._den, self._nums = base.denominator, [base.numerator]
         self._half_den, self._half = 1, []
 
     @property

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from czeta.classify import classify, dd_product_closed, hurwitz_counts
+from czeta.classify import ZeroClassification, classify, dd_product_closed, hurwitz_counts
 from czeta.errors import BoundaryParameter, ExcludedParameter, VerificationError
 from czeta.exact import det_exact
 from czeta.hankel import build_coulomb_hankel
@@ -128,7 +128,6 @@ def test_hurwitz_agrees_with_classifier_on_grid():
 
 
 def test_hurwitz_raises_when_the_classifier_disagrees(monkeypatch):
-    import dataclasses
     import sys
 
     # the package re-exports the function under the module's name
@@ -137,7 +136,8 @@ def test_hurwitz_raises_when_the_classifier_disagrees(monkeypatch):
 
     def off_by_one(params, nmax="auto"):
         result = real(params, nmax)
-        return dataclasses.replace(result, pair_count=result.pair_count + 1)
+        return ZeroClassification(result.params, result.pair_count + 1, result.sign_sequence,
+                                  result.all_real)
 
     monkeypatch.setattr(module, "classify", off_by_one)
     with pytest.raises(VerificationError):

@@ -11,6 +11,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_runtime_dependencies_stay_empty():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -23,12 +32,31 @@ def test_importing_the_package_loads_no_test_only_module():
         "print(json.dumps(sorted(m for m in ('numpy', 'mpmath', 'hypothesis', 'pytest') "
         "if m in sys.modules)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    assert json.loads(_run_python(code)) == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, since pytest itself imports both
+    code = (
+        "import json, sys; import czeta, czeta.cli, czeta.verify; "
+        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    assert json.loads(_run_python(code)) == []
+
+
+def test_czeta_classify_stays_the_function_once_the_submodule_is_imported():
+    # the package re-exports the function under its submodule's name; importing
+    # the submodule (directly, or through cli and verify) must not rebind it
+    code = """if True:
+        import importlib, sys, types
+        for name in ("czeta.classify", "czeta.cli", "czeta.verify"):
+            importlib.import_module(name)
+            import czeta
+            module = sys.modules["czeta.classify"]
+            print(type(czeta.classify) is types.FunctionType, czeta.classify is module.classify,
+                  type(module) is types.ModuleType, callable(module.hurwitz_counts))
+    """
+    assert _run_python(code).split() == ["True"] * 12
 
 
 def test_every_traced_layer_names_a_czeta_attribute():

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -143,12 +142,19 @@ def test_table_grown_in_steps_equals_one_call(L, eta):
     assert uneven == by_value == single
 
 
-def test_table_repr_and_equality_see_only_params_and_values():
+def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
     p = CoulombParams(F(-1, 3), F(1, 2))
     table = zeta_table(p, 12)
-    assert repr(table) == f"ZetaTable(params={p!r}, _values={table.values()!r})"
-    assert [f.name for f in fields(ZetaTable) if f.repr] == ["params", "_values"]
-    assert [f.name for f in fields(ZetaTable) if f.compare] == ["params", "_values"]
+    text = f"ZetaTable(params={p!r}, _values={table.values()!r})"
+    assert repr(table) == text
+    # other private scales and numerators change neither repr nor ==
+    scaled = zeta_table(p, 12)
+    scaled._den, scaled._half_den = 7 * scaled._den, 5 * scaled._half_den
+    scaled._nums, scaled._half = [7 * x for x in scaled._nums], [5 * x for x in scaled._half]
+    assert scaled == table and not scaled != table and repr(scaled) == text
+    scaled._nums[0] += 1
+    scaled._den = 0
+    assert scaled == table and repr(scaled) == text
     # grown in other steps, the scales and numerators differ; the tables do not
     stepped = zeta_table(p, 3)
     for kmax in (5, 8, 12):
@@ -156,6 +162,16 @@ def test_table_repr_and_equality_see_only_params_and_values():
     assert stepped == table and repr(stepped) == repr(table)
     assert stepped != zeta_table(p, 13)
     assert table != zeta_table(CoulombParams(F(-1, 3), F(1, 3)), 12)
+    # the class takes a replacement method, as a tracer installs one
+    grown = []
+    extend_to = ZetaTable.extend_to
+
+    def counted(self, kmax):
+        grown.append(kmax)
+        return extend_to(self, kmax)
+
+    monkeypatch.setattr(ZetaTable, "extend_to", counted)
+    assert table.value(14) == zeta_table(p, 14).value(14) and grown == [14, 14]
 
 
 def test_rayleigh_against_closed_formulas():
