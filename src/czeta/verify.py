@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from typing import Callable, Iterator, NamedTuple
 
 from ._record import Frozen
@@ -33,8 +33,8 @@ class FamilyResult(Frozen):
 
 
 def load_grid(quick: bool = False) -> dict:
-    text = resources.files("czeta").joinpath("verify_grid.json").read_text()
-    data = json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "verify_grid.json"), encoding="utf-8") as f:
+        data = json.load(f)
     return data["quick" if quick else "full"]
 
 

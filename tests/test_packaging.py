@@ -11,10 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_python(code: str) -> str:
+def _run_python(code: str, *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -36,12 +36,15 @@ def test_importing_the_package_loads_no_test_only_module():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter, since pytest itself imports both
+    # a fresh interpreter, since pytest itself imports both, and without site,
+    # whose .pth hooks may preload modules czeta does not ask for; on Python
+    # >= 3.12 importlib.resources itself imports inspect
     code = (
         "import json, sys; import czeta, czeta.cli, czeta.verify; "
-        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)))"
+        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect', 'importlib.resources') "
+        "if m in sys.modules)))"
     )
-    assert json.loads(_run_python(code)) == []
+    assert json.loads(_run_python(code, "-S")) == []
 
 
 def test_czeta_classify_stays_the_function_once_the_submodule_is_imported():
