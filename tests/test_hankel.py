@@ -526,3 +526,23 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
         cases, bad, _ = _tally(family.run(grid[family.key], table))
         assert cases > 0 and not bad
         assert tuple(calls.values()) == expected[family.name], family.name
+
+
+def _perturbed_products(monkeypatch, at_ell):
+    """Double every running Rayleigh product at `at_ell`, wherever czeta.hankel reads them."""
+    import czeta.hankel
+
+    def perturbed(nu, ell, nmax):
+        products = _rayleigh_products(nu, ell, nmax)
+        return [2 * p for p in products] if ell == at_ell else products
+
+    monkeypatch.setattr(czeta.hankel, "_rayleigh_products", perturbed)
+
+
+def test_rayleigh_verification_names_the_disagreeing_routes(monkeypatch):
+    from czeta.errors import VerificationError
+
+    _perturbed_products(monkeypatch, 0)
+    with pytest.raises(VerificationError, match="desnanot-jacobi="):
+        rayleigh_hankel_det(1, 0, 2, verify=True)
+    assert rayleigh_hankel_det(1, 0, 2) == det_exact(build_rayleigh_hankel(1, 0, 2).matrix)

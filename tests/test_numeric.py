@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -321,3 +322,77 @@ def test_newton_runs_once_from_each_distinct_start(monkeypatch):
     starts.clear()
     assert czeta.numeric._refine_cell(ev, Rect(0.1, 0.7, 0.1, 0.7)) is None
     assert len(starts) == len(set(starts)) == 10
+
+
+def _scripted_winding(monkeypatch, script):
+    """Replace the finder's winding count: call k answers script(k, region), which
+    returns a count or raises.  Returns the list of (region, evaluator) asked."""
+    import czeta.numeric
+
+    asked = []
+
+    def winding(ev, region):
+        asked.append((region, ev))
+        return script(len(asked) - 1, region)
+
+    monkeypatch.setattr(czeta.numeric, "_winding", winding)
+    return asked
+
+
+def test_outer_contour_nudges_give_up_after_every_candidate(monkeypatch):
+    def too_close(k, region):
+        raise ContourTooClose(f"candidate {k}")
+
+    asked = _scripted_winding(monkeypatch, too_close)
+    region = Rect(-1, 1, 0, 1)
+    with pytest.raises(ContourTooClose, match=r"^candidate 7$"):
+        find_complex_zeros(0, 0, search=region)
+    factors = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
+    assert [r for r, _ in asked] == [region.expand(f) if f else region for f in factors]
+    assert asked[0][1].stats["nudge_retries"] == 8
+    assert asked[0][1].stats["split_retries"] == 0
+
+
+def test_cell_split_gives_up_after_every_ratio_raises(monkeypatch):
+    # the outer contour holds two zeros; every child contour is too close to one
+    def script(k, region):
+        if k == 0:
+            return 2
+        raise ContourTooClose(f"child {k}")
+
+    asked = _scripted_winding(monkeypatch, script)
+    region = Rect(-1, 1, 0, 1)
+    with pytest.raises(ContourTooClose, match=r"^child 8$"):
+        find_complex_zeros(0, 0, search=region)
+    ratios = (0.5, 0.47, 0.55, 0.41, 0.61, 0.37, 0.65, 0.53)
+    # the first child of each cut raised, so its sibling was never wound
+    assert [r for r, _ in asked[1:]] == [region.split(ratio)[0] for ratio in ratios]
+    assert asked[0][1].stats["split_retries"] == 8
+    assert asked[0][1].stats["nudge_retries"] == 0
+
+
+def test_cell_split_gives_up_when_child_counts_never_match(monkeypatch):
+    # two zeros in the cell, none in either child at any cut
+    asked = _scripted_winding(monkeypatch, lambda k, region: 2 if k == 0 else 0)
+    region = Rect(-1, 1, 0, 1)
+    with pytest.raises(ContourTooClose,
+                       match=rf"^child counts never matched parent over {re.escape(repr(region))}$"):
+        find_complex_zeros(0, 0, search=region)
+    assert len(asked) == 1 + 2 * 8
+    assert asked[0][1].stats["split_retries"] == 8
+
+
+def test_cell_split_raises_the_last_contour_error_over_a_count_mismatch(monkeypatch):
+    # one cut's child raises, the other seven cuts mismatch: the raised error wins
+    def script(k, region):
+        if k == 0:
+            return 2
+        if k == 3:
+            raise ContourTooClose("the second cut's first child")
+        return 0
+
+    asked = _scripted_winding(monkeypatch, script)
+    with pytest.raises(ContourTooClose, match=r"^the second cut's first child$"):
+        find_complex_zeros(0, 0, search=Rect(-1, 1, 0, 1))
+    assert len(asked) == 1 + 2 * 8 - 1
+    assert asked[0][1].stats["split_retries"] == 8
