@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on usage or parameter errors, 2 when an identity
-verification fails.  Exact commands accept rationals only as "p/q" or integer
+Exit codes: 0 on success, 1 on usage or parameter errors or when the reader
+of stdout closes it early (no traceback), 2 when an identity verification
+fails.  Exact commands accept rationals only as "p/q" or integer
 strings (decimals would silently round); `find-zeros` takes floats.  Output
 goes to stdout as text (default), json, or csv; diagnostics go to stderr, and
 so does the DEBUG log of the "czeta" logger under -v (verify-all: one line per
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -325,7 +327,14 @@ def _run(args) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

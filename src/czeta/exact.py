@@ -4,12 +4,12 @@ Rational values are ``fractions.Fraction`` throughout: the stdlib type already
 guarantees a positive denominator and full reduction after every operation,
 which is the normalization every identity check in this package relies on.
 
-`leading_minors` is the one determinant entry point the rest of the package
-uses, and `det_exact` gives the last minor alone.  Both pick their engine
-from the matrix itself: a Hankel matrix goes through the Chebyshev algorithm
-on integer rows (`_hankel_minors`), and every other matrix, or a Hankel matrix
-with a zero leading minor below the last, through Bareiss elimination of its
-rows, each scaled to integers by the lcm of its own denominators.
+`leading_minors` is the one determinant entry point, and `det_exact` is its
+last minor.  It picks its engine from the matrix itself: a Hankel matrix goes
+through the Chebyshev algorithm on integer rows (`_hankel_minors`), and every
+other matrix, or a Hankel matrix with a zero leading minor below the last,
+through Bareiss elimination of its rows, each scaled to integers by the lcm of
+its own denominators.
 """
 
 from __future__ import annotations
@@ -166,22 +166,13 @@ def _hankel_minors(m: ExactMatrix) -> list[Fraction] | None:
     return minors
 
 
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Exact determinant: the last of `_hankel_minors` for a Hankel matrix that has
-    no zero leading minor below the last, else `_bareiss_minors` with row pivoting."""
-    minors = _hankel_minors(m)
-    if minors is not None and len(minors) == m.dim:
-        return minors[-1]
-    return _bareiss_minors(m.entries, swap=True)[-1]
-
-
 def leading_minors(m: ExactMatrix) -> list[Fraction]:
     """D_1, ..., D_n: the determinants of the k x k leading submatrices of m.
 
     A Hankel matrix takes them from `_hankel_minors`, any other matrix from one
     `_bareiss_minors` pass without row swaps.  Either way a zero minor below the
     last ends the pass; each later minor then comes from one pivoting pass over
-    its own leading submatrix.  The last entry equals det_exact(m).
+    its own leading submatrix.
     """
     minors = _hankel_minors(m)
     if minors is None:
@@ -189,6 +180,11 @@ def leading_minors(m: ExactMatrix) -> list[Fraction]:
     for k in range(len(minors) + 1, m.dim + 1):
         minors.append(_bareiss_minors([row[:k] for row in m.entries[:k]], swap=True)[-1])
     return minors
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Exact determinant: the last of `leading_minors`."""
+    return leading_minors(m)[-1]
 
 
 def diag_scale(m: ExactMatrix, alpha: Fraction | int) -> ExactMatrix:

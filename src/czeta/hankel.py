@@ -237,13 +237,11 @@ _RAYLEIGH_POLY = {
 }
 
 
-def _rayleigh_closed(nu: Fraction | int, ell: int, ns: range) -> list[Fraction]:
-    """Closed form at each n in `ns` for an ell in _RAYLEIGH_POLY: one running
-    product, times the ell's polynomial at those n only."""
-    nu = _check_nu(nu)
-    _check_n(ns[0])
-    products = _rayleigh_products(nu, ell, ns[-1])
-    return [products[n - 1] * _RAYLEIGH_POLY[ell](nu, n) for n in ns]
+def _rayleigh_closed(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
+    """Closed form for n = 1..nmax, an ell in _RAYLEIGH_POLY: one running product,
+    times the ell's polynomial at each n."""
+    poly = _RAYLEIGH_POLY[ell]
+    return [p * poly(nu, n) for n, p in enumerate(_rayleigh_products(nu, ell, nmax), 1)]
 
 
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
@@ -252,12 +250,12 @@ def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
     _check_n(n)
     if ell not in (0, 1):
         raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
-    return _rayleigh_closed(nu, ell, range(n, n + 1))[0]
+    return _rayleigh_closed(nu, ell, n)[-1]
 
 
 def det_rayleigh_ell2(nu: Fraction | int, n: int) -> Fraction:
     """ell = 2 family: 2^(-2n(n+2)) (n+1)(n+nu+1) prod_{k=1}^{2n+1} (nu+k)^(k-2n-2)."""
-    return _rayleigh_closed(nu, 2, range(n, n + 1))[0]
+    return rayleigh_routes(nu, 2, n, ("closed",))["closed"][-1]
 
 
 def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
@@ -265,7 +263,7 @@ def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
 
     (1/6)(n+1)(n+2)(n+nu+1)(n+nu+2) [2n^2 + 6n + 3 + nu(2n+3)]
     """
-    return _rayleigh_closed(nu, 3, range(n, n + 1))[0]
+    return rayleigh_routes(nu, 3, n, ("closed",))["closed"][-1]
 
 
 def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
@@ -275,14 +273,11 @@ def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
     Row l holds d_0^(l) = 1 .. d_{nmax+(ell-l)//2}^(l); an entry whose divisor
     vanishes, or that depends on such an entry, is None.
     """
-    if ell < 0:
-        raise SingularParameter(f"ell must be >= 0, got {ell}")
-    sigmas = _sigmas(nu, ell + 1) if ell >= 2 else None  # sigma_{2l+2}(nu) at [l], for rows l >= 2
     rows = [[Fraction(1), *_rayleigh_products(nu, l, nmax + (ell - l) // 2)]
             for l in range(min(ell, 1) + 1)]  # row 1 only when ell >= 1 reads it
     for l in range(2, ell + 1):
-        up2, up1, row = rows[l - 2], rows[l - 1], [Fraction(1), sigmas[l]]
-        for m in range(2, nmax + (ell - l) // 2 + 1):
+        up2, up1, row = rows[l - 2], rows[l - 1], [Fraction(1)]
+        for m in range(1, nmax + (ell - l) // 2 + 1):
             div = up2[m]
             if None in (div, up2[m + 1], row[m - 1], up1[m]) or div == 0:
                 row.append(None)
@@ -301,13 +296,11 @@ def det_rayleigh_dj(nu: Fraction | int, ell: int, n: int) -> Fraction:
 
         d_n^(l) = ( d_{n+1}^(l-2) d_{n-1}^(l) + (d_n^(l-1))^2 ) / d_n^(l-2),
 
-    seeded by the ell in {0, 1} closed forms and the 1 x 1 values
-    sigma_{2l+2}(nu).  When a divisor determinant vanishes the recursion is
-    degenerate and the direct fraction-free determinant is returned instead.
+    with d_0^(l) = 1, seeded by the ell in {0, 1} closed forms alone.  When a
+    divisor determinant vanishes the recursion is degenerate and the direct
+    fraction-free determinant is returned instead.
     """
-    nu = _check_nu(nu)
-    _check_n(n)
-    return _desnanot_jacobi(nu, ell, n)[-1]
+    return rayleigh_routes(nu, ell, n, ("desnanot-jacobi",))["desnanot-jacobi"][-1]
 
 
 # The named routes of each family, direct first; each gives the determinants
@@ -321,7 +314,7 @@ _COULOMB_ROUTES = {
 _RAYLEIGH_ROUTES = {
     "direct": lambda nu, ell, nmax: leading_minors(build_rayleigh_hankel(nu, ell, nmax).matrix),
     "desnanot-jacobi": lambda nu, ell, nmax: _desnanot_jacobi(nu, ell, nmax),
-    "closed": lambda nu, ell, nmax: _rayleigh_closed(nu, ell, range(1, nmax + 1)),
+    "closed": lambda nu, ell, nmax: _rayleigh_closed(nu, ell, nmax),
 }
 
 
@@ -349,6 +342,15 @@ def rayleigh_routes(
     }
 
 
+def _agreed(routes: dict[str, list[Fraction]], where: str) -> Fraction:
+    """The direct route's last value, when every route's last value equals it."""
+    last = {name: dets[-1] for name, dets in routes.items()}
+    if len(set(last.values())) != 1:
+        raise VerificationError(f"determinant routes disagree at ({where}): "
+                                + ", ".join(f"{name}={value}" for name, value in last.items()))
+    return last["direct"]
+
+
 def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> Fraction:
     """Direct determinant of the zeta Hankel matrix.
 
@@ -356,13 +358,7 @@ def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> F
     well and a mismatch raises VerificationError.
     """
     names = None if verify else ("direct",)
-    routes = {name: dets[-1] for name, dets in coulomb_routes(params, n, names).items()}
-    if len(set(routes.values())) != 1:
-        raise VerificationError(
-            f"determinant routes disagree at (L={params.L}, eta={params.eta}, n={n}): "
-            + ", ".join(f"{name}={value}" for name, value in routes.items())
-        )
-    return routes["direct"]
+    return _agreed(coulomb_routes(params, n, names), f"L={params.L}, eta={params.eta}, n={n}")
 
 
 def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = False) -> Fraction:
@@ -372,15 +368,7 @@ def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = Fal
     exists for this ell) must reproduce the direct value.
     """
     names = None if verify else ("direct",)
-    routes = {name: dets[-1] for name, dets in rayleigh_routes(nu, ell, n, names).items()}
-    direct = routes.pop("direct")
-    for name, value in routes.items():
-        if value != direct:
-            raise VerificationError(
-                f"{name} route disagrees at (nu={nu}, ell={ell}, n={n}): "
-                f"direct={direct}, {name}={value}"
-            )
-    return direct
+    return _agreed(rayleigh_routes(nu, ell, n, names), f"nu={nu}, ell={ell}, n={n}")
 
 
 def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:

@@ -340,40 +340,25 @@ def count_zeros_region(
 
 
 _NUDGE_FACTORS = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
-
-
-def _count_outer(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
-    last: Exception | None = None
-    for f in _NUDGE_FACTORS:
-        candidate = region if f == 0.0 else region.expand(f)
-        try:
-            return candidate, _winding(ev, candidate)
-        except ContourTooClose as exc:
-            last = exc
-            ev.stats["nudge_retries"] += 1
-    raise last  # type: ignore[misc]
-
-
 _SPLIT_RATIOS = (0.5, 0.47, 0.55, 0.41, 0.61, 0.37, 0.65, 0.53)
 
 
-def _split_cell(ev: _Evaluator, cell: Rect, count: int) -> list[tuple[Rect, int]]:
-    last: Exception | None = None
-    for ratio in _SPLIT_RATIOS:
-        a, b = cell.split(ratio)
+def _first_winding(ev: _Evaluator, stat: str, tries, parent=None) -> list[tuple[Rect, int]]:
+    """(rectangle, count) pairs of the first of `tries`, each a tuple of rectangles,
+    whose rectangles all wind without ContourTooClose and whose counts sum to the
+    (cell, count) `parent`'s, if one is given.  Each try given up is one `stat`
+    retry; after the last, the last ContourTooClose is raised again, if any."""
+    last: ContourTooClose | None = None
+    for rects in tries:
         try:
-            na = _winding(ev, a)
-            nb = _winding(ev, b)
+            counts = [_winding(ev, rect) for rect in rects]
         except ContourTooClose as exc:
             last = exc
-            ev.stats["split_retries"] += 1
-            continue
-        if na + nb == count:
-            return [(a, na), (b, nb)]
-        ev.stats["split_retries"] += 1
-    if last is None:
-        last = ContourTooClose(f"child counts never matched parent over {cell}")
-    raise last
+        else:
+            if parent is None or sum(counts) == parent[1]:
+                return list(zip(rects, counts))
+        ev.stats[stat] += 1
+    raise last or ContourTooClose(f"child counts never matched parent over {parent[0]}")
 
 
 def _newton(ev: _Evaluator, z0: complex) -> complex | None:
@@ -463,7 +448,8 @@ def find_complex_zeros(
     else:
         region = search if isinstance(search, Rect) else Rect(*search)
 
-    region, total = _count_outer(ev, region)
+    [(region, total)] = _first_winding(ev, "nudge_retries", (
+        (region if f == 0.0 else region.expand(f),) for f in _NUDGE_FACTORS))
     found: list[complex] = []
     unresolved: list[Rect] = []
     stack: list[tuple[Rect, int]] = [(region, total)]
@@ -479,7 +465,8 @@ def find_complex_zeros(
             if max(cell.width, cell.height) < 1e-9:
                 unresolved.append(cell)
                 continue
-        stack.extend(_split_cell(ev, cell, count))
+        stack.extend(_first_winding(ev, "split_retries",
+                                    (cell.split(ratio) for ratio in _SPLIT_RATIOS), (cell, count)))
 
     if len(found) + len(unresolved) != total:
         raise VerificationError(

@@ -100,11 +100,11 @@ def _run_sign_products(cfg, table):
         # both routes with det H_0 = 1 in front, so D_{n-1} D_n = dets[n] * dets[n + 1]
         routes = table(coulomb_routes, params, nmax=cfg["n_max"] + 1)
         direct, closed = ([Fraction(1), *routes[name]] for name in ("direct", "closed"))
-        for n in range(cfg["n_max"] + 1):
+        # each closed D_{n-1} D_n against the direct one, and its sign against classify's
+        for n, sign in enumerate(classify(params, cfg["n_max"]).sign_sequence):
             product = closed[n] * closed[n + 1]
-            lead = 2 * params.L + 2 * n + 3
-            sign_ok = (product > 0) == (lead > 0)
-            yield (params.L, params.eta, n), product == direct[n] * direct[n + 1] and sign_ok
+            ok = product == direct[n] * direct[n + 1] and (product > 0) == (sign > 0)
+            yield (params.L, params.eta, n), ok
 
 
 def _run_classification(cfg, _table):

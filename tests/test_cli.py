@@ -402,3 +402,18 @@ def test_logging_is_imported_only_under_verbose():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0 and proc.stderr.strip() == imported
+
+
+def test_a_reader_closing_stdout_early_gets_exit_1_without_a_traceback():
+    # as in `czeta ... | head -c 100`: the output is far larger than a pipe holds
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["--format", "json", "zeta", "--L", "1/3", "--eta", "1/2", "--kmax", "300"]
+    proc = subprocess.Popen([sys.executable, "-m", "czeta.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16) == b'{\n  "command": "'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -502,13 +502,13 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
         # per nu: the direct pass and table at ell = 0, 1; a running product for
         # each closed form, and the recursion's rows 0 (ell = 0) and 0, 1 (ell = 1)
         "rayleigh-closed": (2 * nus, 2 * nus, 0, 0, 5 * nus),
-        # per pair: the direct pass and table, the recursion's sigma table, its rows
-        # 0 and 1 and the closed product; the blind ell = 2 witness reads the
-        # table, and czeta.verify reads its product through its own import
-        "rayleigh-ell23": (2 * nus, 2 * 2 * nus, 0, 0, 2 * 3 * nus),
-        # only the ell > 3 pairs are new: a direct pass and table, a sigma table and
-        # the recursion's rows 0 and 1 each
-        "desnanot-jacobi": (new_ells * nus, 2 * new_ells * nus, 0, 0, 2 * new_ells * nus),
+        # per pair: the direct pass and table, the recursion's rows 0 and 1 and the
+        # closed product; the blind ell = 2 witness reads the table, and
+        # czeta.verify reads its product through its own import
+        "rayleigh-ell23": (2 * nus, 2 * nus, 0, 0, 2 * 3 * nus),
+        # only the ell > 3 pairs are new: a direct pass and table and the
+        # recursion's rows 0 and 1 each
+        "desnanot-jacobi": (new_ells * nus, new_ells * nus, 0, 0, 2 * new_ells * nus),
         # per ell: one pass and one table for the Bernoulli determinants, one pass
         # and two tables for the Genocchi ones (entries and their bridge check),
         # and one running product for each one's closed form
@@ -543,6 +543,39 @@ def test_rayleigh_verification_names_the_disagreeing_routes(monkeypatch):
     from czeta.errors import VerificationError
 
     _perturbed_products(monkeypatch, 0)
-    with pytest.raises(VerificationError, match="desnanot-jacobi="):
+    # one message format for both families: every route's value, direct first
+    with pytest.raises(VerificationError, match=(
+            r"^determinant routes disagree at \(nu=1, ell=0, n=2\): "
+            r"direct=1/73728, desnanot-jacobi=1/36864, closed=1/36864$")):
         rayleigh_hankel_det(1, 0, 2, verify=True)
     assert rayleigh_hankel_det(1, 0, 2) == det_exact(build_rayleigh_hankel(1, 0, 2).matrix)
+
+
+def test_desnanot_jacobi_computes_its_one_by_one_entries(monkeypatch):
+    # rows ell >= 2 start from d_0 = 1 alone, so d_1^(2) comes from the ell = 0
+    # and 1 rows: a wrong ell = 0 product shows at n = 1 too
+    _perturbed_products(monkeypatch, 0)
+    routes = rayleigh_routes(1, 2, 1, ("direct", "desnanot-jacobi"))
+    assert routes["desnanot-jacobi"] != routes["direct"] == [rayleigh(1, 3)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 6])
+def test_desnanot_jacobi_builds_no_zeta_table(monkeypatch, ell):
+    # away from a degenerate nu the recursion reads the running products alone
+    import czeta.hankel
+    import czeta.zeta
+    from czeta.zeta import zeta_table
+
+    tables = []
+
+    def counted(*args):
+        tables.append(args)
+        return zeta_table(*args)
+
+    for module in (czeta.hankel, czeta.zeta):
+        monkeypatch.setattr(module, "zeta_table", counted)
+    dj = {nu: rayleigh_routes(nu, ell, 4, ("desnanot-jacobi",))["desnanot-jacobi"]
+          for nu in NU_GRID}
+    assert not tables
+    for nu, dets in dj.items():
+        assert dets == rayleigh_routes(nu, ell, 4, ("direct",))["direct"], nu

@@ -375,8 +375,8 @@ def test_cell_split_gives_up_when_child_counts_never_match(monkeypatch):
     # two zeros in the cell, none in either child at any cut
     asked = _scripted_winding(monkeypatch, lambda k, region: 2 if k == 0 else 0)
     region = Rect(-1, 1, 0, 1)
-    with pytest.raises(ContourTooClose,
-                       match=rf"^child counts never matched parent over {re.escape(repr(region))}$"):
+    message = f"child counts never matched parent over {region!r}"
+    with pytest.raises(ContourTooClose, match=f"^{re.escape(message)}$"):
         find_complex_zeros(0, 0, search=region)
     assert len(asked) == 1 + 2 * 8
     assert asked[0][1].stats["split_retries"] == 8

@@ -57,3 +57,28 @@ def test_route_table_evaluates_a_pair_again_only_for_a_longer_prefix():
         with pytest.raises(ValueError, match="no routes"):
             table(route_set, "bad", nmax=1)
     assert calls[2:] == [("bad", 1), ("bad", 1)]
+
+
+def test_sign_products_certify_classify_s_own_signs(monkeypatch):
+    # the family reads the signs classify returns; one flipped sign fails it
+    import czeta.verify
+    from czeta.classify import ZeroClassification, classify
+    from czeta.verify import _run_sign_products, _tally, load_grid
+
+    flipped = []
+
+    def flipping(params, nmax="auto"):
+        result = classify(params, nmax)
+        if flipped:
+            return result
+        signs = list(result.sign_sequence)
+        signs[2] = -signs[2]
+        flipped.append((params.L, params.eta, 2))
+        return ZeroClassification(params, result.pair_count, tuple(signs), result.all_real)
+
+    cfg = load_grid(quick=True)["sign_products"]
+    _, bad, _ = _tally(_run_sign_products(cfg, partial(_read_routes, {})))
+    assert not bad
+    monkeypatch.setattr(czeta.verify, "classify", flipping)
+    _, bad, _ = _tally(_run_sign_products(cfg, partial(_read_routes, {})))
+    assert bad == flipped
