@@ -23,6 +23,7 @@ from .classify import classify
 from .errors import ParameterError, VerificationError
 from .exact import format_rational, parse_rational
 from .hankel import (
+    _agreed,
     bernoulli_hankel_det,
     coulomb_routes,
     genocchi_hankel_det,
@@ -102,13 +103,17 @@ def _cmd_hankel_det(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
     names = None if args.verify else ("direct",)
-    routes = {name: dets[-1] for name, dets in coulomb_routes(params, args.n, names).items()}
-    direct = routes.pop("direct")
+    routes = coulomb_routes(params, args.n, names)
     record = {
         "parameters": {"L": str(params.L), "eta": str(params.eta), "n": args.n},
-        "results": {name: format_rational(v) for name, v in {"det": direct, **routes}.items()},
+        "results": {"det" if name == "direct" else name: format_rational(dets[-1])
+                    for name, dets in routes.items()},
     }
-    equal = all(value == direct for value in routes.values())
+    try:  # the record is printed either way; a disagreement exits 2
+        _agreed(routes, f"L={params.L}, eta={params.eta}, n={args.n}")
+        equal = True
+    except VerificationError:
+        equal = False
     if args.verify:
         record["verification"] = {"routes_equal": equal}
     return record, 0 if equal else 2

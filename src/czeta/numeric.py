@@ -11,24 +11,22 @@ the confluent hypergeometric series, which matters for |rho| up to ~10 in
 double precision.  Real coefficients also make conjugate symmetry of the
 evaluation exact.
 
-Zero localization runs the argument principle on rectangles: adaptive phase
-tracking along the boundary yields certified-by-subdivision winding numbers,
-rectangles are split until each holds at most one zero, and Newton iteration
-with the term-wise differentiated series polishes each zero.  phi(0) = 1, so
-the origin never contributes a zero.
+`find_complex_zeros` takes the number of zeros in a rectangle from the
+argument principle (adaptive phase tracking along the boundary).  Its
+candidates come from the exact recurrence: the Hankel determinants of
+zeta_L(k) are moment determinants, so the eigenvalues of the truncated Jacobi
+matrix of their recurrence coefficients converge to 1/rho_j, the smallest
+|rho_j| first (Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach &
+P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex QL iteration finds
+them, Newton iteration on the term-wise differentiated series polishes each
+seed 1/lambda in the rectangle, and the distinct limits must be as many as
+the winding count.  phi(0) = 1, so the origin never contributes a zero.
 
-Each call of `find_complex_zeros` or `count_zeros_region` evaluates through
-its own memo of plain phi values, dropped when the call returns.  Sibling
-cells share their cut edge, a child's edges lie on its parent's, and every
-winding revisits its corners, so more than half of the points a call asks for
-were already summed in that call.  The memo is keyed by the bytes of the two
-doubles of rho, not by the complex number: 0.0 == -0.0 as floats and as dict
-keys, yet the series' arithmetic carries the sign (the derivative sum differs
-between -0j and +0j at some points), and the default region is cut at
-re = 0.0.  A served value is therefore the one the series returns at that
-exact point, and every result is unchanged to the bit.
-Newton's value-and-derivative evaluations are not memoized: their points
-repeat far less often.
+Each finder or counting call evaluates through its own memo of plain phi
+values (the boundary's pieces share their end points), keyed by the bytes of
+the two doubles of rho: 0.0 == -0.0 as dict keys, yet the series' arithmetic
+carries the sign, so a served value is the one the series returns at that
+exact point.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import struct
 from functools import lru_cache
 
 from ._record import Frozen, Record
-from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB, VerificationError
+from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 
 _SERIES_CAP = 500
 _COEFF_CHUNK = 16  # coefficients computed per growth step of a series' table
@@ -67,10 +65,6 @@ class Rect(Frozen):
     def height(self) -> float:
         return self.im_max - self.im_min
 
-    @property
-    def center(self) -> complex:
-        return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
-
     def corners(self) -> list[complex]:
         """Counterclockwise boundary corners, closed."""
         return [
@@ -83,20 +77,6 @@ class Rect(Frozen):
 
     def contains(self, z: complex) -> bool:
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
-
-    def split(self, ratio: float = 0.5) -> tuple["Rect", "Rect"]:
-        """Cut across the longer side at the given ratio."""
-        if self.width >= self.height:
-            cut = self.re_min + ratio * self.width
-            return (
-                Rect(self.re_min, cut, self.im_min, self.im_max),
-                Rect(cut, self.re_max, self.im_min, self.im_max),
-            )
-        cut = self.im_min + ratio * self.height
-        return (
-            Rect(self.re_min, self.re_max, self.im_min, cut),
-            Rect(self.re_min, self.re_max, cut, self.im_max),
-        )
 
     def expand(self, factor: float) -> "Rect":
         dw = factor * self.width
@@ -243,16 +223,12 @@ _point_bits = struct.Struct("<2d").pack
 # the keys of ZeroReport.stats, described there
 _STAT_NAMES = (
     "series_evals", "memo_hits", "newton_starts", "newton_steps",
-    "nudge_retries", "split_retries",
+    "nudge_retries", "jacobi_n", "ql_sweeps",
 )
 
 
 class _Evaluator:
-    """One finder or counting call's access to a series: memo and counters.
-
-    The memo lives as long as the evaluator, i.e. one call; its keys are the
-    bytes of the two doubles of rho, so x+0j and x-0j are separate entries.
-    """
+    """One finder or counting call's access to a series: memo and counters."""
 
     __slots__ = ("series", "tol", "values", "stats")
 
@@ -340,30 +316,24 @@ def count_zeros_region(
 
 
 _NUDGE_FACTORS = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
-_SPLIT_RATIOS = (0.5, 0.47, 0.55, 0.41, 0.61, 0.37, 0.65, 0.53)
 
 
-def _first_winding(ev: _Evaluator, stat: str, tries, parent=None) -> list[tuple[Rect, int]]:
-    """(rectangle, count) pairs of the first of `tries`, each a tuple of rectangles,
-    whose rectangles all wind without ContourTooClose and whose counts sum to the
-    (cell, count) `parent`'s, if one is given.  Each try given up is one `stat`
-    retry; after the last, the last ContourTooClose is raised again, if any."""
-    last: ContourTooClose | None = None
-    for rects in tries:
+def _nudged_winding(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
+    """(rectangle, count) for the first of the region and its nudged copies that
+    winds without ContourTooClose; after the last, its ContourTooClose is raised."""
+    for factor in _NUDGE_FACTORS:
+        rect = region if factor == 0.0 else region.expand(factor)
         try:
-            counts = [_winding(ev, rect) for rect in rects]
+            return rect, _winding(ev, rect)
         except ContourTooClose as exc:
             last = exc
-        else:
-            if parent is None or sum(counts) == parent[1]:
-                return list(zip(rects, counts))
-        ev.stats[stat] += 1
-    raise last or ContourTooClose(f"child counts never matched parent over {parent[0]}")
+            ev.stats["nudge_retries"] += 1
+    raise last
 
 
 def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     ev.stats["newton_starts"] += 1
-    z = z0
+    z, prev = z0, math.inf
     for _ in range(_NEWTON_STEPS):
         try:
             f, df = ev.newton_values(z)
@@ -373,31 +343,67 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             return None
         dz = f / df
         z = z - dz
-        if abs(dz) <= 1e-14 * (1 + abs(z)):
+        step = abs(dz)
+        # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
+        if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
             f, df = ev.newton_values(z)
             if df != 0:
                 z = z - f / df
             return z
+        prev = step
     return None
 
 
-def _refine_cell(ev: _Evaluator, cell: Rect) -> complex | None:
-    # the cell holds exactly one zero by winding count, so only accept a
-    # Newton limit strictly inside it; an iterate that escapes to a
-    # neighboring zero is rejected and the cell is subdivided instead
-    # starts keyed by their bits: the grid's middle point is often the centre
-    # itself, and a second run from the same bits would only repeat the first
-    center = cell.center
-    starts = {_point_bits(center.real, center.imag): center}
-    for fx in (0.25, 0.5, 0.75):
-        for fy in (0.25, 0.5, 0.75):
-            z0 = complex(cell.re_min + fx * cell.width, cell.im_min + fy * cell.height)
-            starts.setdefault(_point_bits(z0.real, z0.imag), z0)
-    for z0 in starts.values():
-        z = _newton(ev, z0)
-        if z is not None and cell.contains(z):
-            return z
-    return None
+def _jacobi(L: float, eta: float, size: int) -> tuple[list[complex], list[complex]]:
+    """Diagonal b_0..b_{size-1} and off-diagonal sqrt(a_1)..sqrt(a_{size-1}) of the
+    Jacobi matrix: with u = n + L + 1, b_n = -eta/(u (u+1)) and a_n = (1 + eta^2/u^2)
+    / ((2n+2L+1)(2n+2L+3)), the eta terms dropped at eta = 0, where u = 0 at integer
+    L (`recurrence_coeffs`' closed forms).  a_n < 0 makes it complex symmetric."""
+    diag, off = [], []
+    for n in range(size):
+        u = n + L + 1
+        diag.append(complex(-eta / (u * (u + 1))) if eta else 0j)
+        if n:
+            d = (2 * n + 2 * L + 1) * (2 * n + 2 * L + 3)
+            off.append(cmath.sqrt((1 + (eta / u) ** 2) / d if eta else 1 / d))
+    return diag, off
+
+
+def _ql_eigenvalues(diag: list[complex], off: list[complex]) -> tuple[list[complex], int]:
+    """Eigenvalues of a complex-symmetric tridiagonal matrix and the QL sweeps taken:
+    Numerical Recipes' `tqli` (sec. 11.4) without eigenvectors, its rotations
+    complex orthogonal (c^2 + s^2 = 1, r = sqrt(f^2 + g^2) with no modulus)."""
+    d, e = list(diag), [*off, 0j]
+    n, sweeps = len(d), 0
+    for l in range(n):
+        for tries in range(31):
+            m = l
+            while m < n - 1 and abs(e[m]) > 2.2e-16 * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if tries == 30:
+                raise NoConvergence(f"QL iteration did not converge for eigenvalue {l} of {n}")
+            sweeps += 1
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            r = cmath.sqrt(g * g + 1)
+            g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            s = c = 1 + 0j
+            p = 0j
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = cmath.sqrt(f * f + g * g)
+                if r == 0:  # f = +-ig: no complex orthogonal rotation exists
+                    raise NoConvergence(f"QL rotation broke down at eigenvalue {l} of {n}")
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[l] -= p
+            e[l], e[m] = g, 0j
+    return d, sweeps
 
 
 class ZeroReport(Frozen):
@@ -406,13 +412,15 @@ class ZeroReport(Frozen):
     `zeros` holds one representative per zero: real zeros as found, and the
     upper half-plane member of each conjugate pair (the mirror partner is
     implied by the real Taylor coefficients, never listed).  `counts` carries
-    the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved`
-    lists cells whose single zero resisted Newton refinement (normally empty).
+    the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
+    always empty (the finder accounts for the whole winding count or raises).
     `stats` counts the work the call did: "series_evals" (sums of the series,
     plain and value-with-derivative), "memo_hits" (plain values served by the
-    call's memo instead), "newton_starts", "newton_steps" (the final polishing
-    step included), "nudge_retries" (outer contours given up for a nudged
-    one) and "split_retries" (cell cuts given up for another ratio).
+    call's memo instead), "newton_starts" (one per eigenvalue seed in the
+    region), "newton_steps" (the final polishing step included),
+    "nudge_retries" (outer contours given up for a nudged one), "jacobi_n"
+    (the order of the last Jacobi matrix, 0 if none was formed) and
+    "ql_sweeps" (QL iterations over every matrix formed).
     """
 
     __slots__ = ("region", "zeros", "residuals", "counts", "unresolved", "stats")
@@ -433,13 +441,14 @@ def find_complex_zeros(
 ) -> ZeroReport:
     """Locate and classify all zeros in a rectangle.
 
-    Rectangles are subdivided until each holds at most one zero by winding
-    count, then each zero is polished by Newton iteration.  Without an
-    explicit search rectangle the default is [-R, R] x [0, R] from
-    `default_search_region`, with the lower edge dropped slightly below the
-    real axis so that real zeros are interior points of the contour.  tol
-    is the series tolerance of every evaluation; it must be positive and
-    finite (else ParameterError).
+    Newton iteration from the eigenvalue seeds of the N x N Jacobi matrix,
+    N = 30 + ceil(3|L| + max|corner|), must reach as many distinct zeros inside
+    the rectangle as its winding count; otherwise N grows by 3/2, at most
+    twice, and then NoConvergence is raised.  The default rectangle is
+    `default_search_region` with its lower edge dropped slightly below the
+    real axis, so that real zeros are interior points of the contour.  tol is
+    the series tolerance of every evaluation (positive and finite, else
+    ParameterError).
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
@@ -448,31 +457,26 @@ def find_complex_zeros(
     else:
         region = search if isinstance(search, Rect) else Rect(*search)
 
-    [(region, total)] = _first_winding(ev, "nudge_retries", (
-        (region if f == 0.0 else region.expand(f),) for f in _NUDGE_FACTORS))
+    region, total = _nudged_winding(ev, region)
+    reach = max(abs(c) for c in region.corners())
+    first = 30 + math.ceil(3 * abs(float(L)) + reach)
     found: list[complex] = []
-    unresolved: list[Rect] = []
-    stack: list[tuple[Rect, int]] = [(region, total)]
-    while stack:
-        cell, count = stack.pop()
-        if count <= 0:
-            continue
-        if count == 1:
-            z = _refine_cell(ev, cell)
-            if z is not None:
+    for size in (first, first * 3 // 2, first * 3 // 2 * 3 // 2):
+        if len(found) == total:
+            break
+        eigs, sweeps = _ql_eigenvalues(*_jacobi(float(L), float(eta), size))
+        ev.stats["jacobi_n"] = size
+        ev.stats["ql_sweeps"] += sweeps
+        found = []
+        # |1/lambda| <= reach is needed to lie in the region, and skips lambda = 0
+        for z0 in (1 / lam for lam in eigs if abs(lam) * reach >= 1):
+            z = _newton(ev, z0) if region.contains(z0) else None
+            if z is not None and region.contains(z) and all(
+                    abs(z - w) > 1e-9 * (1 + abs(z)) for w in found):
                 found.append(z)
-                continue
-            if max(cell.width, cell.height) < 1e-9:
-                unresolved.append(cell)
-                continue
-        stack.extend(_first_winding(ev, "split_retries",
-                                    (cell.split(ratio) for ratio in _SPLIT_RATIOS), (cell, count)))
-
-    if len(found) + len(unresolved) != total:
-        raise VerificationError(
-            f"isolated {len(found)} zeros (+{len(unresolved)} unresolved) but the "
-            f"winding count over {region} is {total}"
-        )
+    if len(found) != total:
+        raise NoConvergence(f"Newton reached {len(found)} distinct zeros from the Jacobi "
+                            f"seeds, but the winding count over {region} is {total}")
 
     # fold lower half-plane finds onto their conjugate representatives
     folded = [z.conjugate() if z.imag < -_REAL_AXIS_TOL else z for z in found]
@@ -489,11 +493,4 @@ def find_complex_zeros(
         "complex_pairs": len(pairs),
         "imaginary_pairs": sum(1 for z in pairs if abs(z.real) < _IMAG_AXIS_TOL),
     }
-    return ZeroReport(
-        region=region,
-        zeros=tuple(zeros),
-        residuals=residuals,
-        counts=counts,
-        unresolved=tuple(unresolved),
-        stats=ev.stats,
-    )
+    return ZeroReport(region, tuple(zeros), residuals, counts, stats=ev.stats)

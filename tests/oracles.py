@@ -3,7 +3,8 @@
 Nothing here imports the package's computational paths: determinants come
 from the Leibniz permutation expansion, Bernoulli numbers from the classical
 binomial recurrence, the entire Coulomb factor from a direct complex
-confluent-series product, the normalized Bessel function from its own
+confluent-series product (and from mpmath's 35-digit 1F1, or 0F1 at eta = 0;
+mpmath is a test-only dependency), the normalized Bessel function from its own
 even power series, and the Coulomb and Rayleigh closed products from their
 k-indexed form.
 """
@@ -125,6 +126,24 @@ def phi_hyp1f1(L, eta, rho, terms=300):
         if abs(term) < 1e-18 * (1 + abs(total)) and k > abs(z):
             break
     return cmath.exp(-1j * complex(rho)) * total
+
+
+def phi_mpmath(L, eta, rho):
+    """e^(-i rho) 1F1(L+1-i eta; 2L+2; 2i rho) by mpmath at 35 digits, rounded to a complex.
+
+    At eta = 0 it is 0F1(; L+3/2; -rho^2/4) (Kummer's second transformation),
+    the form that stays defined where 2L+2 is a nonpositive integer.
+    """
+    import mpmath as mp
+
+    with mp.workdps(35):
+        rho = mp.mpc(rho)
+        if eta == 0:
+            return complex(mp.hyp0f1(mp.mpf(L) + 1.5, -rho**2 / 4))
+        value = mp.e ** (-1j * rho) * mp.hyp1f1(
+            mp.mpf(L) + 1 - 1j * mp.mpf(eta), 2 * mp.mpf(L) + 2, 2j * rho
+        )
+        return complex(value)
 
 
 def bessel_normalized(nu, rho, terms=120):

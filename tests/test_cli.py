@@ -60,6 +60,22 @@ def test_hankel_det_verification_failure_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_hankel_det_takes_the_route_decision_from_czeta_hankel(capsys, monkeypatch):
+    # every route gives 1/135; a decision that says otherwise must still reach
+    # the command, which prints its record and exits 2
+    from czeta.errors import VerificationError
+
+    def disagree(routes, where):
+        raise VerificationError(f"forced at ({where})")
+
+    monkeypatch.setattr("czeta.cli._agreed", disagree)
+    argv = ["--format", "json", "hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"]
+    code, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    assert code == 2 and payload["verification"]["routes_equal"] is False
+    assert payload["results"] == {"det": "1/135", "closed": "1/135", "moments": "1/135"}
+
+
 def test_one_closed_product_reaches_api_cli_and_verify_all(capsys, monkeypatch):
     # every consumer of the Coulomb family evaluates the routes defined in czeta.hankel
     from czeta.errors import VerificationError
@@ -172,9 +188,10 @@ def test_find_zeros_json(capsys):
     stats = payload["results"]["stats"]
     assert set(stats) == {
         "series_evals", "memo_hits", "newton_starts", "newton_steps",
-        "nudge_retries", "split_retries",
+        "nudge_retries", "jacobi_n", "ql_sweeps",
     }
     assert stats["series_evals"] > 0 and stats["newton_starts"] >= 1
+    assert stats["jacobi_n"] > 0 and stats["ql_sweeps"] > 0
 
 
 def test_find_zeros_requires_full_region(capsys):

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import re
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -9,9 +8,12 @@ import pytest
 
 from czeta.classify import classify
 from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularB
+from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
     Rect,
     _Evaluator,
+    _jacobi,
+    _ql_eigenvalues,
     _series,
     count_zeros_region,
     default_search_region,
@@ -21,17 +23,9 @@ from czeta.numeric import (
 )
 from czeta.zeta import CoulombParams
 
-from oracles import bessel_normalized, phi_hyp1f1
+from oracles import bessel_normalized, phi_hyp1f1, phi_mpmath
 
 mp.mp.dps = 35
-
-
-def phi_mpmath(L, eta, rho):
-    rho = mp.mpc(rho)
-    value = mp.e ** (-1j * rho) * mp.hyp1f1(
-        mp.mpf(L) + 1 - 1j * mp.mpf(eta), 2 * mp.mpf(L) + 2, 2j * rho
-    )
-    return complex(value)
 
 
 def test_phi_at_origin_is_one():
@@ -213,7 +207,7 @@ def test_total_count_in_region_matches_report():
     assert count_zeros_region(0.0, 0.0, region) == len(report.zeros) == 2
 
 
-@pytest.mark.parametrize("L", [-1.75, -2.75, -3.75])
+@pytest.mark.parametrize("L", [-1.75, -2.75, -3.75, -4.75])
 def test_found_zeros_validate_against_high_precision(L):
     # every reported zero must annihilate the independently computed
     # high-precision function; |phi(z)| / |phi'(z)| bounds the distance to
@@ -278,18 +272,92 @@ def test_zero_report_stats_count_the_work():
     stats = report.stats
     assert set(stats) == {
         "series_evals", "memo_hits", "newton_starts", "newton_steps",
-        "nudge_retries", "split_retries",
+        "nudge_retries", "jacobi_n", "ql_sweeps",
     }
     assert all(type(v) is int and v >= 0 for v in stats.values())
     # one start per located zero at least, each start at least two steps
     assert stats["newton_starts"] >= len(report.zeros)
     assert stats["newton_steps"] >= 2 * stats["newton_starts"]
-    # shared cut edges and corners: the memo serves a large share of points
+    # the boundary's pieces share their corners
     assert stats["memo_hits"] > 0
     assert stats["series_evals"] > stats["newton_steps"]
+    # one Jacobi matrix of order 30 + ceil(3|L| + max|corner|), at least one sweep per seed
+    assert stats["jacobi_n"] == 30 + math.ceil(3 * 2.75 + abs(report.region.corners()[2]))
+    assert stats["ql_sweeps"] >= stats["newton_starts"]
     # the counters describe the call, not the result
     again = find_complex_zeros(-2.75, 1.5)
     assert again == report and again.stats == stats
+
+
+@pytest.mark.parametrize("L", [-4.75, -2.75])
+def test_one_newton_start_per_zero_on_the_default_region(L):
+    # each eigenvalue seed in the region polishes to its own zero; the old
+    # subdivision restarted Newton from a grid (51 starts for 9 zeros at -4.75)
+    report = find_complex_zeros(L, 1.5)
+    assert report.stats["newton_starts"] == len(report.zeros)
+    assert report.stats["newton_steps"] < 60 and report.stats["series_evals"] < 400
+    assert report.unresolved == ()
+
+
+def test_a_region_without_zeros_forms_no_jacobi_matrix():
+    report = find_complex_zeros(0.5, 1.0, search=(-1, 1, 0.05, 2))
+    assert report.zeros == () and report.stats["newton_starts"] == 0
+    assert report.stats["jacobi_n"] == report.stats["ql_sweeps"] == 0
+
+
+def test_jacobi_entries_match_the_exact_recurrence_coefficients():
+    # the float matrix is the exact layer's a_n and b_n, to a few ulps
+    for L, eta in [(F(-19, 4), F(3, 2)), (F(1, 3), F(1, 2)), (F(-2), F(0)), (F(-183, 4), F(11, 4)),
+                   (F(-7, 3), F(-5, 4)), (F(0), F(0))]:
+        coeffs = recurrence_coeffs(CoulombParams(L, eta), 39)
+        diag, off = _jacobi(float(L), float(eta), 40)
+        for n in range(40):
+            b = float(coeffs.b(n))
+            assert abs(diag[n] - b) <= 8 * 2.2e-16 * abs(b), (L, eta, n)
+            if n:
+                root = cmath.sqrt(float(coeffs.a(n)))
+                assert abs(off[n - 1] - root) <= 8 * 2.2e-16 * abs(root), (L, eta, n)
+
+
+def _eigen_pairs(L, eta) -> int:
+    """Non-real conjugate pairs among the eigenvalues at N = 30 + ceil(3|L|)."""
+    eigs, _ = _ql_eigenvalues(*_jacobi(float(L), float(eta), 30 + math.ceil(3 * abs(L))))
+    # rounding is relative to the spectrum's scale; at eta = 0 and odd N one
+    # eigenvalue is 0 and comes out as a few ulps in any direction
+    scale = max(abs(x) for x in eigs)
+    return sum(1 for x in eigs if x.imag > 1e-9 * scale)
+
+
+def test_eigen_pair_counts_equal_classify_on_the_zeros_default_pairs():
+    # L = -(k+q), k in 0..8, q in {1/4, 3/4}, eta in quarter steps over [0, 3]:
+    # including the 79 pairs where the series cannot reach the default region
+    for k in range(9):
+        for q in (F(1, 4), F(3, 4)):
+            for i in range(13):
+                L, eta = -(k + q), F(i, 4)
+                assert _eigen_pairs(L, eta) == classify(CoulombParams(L, eta)).pair_count, (L, eta)
+
+
+def test_eigen_pair_counts_equal_classify_on_deep_pairs():
+    rng = random.Random(20261019)
+    for _ in range(20):
+        L = -(rng.randrange(10, 46) + rng.choice((F(1, 4), F(3, 4), F(1, 3), F(2, 3))))
+        eta = F(rng.randrange(13), 4)
+        assert _eigen_pairs(L, eta) == classify(CoulombParams(L, eta)).pair_count, (L, eta)
+
+
+def test_seed_count_mismatch_grows_the_matrix_twice_then_raises(monkeypatch):
+    # a winding total one above the zeros there: N grows 39 -> 58 -> 87, then NoConvergence
+    import czeta.numeric
+
+    sizes = []
+    real_jacobi = czeta.numeric._jacobi
+    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region: 3)
+    monkeypatch.setattr(czeta.numeric, "_jacobi",
+                        lambda L, eta, size: sizes.append(size) or real_jacobi(L, eta, size))
+    with pytest.raises(NoConvergence, match=r"^Newton reached 2 distinct zeros .* is 3$"):
+        find_complex_zeros(0.0, 0.0)
+    assert sizes == [39, 58, 87]
 
 
 def test_outer_contour_through_a_zero_is_nudged():
@@ -302,26 +370,6 @@ def test_outer_contour_through_a_zero_is_nudged():
     assert report.stats["nudge_retries"] == 1
     (z,) = report.zeros
     assert abs(z - math.pi) < 1e-12
-
-
-def test_newton_runs_once_from_each_distinct_start(monkeypatch):
-    import czeta.numeric
-
-    starts = []
-
-    def failing_newton(ev, z0):
-        starts.append(z0)
-        return None
-
-    monkeypatch.setattr(czeta.numeric, "_newton", failing_newton)
-    ev = _Evaluator(0.0, 0.0, 1e-12)
-    # the grid's middle point has the centre's bits: it is not run a second time
-    assert czeta.numeric._refine_cell(ev, Rect(-1, 1, 0, 2)) is None
-    assert len(starts) == 9 and starts[0] == 1j
-    # here it is one ulp off the centre in each part, so both run
-    starts.clear()
-    assert czeta.numeric._refine_cell(ev, Rect(0.1, 0.7, 0.1, 0.7)) is None
-    assert len(starts) == len(set(starts)) == 10
 
 
 def _scripted_winding(monkeypatch, script):
@@ -350,49 +398,5 @@ def test_outer_contour_nudges_give_up_after_every_candidate(monkeypatch):
     factors = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
     assert [r for r, _ in asked] == [region.expand(f) if f else region for f in factors]
     assert asked[0][1].stats["nudge_retries"] == 8
-    assert asked[0][1].stats["split_retries"] == 0
-
-
-def test_cell_split_gives_up_after_every_ratio_raises(monkeypatch):
-    # the outer contour holds two zeros; every child contour is too close to one
-    def script(k, region):
-        if k == 0:
-            return 2
-        raise ContourTooClose(f"child {k}")
-
-    asked = _scripted_winding(monkeypatch, script)
-    region = Rect(-1, 1, 0, 1)
-    with pytest.raises(ContourTooClose, match=r"^child 8$"):
-        find_complex_zeros(0, 0, search=region)
-    ratios = (0.5, 0.47, 0.55, 0.41, 0.61, 0.37, 0.65, 0.53)
-    # the first child of each cut raised, so its sibling was never wound
-    assert [r for r, _ in asked[1:]] == [region.split(ratio)[0] for ratio in ratios]
-    assert asked[0][1].stats["split_retries"] == 8
-    assert asked[0][1].stats["nudge_retries"] == 0
-
-
-def test_cell_split_gives_up_when_child_counts_never_match(monkeypatch):
-    # two zeros in the cell, none in either child at any cut
-    asked = _scripted_winding(monkeypatch, lambda k, region: 2 if k == 0 else 0)
-    region = Rect(-1, 1, 0, 1)
-    message = f"child counts never matched parent over {region!r}"
-    with pytest.raises(ContourTooClose, match=f"^{re.escape(message)}$"):
-        find_complex_zeros(0, 0, search=region)
-    assert len(asked) == 1 + 2 * 8
-    assert asked[0][1].stats["split_retries"] == 8
-
-
-def test_cell_split_raises_the_last_contour_error_over_a_count_mismatch(monkeypatch):
-    # one cut's child raises, the other seven cuts mismatch: the raised error wins
-    def script(k, region):
-        if k == 0:
-            return 2
-        if k == 3:
-            raise ContourTooClose("the second cut's first child")
-        return 0
-
-    asked = _scripted_winding(monkeypatch, script)
-    with pytest.raises(ContourTooClose, match=r"^the second cut's first child$"):
-        find_complex_zeros(0, 0, search=Rect(-1, 1, 0, 1))
-    assert len(asked) == 1 + 2 * 8 - 1
-    assert asked[0][1].stats["split_retries"] == 8
+    # no count, so no Jacobi matrix
+    assert asked[0][1].stats["jacobi_n"] == asked[0][1].stats["ql_sweeps"] == 0

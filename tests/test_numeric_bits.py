@@ -16,6 +16,8 @@ from czeta.errors import NoConvergence
 from czeta.numeric import Rect, find_complex_zeros, phi, phi_derivative
 from czeta.verify import load_grid
 
+from oracles import phi_mpmath
+
 PARAMS = [
     (0.0, 0.0), (0.5, 1.0), (-1.75, 1.5), (-2.75, 1.5), (-3.75, 1.5),
     (-2.0, 0.0), (1.0, 2.0), (-0.25, -0.5), (2.5, 0.0),
@@ -58,18 +60,23 @@ def _report_fields(report) -> str:
     return repr((report.region, report.zeros, report.residuals, report.counts, report.unresolved))
 
 
-def _finder_reports() -> list[str]:
+def _finder_cases() -> list[tuple[str, float, float, object]]:
+    """(label, L, eta, report) for every finder call the digest pins."""
     full = load_grid()
-    lines = []
+    out = []
     for case in full["zeros"]["cases"]:
         report = find_complex_zeros(case["L"], case["eta"], search=Rect(*case["region"]))
-        lines.append(f"zeros {case['L']!r} {case['eta']!r} {_report_fields(report)}")
+        out.append((f"zeros {case['L']!r} {case['eta']!r}", case["L"], case["eta"], report))
     for case in full["hurwitz"]["cases"]:
         L = float(case["nu"]) - 0.5
-        lines.append(f"hurwitz {L!r} {_report_fields(find_complex_zeros(L, 0.0))}")
+        out.append((f"hurwitz {L!r}", L, 0.0, find_complex_zeros(L, 0.0)))
     for L in (-1.75, -2.75, -3.75, -4.75):
-        lines.append(f"default {L!r} {_report_fields(find_complex_zeros(L, 1.5))}")
-    return lines
+        out.append((f"default {L!r}", L, 1.5, find_complex_zeros(L, 1.5)))
+    return out
+
+
+def _finder_reports() -> list[str]:
+    return [f"{label} {_report_fields(report)}" for label, _, _, report in _finder_cases()]
 
 
 def test_points_cover_signed_zeros_and_failures():
@@ -89,8 +96,20 @@ def test_phi_derivative_values_are_pinned():
     assert _digest(lines) == "a8d19d7c5dd3e191baa71acde9dc9872a20e17da5bda7f931dcbfe137b9b9ada"
 
 
+def test_pinned_zeros_validate_against_high_precision():
+    # |phi(z)| / |phi'(z)| bounds the distance to the true zero, so every pinned
+    # zero lies within 1e-10 (relative to 1 + |phi'|) of one of mpmath's
+    checked = 0
+    for label, L, eta, report in _finder_cases():
+        for z in report.zeros:
+            slope = abs(phi_derivative(L, eta, z))
+            assert abs(phi_mpmath(L, eta, z)) <= 1e-10 * (1 + slope), (label, z)
+            checked += 1
+    assert checked >= 40
+
+
 def test_zero_reports_are_pinned():
-    assert _digest(_finder_reports()) == "e1cdee560898c033c84b3a7372ae274bb0e4cb76a15b9c873b6912b7a175c48b"
+    assert _digest(_finder_reports()) == "19dcc3649fe2d54a940e9a3cd052d33031d570c2a1ed96a56205bd85f2943525"
 
 
 def test_stop_index_keeps_the_shift_association():
