@@ -10,9 +10,7 @@ alone; a lazy package ``__init__`` would lose that.
 
 from .exact import (
     ExactMatrix,
-    ExactRational,
     det_exact,
-    diag_scale,
     format_rational,
     leading_minors,
     parse_rational,
@@ -24,7 +22,6 @@ from .zeta import (
     genocchi,
     rayleigh,
     zeta_base,
-    zeta_extend,
     zeta_table,
 )
 from .hankel import (
@@ -36,6 +33,7 @@ from .hankel import (
     build_coulomb_hankel,
     build_rayleigh_hankel,
     coulomb_hankel_det,
+    coulomb_routes,
     det_coulomb_closed,
     det_coulomb_via_moments,
     det_rayleigh_closed,
@@ -45,6 +43,7 @@ from .hankel import (
     genocchi_hankel_det,
     parity_split_check,
     rayleigh_hankel_det,
+    rayleigh_routes,
     recurrence_coeffs,
 )
 from .classify import HurwitzCount, ZeroClassification, classify, dd_product_closed, hurwitz_counts
@@ -64,7 +63,6 @@ __all__ = [
     "CoulombHankel",
     "CoulombParams",
     "ExactMatrix",
-    "ExactRational",
     "HurwitzCount",
     "ParitySplit",
     "RayleighHankel",
@@ -79,6 +77,7 @@ __all__ = [
     "build_rayleigh_hankel",
     "classify",
     "coulomb_hankel_det",
+    "coulomb_routes",
     "count_zeros_region",
     "dd_product_closed",
     "default_search_region",
@@ -89,7 +88,6 @@ __all__ = [
     "det_rayleigh_dj",
     "det_rayleigh_ell2",
     "det_rayleigh_ell3",
-    "diag_scale",
     "find_complex_zeros",
     "format_rational",
     "genocchi",
@@ -102,8 +100,8 @@ __all__ = [
     "phi_derivative",
     "rayleigh",
     "rayleigh_hankel_det",
+    "rayleigh_routes",
     "recurrence_coeffs",
     "zeta_base",
-    "zeta_extend",
     "zeta_table",
 ]

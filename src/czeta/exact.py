@@ -22,8 +22,6 @@ from typing import Iterable, Iterator, Sequence
 from ._record import Frozen
 from .errors import ParameterError
 
-ExactRational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -68,16 +66,6 @@ class ExactMatrix(Frozen):
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Fraction | int]]) -> "ExactMatrix":
-        return cls(rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
 
 
 def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
@@ -186,19 +174,3 @@ def det_exact(m: ExactMatrix) -> Fraction:
     """Exact determinant: the last of `leading_minors`."""
     return leading_minors(m)[-1]
 
-
-def diag_scale(m: ExactMatrix, alpha: Fraction | int) -> ExactMatrix:
-    """Conjugate by diag(alpha, alpha^2, ..., alpha^n).
-
-    The (i, j) entry picks up a factor alpha^(i+j+2) (0-based indices), so the
-    determinant of the result is alpha^(n(n+1)) times the original.  For a
-    Hankel matrix this rescales the generating sequence h_m into alpha^m h_m.
-    """
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise ParameterError("diagonal scaling requires alpha != 0")
-    n = m.dim
-    powers = [alpha ** (i + 1) for i in range(n)]
-    return ExactMatrix.from_rows(
-        [[powers[i] * m[i, j] * powers[j] for j in range(n)] for i in range(n)]
-    )

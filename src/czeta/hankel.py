@@ -27,7 +27,7 @@ from math import factorial
 from typing import NamedTuple
 
 from ._record import Frozen
-from .errors import SingularParameter, UnsupportedEll, VerificationError
+from .errors import ParameterError, SingularParameter, UnsupportedEll, VerificationError
 from .exact import ExactMatrix, leading_minors
 from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
                    zeta_base, zeta_table)
@@ -88,7 +88,7 @@ def _check_n(n: int) -> None:
 
 def _hankel(moments: list[Fraction], n: int) -> ExactMatrix:
     """The n x n Hankel matrix with entry (i, j) = moments[i + j]."""
-    return ExactMatrix.from_rows([[moments[i + j] for j in range(n)] for i in range(n)])
+    return ExactMatrix([[moments[i + j] for j in range(n)] for i in range(n)])
 
 
 def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
@@ -246,11 +246,9 @@ def _rayleigh_closed(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
 
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
     """Closed form of the Rayleigh Hankel determinant; valid only for ell in {0, 1}."""
-    nu = _check_nu(nu)
-    _check_n(n)
     if ell not in (0, 1):
         raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
-    return _rayleigh_closed(nu, ell, n)[-1]
+    return rayleigh_routes(nu, ell, n, ("closed",))["closed"][-1]
 
 
 def det_rayleigh_ell2(nu: Fraction | int, n: int) -> Fraction:
@@ -318,11 +316,21 @@ _RAYLEIGH_ROUTES = {
 }
 
 
+def _route_names(names, routes: dict) -> tuple:
+    """`names`, or every route when empty; an unknown name raises ParameterError."""
+    names = tuple(names or routes)  # read once: `names` may be an iterator
+    unknown = [name for name in names if name not in routes]
+    if unknown:
+        raise ParameterError(f"unknown route {unknown[0]!r}; the routes are {', '.join(routes)}")
+    return names
+
+
 def coulomb_routes(params: CoulombParams, nmax: int, names=None) -> dict[str, list[Fraction]]:
     """The zeta Hankel determinants for n = 1..nmax by each route in `names`
     (default all), in that order: one evaluation per route for all n."""
     _check_n(nmax)
-    return {name: _COULOMB_ROUTES[name](params, nmax) for name in names or _COULOMB_ROUTES}
+    return {name: _COULOMB_ROUTES[name](params, nmax)
+            for name in _route_names(names, _COULOMB_ROUTES)}
 
 
 def rayleigh_routes(
@@ -337,7 +345,7 @@ def rayleigh_routes(
         raise SingularParameter(f"ell must be >= 0, got {ell}")
     return {
         name: _RAYLEIGH_ROUTES[name](nu, ell, nmax)
-        for name in names or _RAYLEIGH_ROUTES
+        for name in _route_names(names, _RAYLEIGH_ROUTES)
         if name != "closed" or ell in _RAYLEIGH_POLY
     }
 

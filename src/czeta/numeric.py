@@ -21,19 +21,12 @@ P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex QL iteration finds
 them, Newton iteration on the term-wise differentiated series polishes each
 seed 1/lambda in the rectangle, and the distinct limits must be as many as
 the winding count.  phi(0) = 1, so the origin never contributes a zero.
-
-Each finder or counting call evaluates through its own memo of plain phi
-values (the boundary's pieces share their end points), keyed by the bytes of
-the two doubles of rho: 0.0 == -0.0 as dict keys, yet the series' arithmetic
-carries the sign, so a served value is the one the series returns at that
-exact point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import struct
 from functools import lru_cache
 
 from ._record import Frozen, Record
@@ -82,6 +75,14 @@ class Rect(Frozen):
         dw = factor * self.width
         dh = factor * self.height
         return Rect(self.re_min - dw, self.re_max + dw, self.im_min - dh, self.im_max + dh)
+
+
+def _as_rect(region: Rect | tuple) -> Rect:
+    """A Rect, or four numbers (re_min, re_max, im_min, im_max) made one."""
+    try:
+        return region if isinstance(region, Rect) else Rect(*region)
+    except TypeError:  # not iterable, not four bounds, or a bound no number compares with
+        raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 
 class _PhiSeries(Record):
@@ -218,39 +219,30 @@ def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> co
     return _series(float(L), float(eta)).eval_with_derivative(complex(rho), tol)[1]
 
 
-_point_bits = struct.Struct("<2d").pack
-
 # the keys of ZeroReport.stats, described there
 _STAT_NAMES = (
-    "series_evals", "memo_hits", "newton_starts", "newton_steps",
+    "series_evals", "newton_starts", "newton_steps",
     "nudge_retries", "jacobi_n", "ql_sweeps",
 )
 
 
 class _Evaluator:
-    """One finder or counting call's access to a series: memo and counters."""
+    """One finder or counting call's access to a series, with its counters."""
 
-    __slots__ = ("series", "tol", "values", "stats")
+    __slots__ = ("series", "tol", "stats")
 
     def __init__(self, L: float, eta: float, tol: float):
         _check_tol(tol)
         self.series = _series(float(L), float(eta))
         self.tol = tol
-        self.values: dict[bytes, complex] = {}
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
     def phi(self, z: complex) -> complex:
-        key = _point_bits(z.real, z.imag)
-        value = self.values.get(key)
-        if value is None:
-            value = self.values[key] = self.series.eval(z, self.tol)
-            self.stats["series_evals"] += 1
-        else:
-            self.stats["memo_hits"] += 1
-        return value
+        self.stats["series_evals"] += 1
+        return self.series.eval(z, self.tol)
 
     def newton_values(self, z: complex) -> tuple[complex, complex]:
-        """Value and derivative for one Newton step; never memoized."""
+        """Value and derivative for one Newton step."""
         self.stats["series_evals"] += 1
         self.stats["newton_steps"] += 1
         return self.series.eval_with_derivative(z, self.tol)
@@ -261,7 +253,10 @@ def default_search_region(L: float) -> Rect:
 
     Covers the non-real zeros with ample margin at desk scale; the lower edge
     is nudged below the axis by the zero finder so real zeros are interior.
+    A non-finite L raises ParameterError.
     """
+    if not math.isfinite(L):
+        raise ParameterError(f"L must be finite, got {L}")
     pairs = max(0, math.floor(-L - 0.5))
     radius = 6.0 + 2.0 * pairs
     return Rect(-radius, radius, 0.0, radius)
@@ -285,14 +280,17 @@ def _phase_along_edge(ev: _Evaluator, za, zb, fa, fb, depth=42) -> float:
 
 
 def _winding(ev: _Evaluator, region: Rect) -> int:
+    # one list of boundary points: each edge after the first starts from the
+    # previous edge's computed end point, so no point is summed twice
     corners = region.corners()
-    total = 0.0
+    pts = corners[:1]
     for ca, cb in zip(corners, corners[1:]):
         pieces = max(4, math.ceil(abs(cb - ca) / 0.4))
-        pts = [ca + (cb - ca) * i / pieces for i in range(pieces + 1)]
-        vals = [ev.phi(p) for p in pts]
-        for (za, zb, fa, fb) in zip(pts, pts[1:], vals, vals[1:]):
-            total += _phase_along_edge(ev, za, zb, fa, fb)
+        pts += [ca + (cb - ca) * i / pieces for i in range(1, pieces + 1)]
+    vals = [ev.phi(p) for p in pts]
+    total = 0.0
+    for za, zb, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+        total += _phase_along_edge(ev, za, zb, fa, fb)
     turns = total / (2 * math.pi)
     count = round(turns)
     if abs(turns - count) > 0.2:
@@ -309,10 +307,10 @@ def count_zeros_region(
 
     Counted with multiplicity from the winding number of the boundary image.
     Raises ContourTooClose when a zero sits (numerically) on the boundary,
-    and ParameterError unless tol is positive and finite.
+    and ParameterError unless region is a Rect or four numbers and tol is
+    positive and finite.
     """
-    region = region if isinstance(region, Rect) else Rect(*region)
-    return _winding(_Evaluator(L, eta, tol), region)
+    return _winding(_Evaluator(L, eta, tol), _as_rect(region))
 
 
 _NUDGE_FACTORS = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
@@ -415,9 +413,8 @@ class ZeroReport(Frozen):
     the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
     always empty (the finder accounts for the whole winding count or raises).
     `stats` counts the work the call did: "series_evals" (sums of the series,
-    plain and value-with-derivative), "memo_hits" (plain values served by the
-    call's memo instead), "newton_starts" (one per eigenvalue seed in the
-    region), "newton_steps" (the final polishing step included),
+    plain and value-with-derivative), "newton_starts" (one per eigenvalue
+    seed in the region), "newton_steps" (the final polishing step included),
     "nudge_retries" (outer contours given up for a nudged one), "jacobi_n"
     (the order of the last Jacobi matrix, 0 if none was formed) and
     "ql_sweeps" (QL iterations over every matrix formed).
@@ -446,16 +443,16 @@ def find_complex_zeros(
     the rectangle as its winding count; otherwise N grows by 3/2, at most
     twice, and then NoConvergence is raised.  The default rectangle is
     `default_search_region` with its lower edge dropped slightly below the
-    real axis, so that real zeros are interior points of the contour.  tol is
-    the series tolerance of every evaluation (positive and finite, else
-    ParameterError).
+    real axis, so that real zeros are interior points of the contour.  search
+    is a Rect or four numbers, and tol the series tolerance of every
+    evaluation, positive and finite; anything else raises ParameterError.
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
         base = default_search_region(float(L))
         region = Rect(base.re_min, base.re_max, -0.01, base.im_max)
     else:
-        region = search if isinstance(search, Rect) else Rect(*search)
+        region = _as_rect(search)
 
     region, total = _nudged_winding(ev, region)
     reach = max(abs(c) for c in region.corners())

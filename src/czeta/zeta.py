@@ -165,13 +165,6 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
     return ZetaTable(params).extend_to(kmax)
 
 
-def zeta_extend(table: ZetaTable, kmax: int) -> ZetaTable:
-    """Extend a table in place through zeta_L(kmax); returns the same table."""
-    if kmax < 2:
-        raise SingularParameter(f"kmax must be >= 2, got {kmax}")
-    return table.extend_to(kmax)
-
-
 def _check_nu(nu: Fraction | int) -> Fraction:
     nu = Fraction(nu)
     if nu.denominator == 1 and nu.numerator <= -1:

@@ -188,5 +188,5 @@ def test_criterion_10_property_suites():
         rows = [
             [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(5)
         ]
-        assert det_exact(ExactMatrix.from_rows(rows)) == leibniz_det(rows)
+        assert det_exact(ExactMatrix(rows)) == leibniz_det(rows)
     _passed(10, "property suites: symmetry, Bessel reduction, Leibniz check")

@@ -108,7 +108,7 @@ def _fallback_matrices():
 def _fallback_records() -> list[str]:
     records = []
     for n, kind, rows in _fallback_matrices():
-        m = ExactMatrix.from_rows(rows)
+        m = ExactMatrix(rows)
         records.append(f"{n} {kind} {det_exact(m)!r} {leading_minors(m)!r}")
     return records
 
@@ -157,7 +157,7 @@ def test_rayleigh_domain_behaviour_is_pinned():
 
 def test_fallback_probe_covers_zero_columns_and_zero_minors():
     for n, kind, rows in _fallback_matrices():
-        minors = leading_minors(ExactMatrix.from_rows(rows))
+        minors = leading_minors(ExactMatrix(rows))
         zeros = [k for k, d in enumerate(minors) if d == 0]
         if kind == "non-hankel":
             assert zeros == [], n

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from czeta.errors import SingularParameter, UnsupportedEll
+from czeta.errors import ParameterError, SingularParameter, UnsupportedEll
 from czeta.exact import ExactMatrix, det_exact
 from czeta.hankel import (
     bernoulli_hankel_det,
@@ -245,17 +245,16 @@ def test_bernoulli_matrix_is_scaled_rayleigh_matrix():
     # B_{2m}/(2m)! = -2 (-1/4)^m sigma_{2m}(1/2): the factorial Bernoulli
     # matrix is a diagonal scaling (alpha = -1/4) of the Rayleigh matrix at
     # nu = 1/2, up to the global factor -2/alpha = 8 per entry
-    from czeta.exact import diag_scale
     from czeta.zeta import bernoulli
     from math import factorial
 
     n = 3
-    scaled = diag_scale(build_rayleigh_hankel(F(1, 2), 0, n).matrix, F(-1, 4))
+    R = build_rayleigh_hankel(F(1, 2), 0, n).matrix
     for i in range(n):
         for j in range(n):
             m = i + j + 1  # 1-based index sum minus 1
             entry = bernoulli(m) / factorial(2 * m)
-            assert entry == 8 * scaled[i, j]
+            assert entry == 8 * F(-1, 4) ** (i + j + 2) * R[i, j]
 
 
 def test_parity_split_frozen_and_grid():
@@ -366,7 +365,7 @@ def test_factorial_dets_over_n_equal_the_single_n_evaluators(ell):
         # entry (i, j), 0-based, is X_{2m}/(2m)! with m = i+j+ell+1
         entries = {m: numbers(m) / factorial(2 * m) for m in range(ell + 1, ell + 16)}
         for n in range(1, 9):
-            matrix = ExactMatrix.from_rows(
+            matrix = ExactMatrix(
                 [[entries[i + j + ell + 1] for j in range(n)] for i in range(n)]
             )
             assert dets[n - 1] == single(ell, n) == det_exact(matrix)
@@ -453,6 +452,22 @@ def test_routes_reject_nmax_below_one():
     for names in (None, ("closed",)):
         with pytest.raises(SingularParameter, match=r"^ell must be >= 0, got -1$"):
             rayleigh_routes(1, -1, 3, names)
+
+
+def test_routes_name_the_valid_routes_for_an_unknown_one():
+    # a misspelt route is a ParameterError listing the family's routes
+    p = CoulombParams(F(1, 3), F(1, 2))
+    with pytest.raises(ParameterError, match=r"^unknown route 'closd'; the routes are "
+                                             r"direct, closed, moments$"):
+        coulomb_routes(p, 3, ("closd",))
+    # the check reads the names once, so an iterator still selects its routes
+    assert coulomb_routes(p, 3, iter(["closed"])) == coulomb_routes(p, 3, ("closed",))
+    # the closed route of an ell without one is a known name that gives no entry;
+    # "dj" is the CLI's alias only
+    assert rayleigh_routes(1, 5, 2, ("closed",)) == {}
+    for names in (("dj",), ("direct", "closd")):
+        with pytest.raises(ParameterError, match=r"the routes are direct, desnanot-jacobi, closed$"):
+            rayleigh_routes(1, 5, 2, names)
 
 
 def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):

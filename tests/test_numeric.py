@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -12,9 +13,10 @@ from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
     Rect,
     _Evaluator,
+    _PhiSeries,
     _jacobi,
     _ql_eigenvalues,
-    _series,
+    _winding,
     count_zeros_region,
     default_search_region,
     find_complex_zeros,
@@ -228,6 +230,21 @@ def test_rect_rejects_degenerate_bounds_as_parameter_error(bounds):
         Rect(*bounds)
 
 
+@pytest.mark.parametrize("bounds", [(1, 2, 3), (1, 2, 3, 4, 5), 7, (-1, 1, 0, "1"), (-1, 1, 0j, 1)])
+def test_a_region_of_other_than_four_numbers_is_a_parameter_error(bounds):
+    # not iterable, the wrong count, or a bound that does not compare as a number
+    with pytest.raises(ParameterError, match=r"^a region is a Rect or four numbers, got "):
+        find_complex_zeros(-1.75, 1.5, search=bounds)
+    with pytest.raises(ParameterError, match=r"^a region is a Rect or four numbers, got "):
+        count_zeros_region(-1.75, 1.5, bounds)
+
+
+@pytest.mark.parametrize("L", [math.nan, -math.inf, math.inf])
+def test_default_search_region_rejects_a_non_finite_L(L):
+    with pytest.raises(ParameterError, match=r"^L must be finite, got "):
+        default_search_region(L)
+
+
 @pytest.mark.parametrize("L,eta", [(math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, math.nan)])
 def test_series_rejects_non_finite_parameters(L, eta):
     with pytest.raises(ParameterError, match="out of range"):
@@ -236,21 +253,43 @@ def test_series_rejects_non_finite_parameters(L, eta):
         find_complex_zeros(L, eta)
 
 
-def test_memo_keeps_signed_zeros_apart():
-    # 0.0 == -0.0, also as complex dict keys; the memo must still hold x+0j and
-    # x-0j as separate points and serve each the value the series gives there
-    tol = 1e-12
-    for L, eta in [(-1.75, 1.5), (-3.0, 0.0), (0.0, 0.0)]:
-        series = _series(L, eta)
-        for x in (0.3, -2.9, 4.4):
-            ev = _Evaluator(L, eta, tol)
-            points = [complex(x, 0.0), complex(x, -0.0), complex(0.0, x), complex(-0.0, x)]
-            for z in points:
-                assert repr(ev.phi(z)) == repr(series.eval(z, tol))
-            assert ev.stats["series_evals"] == len(points) and ev.stats["memo_hits"] == 0
-            for z in reversed(points):
-                assert repr(ev.phi(z)) == repr(series.eval(z, tol))
-            assert ev.stats["series_evals"] == len(points) == ev.stats["memo_hits"]
+def _bits(z: complex) -> bytes:
+    # 0.0 == -0.0, also as complex numbers; their bytes differ
+    return struct.pack("<2d", z.real, z.imag)
+
+
+@pytest.mark.parametrize("L,eta,bounds", [
+    (-4.75, 1.5, None),  # the finder's default region
+    (-1.75, 1.5, (-1.0, 1.0, 0.05, 1.0)),
+], ids=["default-region", "small-rectangle"])
+def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, bounds):
+    if bounds is None:
+        base = default_search_region(L)
+        bounds = (base.re_min, base.re_max, -0.01, base.im_max)
+    region = Rect(*bounds)
+    # on both, the closing edge's computed end point misses its start corner
+    corners = region.corners()
+    pieces = max(4, math.ceil(abs(corners[4] - corners[3]) / 0.4))
+    end = corners[3] + (corners[4] - corners[3]) * pieces / pieces
+    assert _bits(end) != _bits(corners[0])
+    summed = []
+    plain_eval = _PhiSeries.eval
+
+    def spy(self, rho, tol):
+        summed.append(_bits(rho))
+        return plain_eval(self, rho, tol)
+
+    monkeypatch.setattr(_PhiSeries, "eval", spy)
+    ev = _Evaluator(L, eta, 1e-12)
+    _winding(ev, region)
+    assert len(set(summed)) == len(summed) == ev.stats["series_evals"]
+    assert {_bits(corners[0]), _bits(end)} <= set(summed)
+
+
+def test_series_evals_on_the_default_region_stay_pinned():
+    # 234 sums for the winding count (each boundary point once), 24 Newton
+    # steps and 9 residuals
+    assert find_complex_zeros(-4.75, 1.5).stats["series_evals"] == 267
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -271,15 +310,13 @@ def test_zero_report_stats_count_the_work():
     report = find_complex_zeros(-2.75, 1.5)
     stats = report.stats
     assert set(stats) == {
-        "series_evals", "memo_hits", "newton_starts", "newton_steps",
+        "series_evals", "newton_starts", "newton_steps",
         "nudge_retries", "jacobi_n", "ql_sweeps",
     }
     assert all(type(v) is int and v >= 0 for v in stats.values())
     # one start per located zero at least, each start at least two steps
     assert stats["newton_starts"] >= len(report.zeros)
     assert stats["newton_steps"] >= 2 * stats["newton_starts"]
-    # the boundary's pieces share their corners
-    assert stats["memo_hits"] > 0
     assert stats["series_evals"] > stats["newton_steps"]
     # one Jacobi matrix of order 30 + ceil(3|L| + max|corner|), at least one sweep per seed
     assert stats["jacobi_n"] == 30 + math.ceil(3 * 2.75 + abs(report.region.corners()[2]))

@@ -121,3 +121,28 @@ def test_no_bare_assert_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def test_all_is_sorted_and_unique():
+    import czeta
+
+    assert czeta.__all__ == sorted(set(czeta.__all__))
+
+
+def test_every_name_in_all_resolves():
+    import czeta
+
+    missing = [name for name in czeta.__all__ if not hasattr(czeta, name)]
+    assert missing == []
+
+
+def test_every_public_attribute_is_exported():
+    # a stale export or an unlisted public name shows here; submodules are
+    # attributes too, bound by their import, and stay out of __all__
+    import types
+
+    import czeta
+
+    public = {name for name, value in vars(czeta).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(czeta.__all__)

@@ -13,7 +13,6 @@ from czeta.zeta import (
     genocchi,
     rayleigh,
     zeta_base,
-    zeta_extend,
     zeta_table,
 )
 
@@ -102,7 +101,7 @@ def test_validate_rejects_every_closed_formula_pole():
 def test_table_is_memoized_and_monotone():
     t = zeta_table(CoulombParams(0, 1), 4)
     first = t.values()
-    zeta_extend(t, 10)
+    t.extend_to(10)
     assert t.values()[: len(first)] == first
     assert t.kmax == 10
 
@@ -125,18 +124,18 @@ def test_table_is_memoized_and_monotone():
 )
 def test_table_grown_in_steps_equals_one_call(L, eta):
     # the two scales of ZetaTable survive growth in any steps, through
-    # zeta_extend and through .value(k) past kmax
+    # extend_to and through .value(k) past kmax
     p = CoulombParams(L, eta)
     whole = zeta_table(p, 110).values()
     single = zeta_table(p, 2)
     for kmax in range(3, 111):
-        zeta_extend(single, kmax)
+        single.extend_to(kmax)
     assert single.values() == whole
     rng = random.Random(f"{L} {eta}")
     uneven, by_value, kmax = zeta_table(p, 2), zeta_table(p, 2), 2
     while kmax < 110:
         kmax = min(110, kmax + rng.choice((1, 2, 3, 7, 13, 29)))
-        zeta_extend(uneven, kmax)
+        uneven.extend_to(kmax)
         assert by_value.value(kmax) == whole[kmax - 2]
     assert uneven.values() == by_value.values() == whole
     assert uneven == by_value == single
@@ -158,7 +157,7 @@ def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
     # grown in other steps, the scales and numerators differ; the tables do not
     stepped = zeta_table(p, 3)
     for kmax in (5, 8, 12):
-        zeta_extend(stepped, kmax)
+        stepped.extend_to(kmax)
     assert stepped == table and repr(stepped) == repr(table)
     assert stepped != zeta_table(p, 13)
     assert table != zeta_table(CoulombParams(F(-1, 3), F(1, 3)), 12)
@@ -231,9 +230,8 @@ def test_bernoulli_frozen_small_cases():
 def test_zeta_input_checks_name_the_bad_index():
     params = CoulombParams(0, 1)
     table = zeta_table(params, 3)
-    for call in (lambda: zeta_table(params, 1), lambda: zeta_extend(table, 1)):
-        with pytest.raises(SingularParameter, match=r"^kmax must be >= 2, got 1$"):
-            call()
+    with pytest.raises(SingularParameter, match=r"^kmax must be >= 2, got 1$"):
+        zeta_table(params, 1)
     with pytest.raises(SingularParameter, match=r"^zeta_L\(k\) requires k >= 2, got 1$"):
         table.value(1)
     with pytest.raises(SingularParameter, match=r"^Rayleigh order requires k >= 1, got 0$"):
