@@ -32,7 +32,6 @@ from .hankel import (
     bernoulli_hankel_det,
     build_coulomb_hankel,
     build_rayleigh_hankel,
-    coulomb_hankel_det,
     coulomb_routes,
     det_coulomb_closed,
     det_coulomb_via_moments,
@@ -42,7 +41,6 @@ from .hankel import (
     det_rayleigh_ell3,
     genocchi_hankel_det,
     parity_split_check,
-    rayleigh_hankel_det,
     rayleigh_routes,
     recurrence_coeffs,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "build_coulomb_hankel",
     "build_rayleigh_hankel",
     "classify",
-    "coulomb_hankel_det",
     "coulomb_routes",
     "count_zeros_region",
     "dd_product_closed",
@@ -99,7 +96,6 @@ __all__ = [
     "phi",
     "phi_derivative",
     "rayleigh",
-    "rayleigh_hankel_det",
     "rayleigh_routes",
     "recurrence_coeffs",
     "zeta_base",

@@ -1,23 +1,20 @@
 """Hankel matrices of spectral zeta / Rayleigh values and their closed determinants.
 
-Every closed formula here is a standalone evaluator, and the public
-determinant entry points (`coulomb_hankel_det`, `rayleigh_hankel_det`) always
-return the direct fraction-free determinant, optionally cross-checking it
-against the closed routes.  Formulas never silently replace computation.
-
 Each family's routes are named once, in `coulomb_routes` and `rayleigh_routes`,
-and the `verify=True` checks, the CLI and `verify-all` all evaluate them there.
-A route answers every n = 1..nmax in one evaluation (direct: the leading minors
-of the nmax matrix; closed: one running product over n, which also gives
-`czeta.classify` its D_{n-1} D_n; Desnanot-Jacobi: one row table of the
-recursion, with one direct pass for the degenerate n), and a single-n consumer
-reads the last entry.  So do the Bernoulli and Genocchi determinants.  The
-Rayleigh, Bernoulli and Genocchi closed forms all come from one running Rayleigh
-product per (nu, ell), the latter two at nu = 1/2 and -1/2, rescaled.
-`leading_minors` is the only determinant entry point (it takes the Chebyshev
-algorithm for these Hankel matrices, and Bareiss only when a leading minor below
-the last vanishes), and every sigma_{2k}(nu) comes from one helper,
-`czeta.zeta._sigmas`.
+the public way to evaluate a determinant: the direct fraction-free minors
+first, then every other route, so a caller checks an identity by comparing the
+routes' values, as the CLI and `verify-all` do.  Formulas never silently
+replace computation.  A route answers every n = 1..nmax in one evaluation
+(direct: the leading minors of the nmax matrix; closed: one running product
+over n, which also gives `czeta.classify` its D_{n-1} D_n; Desnanot-Jacobi: one
+row table of the recursion, with one direct pass for the degenerate n), and a
+single-n consumer reads the last entry.  So do the Bernoulli and Genocchi
+determinants.  The Rayleigh, Bernoulli and Genocchi closed forms all come from
+one running Rayleigh product per (nu, ell), the latter two at nu = 1/2 and
+-1/2, rescaled.  `leading_minors` is the only determinant entry point (it takes
+the Chebyshev algorithm for these Hankel matrices, and Bareiss only when a
+leading minor below the last vanishes), and every sigma_{2k}(nu) comes from one
+helper, `czeta.zeta._sigmas`.
 """
 
 from __future__ import annotations
@@ -317,7 +314,9 @@ _RAYLEIGH_ROUTES = {
 
 
 def _route_names(names, routes: dict) -> tuple:
-    """`names`, or every route when empty; an unknown name raises ParameterError."""
+    """`names`, or every route when empty; a string or an unknown name raises ParameterError."""
+    if isinstance(names, str):
+        raise ParameterError(f"names is a sequence of route names, got the string {names!r}")
     names = tuple(names or routes)  # read once: `names` may be an iterator
     unknown = [name for name in names if name not in routes]
     if unknown:
@@ -348,35 +347,6 @@ def rayleigh_routes(
         for name in _route_names(names, _RAYLEIGH_ROUTES)
         if name != "closed" or ell in _RAYLEIGH_POLY
     }
-
-
-def _agreed(routes: dict[str, list[Fraction]], where: str) -> Fraction:
-    """The direct route's last value, when every route's last value equals it."""
-    last = {name: dets[-1] for name, dets in routes.items()}
-    if len(set(last.values())) != 1:
-        raise VerificationError(f"determinant routes disagree at ({where}): "
-                                + ", ".join(f"{name}={value}" for name, value in last.items()))
-    return last["direct"]
-
-
-def coulomb_hankel_det(params: CoulombParams, n: int, verify: bool = False) -> Fraction:
-    """Direct determinant of the zeta Hankel matrix.
-
-    With verify=True the closed product and the moment route are evaluated as
-    well and a mismatch raises VerificationError.
-    """
-    names = None if verify else ("direct",)
-    return _agreed(coulomb_routes(params, n, names), f"L={params.L}, eta={params.eta}, n={n}")
-
-
-def rayleigh_hankel_det(nu: Fraction | int, ell: int, n: int, verify: bool = False) -> Fraction:
-    """Direct determinant of the Rayleigh Hankel matrix.
-
-    With verify=True the Desnanot-Jacobi route (and the closed form when one
-    exists for this ell) must reproduce the direct value.
-    """
-    names = None if verify else ("direct",)
-    return _agreed(rayleigh_routes(nu, ell, n, names), f"nu={nu}, ell={ell}, n={n}")
 
 
 def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
@@ -448,7 +418,7 @@ def parity_split_check(nu: Fraction | int, n: int) -> ParitySplit:
     params = CoulombParams(nu - Fraction(1, 2), Fraction(0))
     d_zeta = coulomb_routes(params, 2 * n + 1, ("direct",))["direct"]
     d_ray0 = rayleigh_routes(nu, 0, n + 1, ("direct",))["direct"]
-    d_ray1 = rayleigh_hankel_det(nu, 1, n)
+    d_ray1 = rayleigh_routes(nu, 1, n, ("direct",))["direct"][-1]
     odd = (d_zeta[2 * n], Fraction(2 ** (2 * n + 1)) * d_ray0[n] * d_ray1)
     even = (d_zeta[2 * n - 1], Fraction(2 ** (2 * n)) * d_ray0[n - 1] * d_ray1)
     return ParitySplit(odd=odd, even=even)

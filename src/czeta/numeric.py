@@ -280,16 +280,18 @@ def _phase_along_edge(ev: _Evaluator, za, zb, fa, fb, depth=42) -> float:
 
 
 def _winding(ev: _Evaluator, region: Rect) -> int:
-    # one list of boundary points: each edge after the first starts from the
-    # previous edge's computed end point, so no point is summed twice
+    # each edge after the first starts from the previous edge's computed end
+    # point, so no point is summed twice; each point is summed as it is made, so
+    # a point the series cannot reach raises before the rest of the boundary exists
     corners = region.corners()
-    pts = corners[:1]
+    pts = [(corners[0], ev.phi(corners[0]))]
     for ca, cb in zip(corners, corners[1:]):
         pieces = max(4, math.ceil(abs(cb - ca) / 0.4))
-        pts += [ca + (cb - ca) * i / pieces for i in range(1, pieces + 1)]
-    vals = [ev.phi(p) for p in pts]
+        for i in range(1, pieces + 1):
+            z = ca + (cb - ca) * i / pieces
+            pts.append((z, ev.phi(z)))
     total = 0.0
-    for za, zb, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+    for (za, fa), (zb, fb) in zip(pts, pts[1:]):
         total += _phase_along_edge(ev, za, zb, fa, fb)
     turns = total / (2 * math.pi)
     count = round(turns)

@@ -60,31 +60,34 @@ def test_hankel_det_verification_failure_exits_2(capsys, monkeypatch):
     assert code == 2
 
 
-def test_hankel_det_takes_the_route_decision_from_czeta_hankel(capsys, monkeypatch):
-    # every route gives 1/135; a decision that says otherwise must still reach
-    # the command, which prints its record and exits 2
-    from czeta.errors import VerificationError
+def test_hankel_det_compares_the_routes_last_entries(capsys, monkeypatch):
+    # the command prints what it compares: a moment route off at n = 1 only
+    # still agrees at n = 2, and one off at n = 2 prints its record and exits 2
+    import czeta.hankel
 
-    def disagree(routes, where):
-        raise VerificationError(f"forced at ({where})")
-
-    monkeypatch.setattr("czeta.cli._agreed", disagree)
+    real_moments = czeta.hankel._coulomb_moments
     argv = ["--format", "json", "hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"]
-    code, out, _ = run(capsys, argv)
-    payload = json.loads(out)
-    assert code == 2 and payload["verification"]["routes_equal"] is False
-    assert payload["results"] == {"det": "1/135", "closed": "1/135", "moments": "1/135"}
+    for wrong, code_wanted in ((0, 0), (1, 2)):
+        def moments(params, nmax, wrong=wrong):
+            dets = real_moments(params, nmax)
+            dets[wrong] *= 2
+            return dets
+
+        monkeypatch.setattr(czeta.hankel, "_coulomb_moments", moments)
+        code, out, _ = run(capsys, argv)
+        payload = json.loads(out)
+        assert code == code_wanted and payload["verification"]["routes_equal"] is (code == 0)
+        assert payload["results"] == {"det": "1/135", "closed": "1/135",
+                                      "moments": "2/135" if wrong else "1/135"}
 
 
 def test_one_closed_product_reaches_api_cli_and_verify_all(capsys, monkeypatch):
     # every consumer of the Coulomb family evaluates the routes defined in czeta.hankel
-    from czeta.errors import VerificationError
-    from czeta.hankel import coulomb_hankel_det
-    from czeta.zeta import CoulombParams
+    from czeta import CoulombParams, coulomb_routes
 
     monkeypatch.setattr("czeta.hankel._coulomb_closed", lambda p, nmax: [F(999)] * nmax)
-    with pytest.raises(VerificationError, match="closed=999"):
-        coulomb_hankel_det(CoulombParams(0, 0), 2, verify=True)
+    routes = coulomb_routes(CoulombParams(0, 0), 2)
+    assert routes["closed"] == [999, 999] and routes["direct"][-1] == F(1, 135)
     code, out, _ = run(
         capsys, ["--format", "json", "hankel-det", "--L", "0", "--eta", "0", "--n", "2", "--verify"]
     )
@@ -434,3 +437,14 @@ def test_a_reader_closing_stdout_early_gets_exit_1_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_the_readme_command_lines_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()
+             if line.startswith("czeta ")]
+    assert len(lines) >= 9
+    for argv in lines:
+        code, _, err = run(capsys, argv[1:])
+        assert code == 0, (argv, err)

@@ -15,7 +15,6 @@ from czeta.classify import classify, dd_product_closed
 from czeta.errors import ParameterError, VerificationError
 from czeta.exact import ExactMatrix, det_exact, leading_minors
 from czeta.hankel import (
-    coulomb_hankel_det,
     coulomb_routes,
     det_coulomb_closed,
     det_coulomb_via_moments,
@@ -50,7 +49,6 @@ def _coulomb_records() -> list[str]:
         ("det_coulomb_closed", lambda p: det_coulomb_closed(p, 6)),
         ("det_coulomb_via_moments", lambda p: det_coulomb_via_moments(p, 6)),
         ("coulomb_routes", lambda p: coulomb_routes(p, 5)),
-        ("coulomb_hankel_det", lambda p: coulomb_hankel_det(p, 4, verify=True)),
         ("classify", classify),
         ("classify2", lambda p: classify(p, 2)),
         *((f"dd_product_closed{n}", lambda p, n=n: dd_product_closed(p, n)) for n in range(5)),
@@ -145,7 +143,7 @@ def test_probe_covers_every_rejection():
 
 def test_coulomb_domain_behaviour_is_pinned():
     assert _digest(_coulomb_records()) == (
-        "1576c4b7961233409acf7cbfa52250ded40dd7765a5388e7fe1df7b4fd7c213a"
+        "ebe49bb9aae2c76a6bcce2187cd3a22466f7bf15faf9b146356160735dff77fa"
     )
 
 

@@ -9,7 +9,6 @@ from czeta.hankel import (
     bernoulli_hankel_det,
     build_coulomb_hankel,
     build_rayleigh_hankel,
-    coulomb_hankel_det,
     coulomb_routes,
     det_coulomb_closed,
     det_coulomb_via_moments,
@@ -19,7 +18,6 @@ from czeta.hankel import (
     det_rayleigh_ell3,
     genocchi_hankel_det,
     parity_split_check,
-    rayleigh_hankel_det,
     rayleigh_routes,
     recurrence_coeffs,
     _rayleigh_products,
@@ -100,9 +98,16 @@ def test_three_routes_agree(L, eta):
         assert direct == det_coulomb_closed(p, n) == det_coulomb_via_moments(p, n)
 
 
+def _last_entries(routes):
+    return {name: dets[-1] for name, dets in routes.items()}
+
+
 def test_public_entry_point_verifies():
-    assert coulomb_hankel_det(CoulombParams(0, 0), 2, verify=True) == F(1, 135)
-    assert rayleigh_hankel_det(F(1), 2, 2, verify=True) == det_rayleigh_ell2(1, 2)
+    # a family is checked by comparing the last entries of its routes
+    assert _last_entries(coulomb_routes(CoulombParams(0, 0), 2)) == dict.fromkeys(
+        ("direct", "closed", "moments"), F(1, 135))
+    assert _last_entries(rayleigh_routes(F(1), 2, 2)) == dict.fromkeys(
+        ("direct", "desnanot-jacobi", "closed"), det_rayleigh_ell2(1, 2))
 
 
 def test_build_rayleigh_hankel_frozen():
@@ -284,7 +289,7 @@ def test_coulomb_routes_over_n_equal_the_single_n_evaluators(L, eta):
     routes = coulomb_routes(p, 6)
     assert list(routes) == ["direct", "closed", "moments"]
     for n in range(1, 7):
-        assert routes["direct"][n - 1] == coulomb_hankel_det(p, n, verify=True)
+        assert set(_last_entries(coulomb_routes(p, n)).values()) == {routes["direct"][n - 1]}
         assert routes["direct"][n - 1] == det_exact(build_coulomb_hankel(p, n).matrix)
         assert routes["closed"][n - 1] == det_coulomb_closed(p, n)
         assert routes["moments"][n - 1] == det_coulomb_via_moments(p, n)
@@ -342,7 +347,8 @@ def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell, monkeypatch):
                             else ["direct", "desnanot-jacobi"])
     for n in range(1, 5):
         direct = det_exact(build_rayleigh_hankel(nu, ell, n).matrix)
-        assert routes["direct"][n - 1] == direct == rayleigh_hankel_det(nu, ell, n, verify=True)
+        assert routes["direct"][n - 1] == direct
+        assert set(_last_entries(rayleigh_routes(nu, ell, n)).values()) == {direct}
         assert routes["desnanot-jacobi"][n - 1] == det_rayleigh_dj(nu, ell, n) == direct
         if ell == 3:
             assert routes["closed"][n - 1] == det_rayleigh_ell3(nu, n)
@@ -470,6 +476,17 @@ def test_routes_name_the_valid_routes_for_an_unknown_one():
             rayleigh_routes(1, 5, 2, names)
 
 
+def test_routes_refuse_one_string_of_names():
+    # a bare string would be read letter by letter; None and () still mean every route
+    p = CoulombParams(F(1, 3), F(1, 2))
+    for routes, args in ((coulomb_routes, (p, 2)), (rayleigh_routes, (1, 0, 2))):
+        with pytest.raises(ParameterError, match=r"^names is a sequence of route names, "
+                                                 r"got the string 'closed'$"):
+            routes(*args, "closed")
+        assert routes(*args, None) == routes(*args, ()) == routes(*args)
+    assert list(rayleigh_routes(1, 0, 2, ())) == ["direct", "desnanot-jacobi", "closed"]
+
+
 def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
     import czeta.exact
     import czeta.hankel
@@ -554,16 +571,13 @@ def _perturbed_products(monkeypatch, at_ell):
     monkeypatch.setattr(czeta.hankel, "_rayleigh_products", perturbed)
 
 
-def test_rayleigh_verification_names_the_disagreeing_routes(monkeypatch):
-    from czeta.errors import VerificationError
-
+def test_rayleigh_routes_show_which_route_disagrees(monkeypatch):
     _perturbed_products(monkeypatch, 0)
-    # one message format for both families: every route's value, direct first
-    with pytest.raises(VerificationError, match=(
-            r"^determinant routes disagree at \(nu=1, ell=0, n=2\): "
-            r"direct=1/73728, desnanot-jacobi=1/36864, closed=1/36864$")):
-        rayleigh_hankel_det(1, 0, 2, verify=True)
-    assert rayleigh_hankel_det(1, 0, 2) == det_exact(build_rayleigh_hankel(1, 0, 2).matrix)
+    # every route's value, direct first: the two built on the products are off
+    assert _last_entries(rayleigh_routes(1, 0, 2)) == {
+        "direct": F(1, 73728), "desnanot-jacobi": F(1, 36864), "closed": F(1, 36864)}
+    assert rayleigh_routes(1, 0, 2, ("direct",))["direct"][-1] == det_exact(
+        build_rayleigh_hankel(1, 0, 2).matrix)
 
 
 def test_desnanot_jacobi_computes_its_one_by_one_entries(monkeypatch):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import struct
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -150,6 +151,19 @@ def test_count_zeros_two_real_zeros():
 def test_count_zeros_rejects_zero_on_contour():
     with pytest.raises(ContourTooClose):
         count_zeros_region(0, 0, (2.8, 3.6, 0.0, 0.5))  # zero at pi on the bottom edge
+
+
+def test_a_region_out_of_reach_raises_before_its_boundary_is_built():
+    # the series cannot reach the first corner, rho = -1e5; the boundary holds
+    # about a million points, and none past that corner may be built
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence, match=r"at rho = \(-100000\+0j\)$"):
+            count_zeros_region(0.0, 0.0, (-1e5, 1e5, 0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_default_search_region_scales_with_pair_count():
@@ -376,10 +390,12 @@ def test_eigen_pair_counts_equal_classify_on_the_zeros_default_pairs():
 
 
 def test_eigen_pair_counts_equal_classify_on_deep_pairs():
-    rng = random.Random(20261019)
-    for _ in range(20):
-        L = -(rng.randrange(10, 46) + rng.choice((F(1, 4), F(3, 4), F(1, 3), F(2, 3))))
-        eta = F(rng.randrange(13), 4)
+    # every exact-deep L = -(m+q), m in 10..45, q in {1/4, 3/4, 1/3, 2/3}, with
+    # eta cycling through the 13 quarter steps over [0, 3]
+    Ls = [-(m + q) for m in range(10, 46) for q in (F(1, 4), F(3, 4), F(1, 3), F(2, 3))]
+    assert len(Ls) == 144
+    for i, L in enumerate(Ls):
+        eta = F(i % 13, 4)
         assert _eigen_pairs(L, eta) == classify(CoulombParams(L, eta)).pair_count, (L, eta)
 
 
