@@ -28,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul, truediv
 
 from ._record import Frozen, Record
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
@@ -130,18 +132,56 @@ class _PhiSeries(Record):
         if rho == 0:
             return complex(1.0), complex(c[1])
         L = self.L
-        s = complex(1.0)  # j = 0 term
-        comp = 0j
-        s1 = complex(c[1]) if want_derivative else 0j
-        comp1 = 0j
-        power = complex(1.0)
         abs_rho = abs(rho)
         swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
         twice_swing = 2 * swing
-        t_prev = 1.0
-        t_max = 1.0
+
+        # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
+        # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
+        # the shift keeps its association ((j + 2L) + 2), which decides
+        # the index where the sum stops
+        def bounds_tail(j: int) -> bool:
+            shift = j + 2 * L + 2
+            return shift > 0 and (j + 1) * shift >= twice_swing
+
+        # both factors only grow with j (in floats too), so the test fails
+        # below one index j0 and holds from j0 on: start at the real root of
+        # (j+1)(j+b) = 2*swing, b = 2L+2, and step to the first index it holds
+        b = 2 * L + 2
+        root = (math.sqrt((b - 1) * (b - 1) + 4 * twice_swing) - (b + 1)) / 2
+        j0 = max(1, math.ceil(root)) if root <= _SERIES_CAP else _SERIES_CAP + 1
+        while j0 > 1 and bounds_tail(j0 - 1):
+            j0 -= 1
+        while j0 <= _SERIES_CAP and not bounds_tail(j0):
+            j0 += 1
+
+        # below j0 no term can stop the sum: sum them without the stop test
+        self._ensure(min(j0 + _COEFF_CHUNK - 1, _SERIES_CAP))
+        powers = list(accumulate(repeat(rho, j0 - 1), mul, initial=complex(1.0)))
+        terms = list(map(mul, c[1:j0], powers[1:]))
+        s = complex(1.0)  # j = 0 term
+        comp = 0j
+        for term in terms:
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+        s1 = complex(c[1]) if want_derivative else 0j
+        comp1 = 0j
+        if want_derivative:
+            # (j c_j) rho^j / rho for j = 2 .. j0-1
+            for dterm in map(truediv, map(mul, map(mul, range(2, j0), c[2:j0]), powers[2:]),
+                             repeat(rho)):
+                y1 = dterm - comp1
+                t1 = s1 + y1
+                comp1 = (t1 - s1) - y1
+                s1 = t1
+        t_max = max([1.0, *map(abs, terms)])
+        t_prev = abs(terms[-1]) if terms else 1.0
+
+        power = powers[-1]
         known = len(c)
-        for j in range(1, _SERIES_CAP + 1):
+        for j in range(j0, _SERIES_CAP + 1):
             if j >= known:
                 self._ensure(min(j + _COEFF_CHUNK - 1, _SERIES_CAP))
                 known = len(c)
@@ -160,28 +200,22 @@ class _PhiSeries(Record):
             t_cur = abs(term)
             if t_cur > t_max:
                 t_max = t_cur
-            # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
-            # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
-            # the shift keeps its association ((j + 2L) + 2), which decides
-            # the index where the sum stops
-            shift = j + 2 * L + 2
-            if shift > 0 and (j + 1) * shift >= twice_swing:
-                last_two = t_prev if t_prev > t_cur else t_cur
-                tail = 2 * last_two
-                ok = tail <= tol * (1 + abs(s))
-                if ok and want_derivative:
-                    dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
-                    ok = dtail <= tol * (1 + abs(s1))
-                if ok:
-                    # cancellation guard: the rounding floor (epsilon times the
-                    # largest term) must stay far below the promised bound
-                    if 2.3e-16 * t_max > 1e6 * tol * (1 + abs(s)):
-                        raise NoConvergence(
-                            f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
-                            f"the tolerance at rho = {rho}; |rho| too large for "
-                            "double precision"
-                        )
-                    return s, s1
+            last_two = t_prev if t_prev > t_cur else t_cur
+            tail = 2 * last_two
+            ok = tail <= tol * (1 + abs(s))
+            if ok and want_derivative:
+                dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
+                ok = dtail <= tol * (1 + abs(s1))
+            if ok:
+                # cancellation guard: the rounding floor (epsilon times the
+                # largest term) must stay far below the promised bound
+                if 2.3e-16 * t_max > 1e6 * tol * (1 + abs(s)):
+                    raise NoConvergence(
+                        f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
+                        f"the tolerance at rho = {rho}; |rho| too large for "
+                        "double precision"
+                    )
+                return s, s1
             t_prev = t_cur
         raise NoConvergence(
             f"series for phi did not reach tol = {tol} within {_SERIES_CAP} terms "
@@ -334,23 +368,24 @@ def _nudged_winding(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
 def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     ev.stats["newton_starts"] += 1
     z, prev = z0, math.inf
-    for _ in range(_NEWTON_STEPS):
-        try:
+    # a value the series cannot reach, the polishing step's included, fails the start
+    try:
+        for _ in range(_NEWTON_STEPS):
             f, df = ev.newton_values(z)
-        except NoConvergence:
-            return None
-        if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
-            return None
-        dz = f / df
-        z = z - dz
-        step = abs(dz)
-        # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
-        if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
-            f, df = ev.newton_values(z)
-            if df != 0:
-                z = z - f / df
-            return z
-        prev = step
+            if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
+                return None
+            dz = f / df
+            z = z - dz
+            step = abs(dz)
+            # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
+            if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
+                f, df = ev.newton_values(z)
+                if df != 0:
+                    z = z - f / df
+                return z
+            prev = step
+    except NoConvergence:
+        return None
     return None
 
 
@@ -441,13 +476,14 @@ def find_complex_zeros(
     """Locate and classify all zeros in a rectangle.
 
     Newton iteration from the eigenvalue seeds of the N x N Jacobi matrix,
-    N = 30 + ceil(3|L| + max|corner|), must reach as many distinct zeros inside
-    the rectangle as its winding count; otherwise N grows by 3/2, at most
-    twice, and then NoConvergence is raised.  The default rectangle is
-    `default_search_region` with its lower edge dropped slightly below the
-    real axis, so that real zeros are interior points of the contour.  search
-    is a Rect or four numbers, and tol the series tolerance of every
-    evaluation, positive and finite; anything else raises ParameterError.
+    N = 10 + ceil(2|L| + reach/2) with reach = max|corner|, must reach as many
+    distinct zeros inside the rectangle as its winding count; otherwise N
+    grows by 3/2, at most twice, and then NoConvergence is raised.  The
+    default rectangle is `default_search_region` with its lower edge dropped
+    slightly below the real axis, so that real zeros are interior points of
+    the contour.  search is a Rect or four numbers, and tol the series
+    tolerance of every evaluation, positive and finite; anything else raises
+    ParameterError.
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
@@ -458,7 +494,7 @@ def find_complex_zeros(
 
     region, total = _nudged_winding(ev, region)
     reach = max(abs(c) for c in region.corners())
-    first = 30 + math.ceil(3 * abs(float(L)) + reach)
+    first = 10 + math.ceil(2 * abs(float(L)) + reach / 2)
     found: list[complex] = []
     for size in (first, first * 3 // 2, first * 3 // 2 * 3 // 2):
         if len(found) == total:

@@ -24,6 +24,7 @@ from czeta.numeric import (
     phi,
     phi_derivative,
 )
+from czeta.verify import load_grid
 from czeta.zeta import CoulombParams
 
 from oracles import bessel_normalized, phi_hyp1f1, phi_mpmath
@@ -301,9 +302,9 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
 
 
 def test_series_evals_on_the_default_region_stay_pinned():
-    # 234 sums for the winding count (each boundary point once), 24 Newton
+    # 234 sums for the winding count (each boundary point once), 27 Newton
     # steps and 9 residuals
-    assert find_complex_zeros(-4.75, 1.5).stats["series_evals"] == 267
+    assert find_complex_zeros(-4.75, 1.5).stats["series_evals"] == 270
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -332,12 +333,71 @@ def test_zero_report_stats_count_the_work():
     assert stats["newton_starts"] >= len(report.zeros)
     assert stats["newton_steps"] >= 2 * stats["newton_starts"]
     assert stats["series_evals"] > stats["newton_steps"]
-    # one Jacobi matrix of order 30 + ceil(3|L| + max|corner|), at least one sweep per seed
-    assert stats["jacobi_n"] == 30 + math.ceil(3 * 2.75 + abs(report.region.corners()[2]))
+    # one Jacobi matrix of order 10 + ceil(2|L| + max|corner|/2), at least one sweep per seed
+    assert stats["jacobi_n"] == 10 + math.ceil(2 * 2.75 + abs(report.region.corners()[2]) / 2)
     assert stats["ql_sweeps"] >= stats["newton_starts"]
     # the counters describe the call, not the result
     again = find_complex_zeros(-2.75, 1.5)
     assert again == report and again.stats == stats
+
+
+def _first_jacobi_order(L: float, region: Rect) -> int:
+    return 10 + math.ceil(2 * abs(L) + max(abs(c) for c in region.corners()) / 2)
+
+
+def _region_calls():
+    """(L, eta, search) of the verify grid's zeros and hurwitz finder calls and
+    of default regions across the zeros-default L and eta range."""
+    grid = load_grid()
+    calls = [(c["L"], c["eta"], tuple(c["region"])) for c in grid["zeros"]["cases"]]
+    calls += [(float(c["nu"]) - 0.5, 0.0, None) for c in grid["hurwitz"]["cases"]]
+    # (-4.75, 3) is left out: the series cannot reach its default region, and
+    # the finder raises NoConvergence there at any order
+    calls += [(L, eta, None) for L in (-0.25, -1.75, -3.25, -4.75) for eta in (0.0, 1.5, 3.0)
+              if (L, eta) != (-4.75, 3.0)]
+    return calls
+
+
+@pytest.mark.parametrize("L,eta,search", _region_calls())
+def test_the_first_jacobi_order_suffices(L, eta, search):
+    # growth by 3/2 is only the fallback: the order sized by the rectangle
+    # already seeds every zero the winding count certifies
+    report = find_complex_zeros(L, eta, search=search)
+    first = _first_jacobi_order(L, report.region) if report.zeros else 0
+    assert report.stats["jacobi_n"] == first
+    assert report.stats["newton_starts"] == len(report.zeros)
+
+
+def test_a_small_rectangle_far_out_forms_a_small_matrix():
+    # one zero at |rho| ~ 12 and L = -20.25: the order follows the rectangle
+    # (58, no growth), not a bound for the whole plane
+    report = find_complex_zeros(-20.25, 1.5, search=(1, 3, 11, 13))
+    assert report.zeros == (complex(1.8685063924949652, 11.86785960098524),)
+    assert report.stats["jacobi_n"] == 58 == _first_jacobi_order(-20.25, report.region)
+    assert report.stats["newton_starts"] == 1
+
+
+def test_a_polishing_step_out_of_reach_fails_only_its_start(monkeypatch):
+    # the only zero here is pi; its first start's last (polishing) step raises,
+    # so that start fails, the matrix grows once and the next start finds pi
+    search = (2, 4, -0.5, 0.5)
+    clean = find_complex_zeros(0, 0, search=search)
+    assert clean.stats["newton_starts"] == 1
+    polish_call = clean.stats["newton_steps"]
+    calls = []
+    plain = _Evaluator.newton_values
+
+    def newton_values(self, z):
+        calls.append(z)
+        if len(calls) == polish_call:
+            raise NoConvergence("polishing step out of reach")
+        return plain(self, z)
+
+    monkeypatch.setattr(_Evaluator, "newton_values", newton_values)
+    report = find_complex_zeros(0, 0, search=search)
+    assert report.zeros == clean.zeros
+    assert report.stats["newton_starts"] == 2
+    assert report.stats["jacobi_n"] == clean.stats["jacobi_n"] * 3 // 2
 
 
 @pytest.mark.parametrize("L", [-4.75, -2.75])
@@ -400,7 +460,7 @@ def test_eigen_pair_counts_equal_classify_on_deep_pairs():
 
 
 def test_seed_count_mismatch_grows_the_matrix_twice_then_raises(monkeypatch):
-    # a winding total one above the zeros there: N grows 39 -> 58 -> 87, then NoConvergence
+    # a winding total one above the zeros there: N grows 15 -> 22 -> 33, then NoConvergence
     import czeta.numeric
 
     sizes = []
@@ -410,7 +470,7 @@ def test_seed_count_mismatch_grows_the_matrix_twice_then_raises(monkeypatch):
                         lambda L, eta, size: sizes.append(size) or real_jacobi(L, eta, size))
     with pytest.raises(NoConvergence, match=r"^Newton reached 2 distinct zeros .* is 3$"):
         find_complex_zeros(0.0, 0.0)
-    assert sizes == [39, 58, 87]
+    assert sizes == [15, 22, 33]
 
 
 def test_outer_contour_through_a_zero_is_nudged():

@@ -7,7 +7,9 @@ evaluation order) must leave these digests unchanged; a change that means to
 alter the numbers must re-pin them and say why.
 """
 
+import cmath
 import hashlib
+import math
 import random
 
 import pytest
@@ -42,6 +44,20 @@ def _points() -> list[tuple[float, float, complex, float]]:
         points.append((L, eta, complex(60.0, 0.0), 1e-12))
         points.append((L, eta, complex(30.0, -30.0), 1e-12))
         points.append((L, eta, complex(2.0, 1.0), 1e-300))
+    return points
+
+
+def _far_points() -> list[tuple[float, float, complex, float]]:
+    """Points where the series sums many terms before its tail test can hold:
+    |rho| in [8, 30] at zeros-default (L, eta) pairs (L = -(k+q), k in 0..8,
+    q in {1/4, 3/4}, eta in quarter steps over [0, 3])."""
+    rng = random.Random(20261019)
+    points = []
+    for _ in range(200):
+        L = -(rng.randrange(9) + rng.choice((0.25, 0.75)))
+        eta = rng.randrange(13) / 4
+        rho = cmath.rect(rng.uniform(8, 30), rng.uniform(-math.pi, math.pi))
+        points.append((L, eta, rho, rng.choice((1e-12, 1e-8))))
     return points
 
 
@@ -96,6 +112,15 @@ def test_phi_derivative_values_are_pinned():
     assert _digest(lines) == "a8d19d7c5dd3e191baa71acde9dc9872a20e17da5bda7f931dcbfe137b9b9ada"
 
 
+@pytest.mark.parametrize("fn,digest", [
+    (phi, "0d51eaab632c4b4202481efca8ce49d8d996fe4d3cae0371b9674b49c75d598e"),
+    (phi_derivative, "424dc204ea4f14143377512b0da260d3528a82091ed9269d9beb86db6d5c0e5a"),
+], ids=["phi", "phi_derivative"])
+def test_long_sums_are_pinned(fn, digest):
+    lines = [f"{p!r} {_outcome(fn, *p)}" for p in _far_points()]
+    assert _digest(lines) == digest
+
+
 def test_pinned_zeros_validate_against_high_precision():
     # |phi(z)| / |phi'(z)| bounds the distance to the true zero, so every pinned
     # zero lies within 1e-10 (relative to 1 + |phi'|) of one of mpmath's
@@ -109,7 +134,7 @@ def test_pinned_zeros_validate_against_high_precision():
 
 
 def test_zero_reports_are_pinned():
-    assert _digest(_finder_reports()) == "19dcc3649fe2d54a940e9a3cd052d33031d570c2a1ed96a56205bd85f2943525"
+    assert _digest(_finder_reports()) == "908ca9a4d3524e0aeadb5547521840a1eb40254bf1ffd91c12575ff4bf7ca5a3"
 
 
 def test_stop_index_keeps_the_shift_association():
