@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul, truediv
 
-from ._record import Frozen, Record
+from ._record import Frozen
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 
 _SERIES_CAP = 500
@@ -52,14 +52,6 @@ class Rect(Frozen):
         if not (-math.inf < re_min < re_max < math.inf and -math.inf < im_min < im_max < math.inf):
             raise ParameterError(f"degenerate rectangle {self}")
 
-    @property
-    def width(self) -> float:
-        return self.re_max - self.re_min
-
-    @property
-    def height(self) -> float:
-        return self.im_max - self.im_min
-
     def corners(self) -> list[complex]:
         """Counterclockwise boundary corners, closed."""
         return [
@@ -74,8 +66,8 @@ class Rect(Frozen):
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
 
     def expand(self, factor: float) -> "Rect":
-        dw = factor * self.width
-        dh = factor * self.height
+        dw = factor * (self.re_max - self.re_min)
+        dh = factor * (self.im_max - self.im_min)
         return Rect(self.re_min - dw, self.re_max + dw, self.im_min - dh, self.im_max + dh)
 
 
@@ -87,24 +79,54 @@ def _as_rect(region: Rect | tuple) -> Rect:
         raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 
-class _PhiSeries(Record):
-    """Lazily extended coefficient table for one (L, eta) parameter pair."""
+@lru_cache(maxsize=128)
+def _series(L: float, eta: float) -> tuple[float, float, list[float]]:
+    """(L, eta, coefficients) of one parameter pair, as first built; every
+    evaluator of an equal pair extends the same coefficient list."""
+    b = 2 * L + 2
+    if not (math.isfinite(b) and math.isfinite(eta)):
+        raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
+    b_round = round(b)
+    if abs(b - b_round) < 1e-9 and b_round <= 0:
+        # nonpositive integer series parameter; only the eta = 0 even
+        # (Bessel-type) branch with integer L stays meaningful
+        if not (eta == 0 and b_round % 2 == 0):
+            raise SingularB(
+                f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
+            )
+    return L, eta, [1.0]
 
-    __slots__ = ("L", "eta", "coeffs")
 
-    def __init__(self, L: float, eta: float):
-        b = 2 * L + 2
-        if not (math.isfinite(b) and math.isfinite(eta)):
-            raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
-        b_round = round(b)
-        if abs(b - b_round) < 1e-9 and b_round <= 0:
-            # nonpositive integer series parameter; only the eta = 0 even
-            # (Bessel-type) branch with integer L stays meaningful
-            if not (eta == 0 and b_round % 2 == 0):
-                raise SingularB(
-                    f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
-                )
-        self.L, self.eta, self.coeffs = L, eta, [1.0]
+# the keys of ZeroReport.stats, described there
+_STAT_NAMES = (
+    "series_evals", "newton_starts", "newton_steps",
+    "nudge_retries", "jacobi_n", "ql_sweeps",
+)
+
+
+class _Evaluator:
+    """One call's access to the series of one (L, eta): its tolerance and counters."""
+
+    __slots__ = ("L", "eta", "coeffs", "tol", "stats")
+
+    def __init__(self, L: float, eta: float, tol: float):
+        # a nan or non-positive tolerance would run the whole series and only
+        # then fail as NoConvergence
+        if not 0 < tol < math.inf:
+            raise ParameterError(f"tol must be positive and finite, got {tol}")
+        self.L, self.eta, self.coeffs = _series(float(L), float(eta))
+        self.tol = tol
+        self.stats = dict.fromkeys(_STAT_NAMES, 0)
+
+    def phi(self, z: complex) -> complex:
+        self.stats["series_evals"] += 1
+        return self._sum(z, self.tol, want_derivative=False)[0]
+
+    def newton_values(self, z: complex) -> tuple[complex, complex]:
+        """Value and derivative for one Newton step."""
+        self.stats["series_evals"] += 1
+        self.stats["newton_steps"] += 1
+        return self._sum(z, self.tol, want_derivative=True)
 
     def _ensure(self, n: int) -> None:
         c = self.coeffs
@@ -118,12 +140,6 @@ class _PhiSeries(Record):
                 continue
             prev2 = c[j - 2] if j >= 2 else 0.0
             c.append((2 * self.eta * c[j - 1] - prev2) / denom)
-
-    def eval(self, rho: complex, tol: float) -> complex:
-        return self._sum(rho, tol, want_derivative=False)[0]
-
-    def eval_with_derivative(self, rho: complex, tol: float) -> tuple[complex, complex]:
-        return self._sum(rho, tol, want_derivative=True)
 
     def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
         rho = complex(rho)
@@ -223,18 +239,6 @@ class _PhiSeries(Record):
         )
 
 
-@lru_cache(maxsize=128)
-def _series(L: float, eta: float) -> _PhiSeries:
-    return _PhiSeries(L, eta)
-
-
-def _check_tol(tol: float) -> None:
-    # a nan or non-positive tolerance would run the whole series and only
-    # then fail as NoConvergence
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
-
-
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
@@ -243,43 +247,12 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     parameters where the series is undefined and NoConvergence when the term
     cap is exhausted (practically, |rho| far beyond desk scale).
     """
-    _check_tol(tol)
-    return _series(float(L), float(eta)).eval(complex(rho), tol)
+    return _Evaluator(L, eta, tol).phi(rho)
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """d/drho of the entire factor, by term-wise differentiation of the series."""
-    _check_tol(tol)
-    return _series(float(L), float(eta)).eval_with_derivative(complex(rho), tol)[1]
-
-
-# the keys of ZeroReport.stats, described there
-_STAT_NAMES = (
-    "series_evals", "newton_starts", "newton_steps",
-    "nudge_retries", "jacobi_n", "ql_sweeps",
-)
-
-
-class _Evaluator:
-    """One finder or counting call's access to a series, with its counters."""
-
-    __slots__ = ("series", "tol", "stats")
-
-    def __init__(self, L: float, eta: float, tol: float):
-        _check_tol(tol)
-        self.series = _series(float(L), float(eta))
-        self.tol = tol
-        self.stats = dict.fromkeys(_STAT_NAMES, 0)
-
-    def phi(self, z: complex) -> complex:
-        self.stats["series_evals"] += 1
-        return self.series.eval(z, self.tol)
-
-    def newton_values(self, z: complex) -> tuple[complex, complex]:
-        """Value and derivative for one Newton step."""
-        self.stats["series_evals"] += 1
-        self.stats["newton_steps"] += 1
-        return self.series.eval_with_derivative(z, self.tol)
+    return _Evaluator(L, eta, tol).newton_values(rho)[1]
 
 
 def default_search_region(L: float) -> Rect:
@@ -487,19 +460,19 @@ def find_complex_zeros(
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
-        base = default_search_region(float(L))
+        base = default_search_region(ev.L)
         region = Rect(base.re_min, base.re_max, -0.01, base.im_max)
     else:
         region = _as_rect(search)
 
     region, total = _nudged_winding(ev, region)
     reach = max(abs(c) for c in region.corners())
-    first = 10 + math.ceil(2 * abs(float(L)) + reach / 2)
+    first = 10 + math.ceil(2 * abs(ev.L) + reach / 2)
     found: list[complex] = []
     for size in (first, first * 3 // 2, first * 3 // 2 * 3 // 2):
         if len(found) == total:
             break
-        eigs, sweeps = _ql_eigenvalues(*_jacobi(float(L), float(eta), size))
+        eigs, sweeps = _ql_eigenvalues(*_jacobi(ev.L, ev.eta, size))
         ev.stats["jacobi_n"] = size
         ev.stats["ql_sweeps"] += sweeps
         found = []

@@ -14,8 +14,8 @@ from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
     Rect,
     _Evaluator,
-    _PhiSeries,
     _jacobi,
+    _series,
     _ql_eigenvalues,
     _winding,
     count_zeros_region,
@@ -288,13 +288,13 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
     end = corners[3] + (corners[4] - corners[3]) * pieces / pieces
     assert _bits(end) != _bits(corners[0])
     summed = []
-    plain_eval = _PhiSeries.eval
+    plain_sum = _Evaluator._sum
 
-    def spy(self, rho, tol):
+    def spy(self, rho, tol, want_derivative):
         summed.append(_bits(rho))
-        return plain_eval(self, rho, tol)
+        return plain_sum(self, rho, tol, want_derivative)
 
-    monkeypatch.setattr(_PhiSeries, "eval", spy)
+    monkeypatch.setattr(_Evaluator, "_sum", spy)
     ev = _Evaluator(L, eta, 1e-12)
     _winding(ev, region)
     assert len(set(summed)) == len(summed) == ev.stats["series_evals"]
@@ -471,6 +471,45 @@ def test_seed_count_mismatch_grows_the_matrix_twice_then_raises(monkeypatch):
     with pytest.raises(NoConvergence, match=r"^Newton reached 2 distinct zeros .* is 3$"):
         find_complex_zeros(0.0, 0.0)
     assert sizes == [15, 22, 33]
+
+
+@pytest.mark.parametrize("L,eta,search,sizes,n_real", [
+    (-0.25, -3.0, (0, 15, 0, 15), (22, 33), 8),
+    (0.5, 20.0, (-3, 3, -0.5, 3), (14, 21), 6),
+])
+def test_the_matrix_grows_once_where_the_first_order_misses_a_zero(L, eta, search, sizes, n_real):
+    # real inputs whose first order seeds too few of the certified zeros: the
+    # order grows by 3/2 once, and every zero matches a 40-digit root
+    report = find_complex_zeros(L, eta, search=search)
+    assert _first_jacobi_order(L, report.region) == sizes[0]
+    assert report.stats["jacobi_n"] == sizes[1]
+    assert report.counts == {"real": n_real, "complex_pairs": 0, "imaginary_pairs": 0}
+    with mp.workdps(40):
+        a, b = mp.mpf(L) + 1 - 1j * mp.mpf(eta), 2 * mp.mpf(L) + 2
+
+        def f(x):
+            return mp.e ** (-1j * x) * mp.hyp1f1(a, b, 2j * x)
+
+        for z in report.zeros:
+            assert abs(mp.findroot(f, mp.mpc(z)) - z) <= 1e-7, z
+
+
+def test_one_parameter_pair_shares_one_coefficient_list():
+    _series.cache_clear()
+    report = find_complex_zeros(-3.75, 1.5)
+    coeffs = _Evaluator(-3.75, 1.5, 1e-12).coeffs
+    assert len(coeffs) == 70
+    # the winding count, phi and phi' on the same pair extend no further
+    count_zeros_region(-3.75, 1.5, report.region)
+    for z in report.zeros:
+        phi(-3.75, 1.5, z)
+        phi_derivative(-3.75, 1.5, z)
+    assert len(coeffs) == 70
+    assert _Evaluator(-3.75, 1.5, 1e-8).coeffs is coeffs
+    # an equal pair of signed zeros reads the pair as first built
+    phi(0.0, 0.0, 2 + 1j)
+    ev = _Evaluator(0.0, -0.0, 1e-12)
+    assert math.copysign(1.0, ev.eta) == 1.0
 
 
 def test_outer_contour_through_a_zero_is_nudged():

@@ -16,7 +16,7 @@ from czeta.classify import ZeroClassification
 from czeta.errors import ParameterError
 from czeta.exact import ExactMatrix
 from czeta.hankel import CoulombHankel, RayleighHankel, RecurrenceCoeffs
-from czeta.numeric import Rect, ZeroReport, _PhiSeries
+from czeta.numeric import Rect, ZeroReport
 from czeta.verify import FamilyResult
 from czeta.zeta import CoulombParams, ZetaTable
 
@@ -61,8 +61,6 @@ CASES = [
          (-1.0, 1.0, 0.0, 3.0),
          rejects=((0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0), (1.0, 0.0, 0.0, 1.0),
                   (float("nan"), 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, float("inf")))),
-    Case(_PhiSeries, ("L", "eta"), (0.5, 1.0), "_PhiSeries(L=0.5, eta=1.0, coeffs=[1.0])",
-         (0.5, 2.0), frozen=False, defaults={"coeffs": [1.0]}),
     Case(ZeroReport, ("region", "zeros", "residuals", "counts", "unresolved", "stats"),
          (R, (1j,), (0.0,), {"real": 0}),
          f"ZeroReport(region={R_REPR}, zeros=(1j,), residuals=(0.0,), counts={{'real': 0}}, "
