@@ -55,7 +55,10 @@ class RecurrenceCoeffs(Frozen):
     b_n = -eta / ((n+L+1)(n+L+2)),                               n >= 0
 
     At eta = 0 the (n+L+1)^2 factor cancels, so negative integer L stays
-    usable on the Bessel branch.
+    usable on the Bessel branch.  The Hankel moments zeta_L(k+2) have the
+    nodes -1/rho_j (see `czeta.zeta`), and b_n = -alpha_n is minus their
+    recurrence coefficient: the Jacobi matrix with diagonal b_n and
+    off-diagonal sqrt(a_n) has the eigenvalues 1/rho_j.
     """
 
     __slots__ = ("params", "_a", "_b")  # _a[i] = a_{i+1}, _b[i] = b_i

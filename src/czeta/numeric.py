@@ -12,15 +12,19 @@ double precision.  Real coefficients also make conjugate symmetry of the
 evaluation exact.
 
 `find_complex_zeros` takes the number of zeros in a rectangle from the
-argument principle (adaptive phase tracking along the boundary).  Its
-candidates come from the exact recurrence: the Hankel determinants of
-zeta_L(k) are moment determinants, so the eigenvalues of the truncated Jacobi
-matrix of their recurrence coefficients converge to 1/rho_j, the smallest
-|rho_j| first (Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach &
-P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex QL iteration finds
-them, Newton iteration on the term-wise differentiated series polishes each
-seed 1/lambda in the rectangle, and the distinct limits must be as many as
-the winding count.  phi(0) = 1, so the origin never contributes a zero.
+argument principle: the phase of phi along a contour whose corners and
+points near the origin are summed from the series and whose other points
+each take (phi, phi') from one Taylor step of rho phi'' + (2L+2) phi' +
+(rho - 2 eta) phi = 0 from a neighbour no farther from the real axis (about
+17 terms, none cancelling).  Its candidates come from the exact recurrence: the Hankel
+determinants of zeta_L(k) are moment determinants, so the eigenvalues of the
+truncated Jacobi matrix of their recurrence coefficients converge to
+1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29 (1975)
+878-887; F. Stampach & P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A
+complex QL iteration finds them, Newton iteration on the term-wise
+differentiated series polishes each seed 1/lambda in the rectangle, and the
+distinct limits must be as many as the winding count.  phi(0) = 1, so the
+origin never contributes a zero.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ _COEFF_CHUNK = 16  # coefficients computed per growth step of a series' table
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
 _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
 _NEWTON_STEPS = 60  # Newton steps per start before it is given up
+_STEP_CAP = 60  # terms of one Taylor step before it is given up
+_ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 
 
 class Rect(Frozen):
@@ -97,9 +103,15 @@ def _series(L: float, eta: float) -> tuple[float, float, list[float]]:
     return L, eta, [1.0]
 
 
+@lru_cache(maxsize=128)
+def _step_ratios(b: float) -> tuple[tuple[float, float, int], ...]:
+    """((m+b)/(m+2), 1/((m+2)(m+1)), m+2), m < _STEP_CAP: a Taylor step's factors, b = 2L+2."""
+    return tuple(((m + b) / (m + 2), 1 / ((m + 2) * (m + 1)), m + 2) for m in range(_STEP_CAP))
+
+
 # the keys of ZeroReport.stats, described there
 _STAT_NAMES = (
-    "series_evals", "newton_starts", "newton_steps",
+    "series_evals", "contour_steps", "newton_starts", "newton_steps",
     "nudge_retries", "jacobi_n", "ql_sweeps",
 )
 
@@ -127,6 +139,36 @@ class _Evaluator:
         self.stats["series_evals"] += 1
         self.stats["newton_steps"] += 1
         return self._sum(z, self.tol, want_derivative=True)
+
+    def values(self, z: complex) -> tuple[complex, complex]:
+        """Value and derivative for the contour, summed to double precision; a sum
+        whose rounding floor tol does not cover still raises NoConvergence."""
+        self.stats["series_evals"] += 1
+        return self._sum(z, _ROUNDING, want_derivative=True)
+
+    def step(self, z: complex, f: complex, df: complex, to: complex) -> tuple[complex, complex]:
+        """(phi, phi') at `to` from (f, df) at z by the Taylor series in w = rho - z of
+        rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0: z (m+2)(m+1) a_{m+2} = -[(m+1)
+        (m+2L+2) a_{m+1} + (z - 2 eta) a_m + a_{m-1}], summed in t_m = a_m h^m until two
+        terms in a row are below rounding; away from the origin no term cancels."""
+        self.stats["contour_steps"] += 1
+        h = to - z
+        u = h / z
+        p = (z - 2 * self.eta) * h * u
+        q = h * h * u
+        t0, t1, t2 = 0j, f, df * h  # t_{m-1}, t_m, t_{m+1} at m = 0
+        s, sd = f + t2, t2  # sums of t_m and of m t_m
+        bound = 1e-17 * (abs(f) + abs(t2))
+        a2 = abs(t2)
+        for k1, k2, k3 in _step_ratios(2 * self.L + 2):
+            t = -(k1 * u * t2 + k2 * (p * t1 + q * t0))
+            s += t
+            sd += k3 * t
+            a = abs(t)
+            if a + a2 <= bound:
+                return s, sd / h
+            t0, t1, t2, a2 = t1, t2, t, a
+        raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
     def _ensure(self, n: int) -> None:
         c = self.coeffs
@@ -224,8 +266,9 @@ class _Evaluator:
                 ok = dtail <= tol * (1 + abs(s1))
             if ok:
                 # cancellation guard: the rounding floor (epsilon times the
-                # largest term) must stay far below the promised bound
-                if 2.3e-16 * t_max > 1e6 * tol * (1 + abs(s)):
+                # largest term) must stay far below the evaluator's tol, also
+                # where the tail is cut off at a tighter one
+                if 2.3e-16 * t_max > 1e6 * self.tol * (1 + abs(s)):
                     raise NoConvergence(
                         f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
                         f"the tolerance at rho = {rho}; |rho| too large for "
@@ -269,10 +312,22 @@ def default_search_region(L: float) -> Rect:
     return Rect(-radius, radius, 0.0, radius)
 
 
-def _phase_along_edge(ev: _Evaluator, za, zb, fa, fb, depth=42) -> float:
-    if fa == 0 or fb == 0:
+def _series_radius(L: float) -> float:
+    """Radius inside which the contour sums the series: at least 2, as a step
+    divides by rho.  For L < -1 the solution vanishing like rho^(-2L-1) at the
+    origin outgrows phi out to about lam = sqrt(L(L+1)), and steps outward from
+    radius r amplify rounding by about (0.9 lam / r)^(2 lam) (fitted on the axis,
+    L = -8.75 .. -20.25, eta = 0, +-2); this radius keeps that below 1e8."""
+    if L >= -1:
+        return 2.0
+    lam = math.sqrt(L * (L + 1))
+    return max(2.0, 0.9 * lam * 10 ** (-4 / lam))
+
+
+def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float:
+    if va[0] == 0 or vb[0] == 0:
         raise ContourTooClose(f"zero on the contour near {za} .. {zb}")
-    step = cmath.phase(fb / fa)
+    step = cmath.phase(vb[0] / va[0])
     if abs(step) <= math.pi / 2:
         return step
     if depth == 0:
@@ -280,26 +335,40 @@ def _phase_along_edge(ev: _Evaluator, za, zb, fa, fb, depth=42) -> float:
             f"phase step above pi/2 after maximal subdivision near {za} .. {zb}"
         )
     zm = (za + zb) / 2
-    fm = ev.phi(zm)
-    return _phase_along_edge(ev, za, zm, fa, fm, depth - 1) + _phase_along_edge(
-        ev, zm, zb, fm, fb, depth - 1
+    # stepped from the end nearer the real axis, as on the contour
+    near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
+    vm = ev.values(zm) if abs(zm) < radius else ev.step(near, *vnear, zm)
+    return _phase_along_edge(ev, za, zm, va, vm, radius, depth - 1) + _phase_along_edge(
+        ev, zm, zb, vm, vb, radius, depth - 1
     )
 
 
 def _winding(ev: _Evaluator, region: Rect) -> int:
-    # each edge after the first starts from the previous edge's computed end
-    # point, so no point is summed twice; each point is summed as it is made, so
-    # a point the series cannot reach raises before the rest of the boundary exists
     corners = region.corners()
-    pts = [(corners[0], ev.phi(corners[0]))]
+    # the series sums the corners first, so a region out of its reach raises
+    # before the rest of the boundary exists
+    summed = {c: ev.values(c) for c in corners[:4]}
+    zs = []
     for ca, cb in zip(corners, corners[1:]):
         pieces = max(4, math.ceil(abs(cb - ca) / 0.4))
-        for i in range(1, pieces + 1):
-            z = ca + (cb - ca) * i / pieces
-            pts.append((z, ev.phi(z)))
-    total = 0.0
-    for (za, fa), (zb, fb) in zip(pts, pts[1:]):
-        total += _phase_along_edge(ev, za, zb, fa, fb)
+        zs += [ca + (cb - ca) * i / pieces for i in range(pieces)]
+    # value the points nearest the real axis first: each is stepped to from a
+    # valued neighbour no farther from the axis (phi grows away from it, so a
+    # step toward it loses the subdominant solution); the series sums the points
+    # inside the radius and any without a valued neighbour, first the one
+    # nearest the origin
+    radius = _series_radius(ev.L)
+    n = len(zs)
+    vals = [None] * n
+    for i in sorted(range(n), key=lambda i: (abs(zs[i].imag), abs(zs[i]))):
+        z = zs[i]
+        j = i - 1 if vals[i - 1] is not None else (i + 1) % n
+        if vals[j] is not None and abs(z) >= radius:
+            vals[i] = ev.step(zs[j], *vals[j], z)
+        else:
+            vals[i] = summed[z] if z in summed else ev.values(z)
+    total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
+                for i in range(n))
     turns = total / (2 * math.pi)
     count = round(turns)
     if abs(turns - count) > 0.2:
@@ -315,6 +384,10 @@ def count_zeros_region(
     """Number of zeros inside the rectangle, by the argument principle.
 
     Counted with multiplicity from the winding number of the boundary image.
+    tol governs the contour's series sums (its corners, summed first, and its
+    points near the origin): one whose rounding floor tol does not cover
+    raises NoConvergence.  Those sums and the Taylor steps that value the
+    other points are cut off at double precision, whatever tol is.
     Raises ContourTooClose when a zero sits (numerically) on the boundary,
     and ParameterError unless region is a Rect or four numbers and tol is
     positive and finite.
@@ -366,7 +439,9 @@ def _jacobi(L: float, eta: float, size: int) -> tuple[list[complex], list[comple
     """Diagonal b_0..b_{size-1} and off-diagonal sqrt(a_1)..sqrt(a_{size-1}) of the
     Jacobi matrix: with u = n + L + 1, b_n = -eta/(u (u+1)) and a_n = (1 + eta^2/u^2)
     / ((2n+2L+1)(2n+2L+3)), the eta terms dropped at eta = 0, where u = 0 at integer
-    L (`recurrence_coeffs`' closed forms).  a_n < 0 makes it complex symmetric."""
+    L (`recurrence_coeffs`' closed forms).  a_n < 0 makes it complex symmetric.
+    The zeta values' moment nodes are -1/rho_j; the diagonal b_n = -alpha_n
+    turns them back into the eigenvalues 1/rho_j."""
     diag, off = [], []
     for n in range(size):
         u = n + L + 1
@@ -423,11 +498,12 @@ class ZeroReport(Frozen):
     the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
     always empty (the finder accounts for the whole winding count or raises).
     `stats` counts the work the call did: "series_evals" (sums of the series,
-    plain and value-with-derivative), "newton_starts" (one per eigenvalue
-    seed in the region), "newton_steps" (the final polishing step included),
-    "nudge_retries" (outer contours given up for a nudged one), "jacobi_n"
-    (the order of the last Jacobi matrix, 0 if none was formed) and
-    "ql_sweeps" (QL iterations over every matrix formed).
+    plain and value-with-derivative), "contour_steps" (Taylor steps that
+    value the winding contours' points away from the origin), "newton_starts"
+    (one per eigenvalue seed in the region), "newton_steps" (the final
+    polishing step included), "nudge_retries" (outer contours given up for a
+    nudged one), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
+    was formed) and "ql_sweeps" (QL iterations over every matrix formed).
     """
 
     __slots__ = ("region", "zeros", "residuals", "counts", "unresolved", "stats")
@@ -455,8 +531,9 @@ def find_complex_zeros(
     default rectangle is `default_search_region` with its lower edge dropped
     slightly below the real axis, so that real zeros are interior points of
     the contour.  search is a Rect or four numbers, and tol the series
-    tolerance of every evaluation, positive and finite; anything else raises
-    ParameterError.
+    tolerance of every Newton step and residual, and of the winding count's
+    sums as `count_zeros_region` says, positive and finite; anything else
+    raises ParameterError.
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:

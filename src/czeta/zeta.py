@@ -1,8 +1,14 @@
 """Spectral zeta values of the regular Coulomb wave function, exactly.
 
-zeta_L(k) is the sum of k-th negative powers of the zeros of the entire factor
-of the Coulomb wave function (k >= 2).  It obeys a quadratic recurrence in k
-that stays inside the rationals whenever L and eta are rational:
+zeta_L(k) = sum_j (-rho_j)^(-k) over the zeros rho_j of the entire factor
+phi(L, eta, .) of the Coulomb wave function, the one `czeta.numeric`
+evaluates (k >= 2): the k-th power sum of the numbers -1/rho_j, so
+sum_j rho_j^(-k) = (-1)^k zeta_L(k) and the odd values change sign.  At
+(L, eta) = (-19/4, 3/2) and k = 7, 9, 11 the exact values -3.6124e-3,
+1.79332e-2 and -2.43695e-5 agree to 2e-6 with sum_j (-rho_j)^(-k) over the
+zeros `find_complex_zeros` locates on its default region and their
+conjugates.  zeta_L obeys a quadratic recurrence in k that stays inside the
+rationals whenever L and eta are rational:
 
     zeta_L(2)   = (1 + eta^2/(L+1)^2) / (2L+3)
     zeta_L(k+1) = ( (2 eta/(L+1)) zeta_L(k)

@@ -190,7 +190,7 @@ def test_find_zeros_json(capsys):
     assert abs(zero["re"] - 0.1500) < 5e-4 and abs(zero["im"] - 0.2520) < 5e-4
     stats = payload["results"]["stats"]
     assert set(stats) == {
-        "series_evals", "newton_starts", "newton_steps",
+        "series_evals", "contour_steps", "newton_starts", "newton_steps",
         "nudge_retries", "jacobi_n", "ql_sweeps",
     }
     assert stats["series_evals"] > 0 and stats["newton_starts"] >= 1

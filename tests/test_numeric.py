@@ -25,7 +25,7 @@ from czeta.numeric import (
     phi_derivative,
 )
 from czeta.verify import load_grid
-from czeta.zeta import CoulombParams
+from czeta.zeta import CoulombParams, zeta_table
 
 from oracles import bessel_normalized, phi_hyp1f1, phi_mpmath
 
@@ -282,29 +282,119 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
         base = default_search_region(L)
         bounds = (base.re_min, base.re_max, -0.01, base.im_max)
     region = Rect(*bounds)
-    # on both, the closing edge's computed end point misses its start corner
-    corners = region.corners()
-    pieces = max(4, math.ceil(abs(corners[4] - corners[3]) / 0.4))
-    end = corners[3] + (corners[4] - corners[3]) * pieces / pieces
-    assert _bits(end) != _bits(corners[0])
-    summed = []
-    plain_sum = _Evaluator._sum
+    corners = region.corners()[:4]
+    summed, stepped = [], []
+    plain_sum, plain_step = _Evaluator._sum, _Evaluator.step
 
-    def spy(self, rho, tol, want_derivative):
+    def spy_sum(self, rho, tol, want_derivative):
         summed.append(_bits(rho))
         return plain_sum(self, rho, tol, want_derivative)
 
-    monkeypatch.setattr(_Evaluator, "_sum", spy)
+    def spy_step(self, z, f, df, to):
+        stepped.append(_bits(to))
+        return plain_step(self, z, f, df, to)
+
+    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
     ev = _Evaluator(L, eta, 1e-12)
     _winding(ev, region)
     assert len(set(summed)) == len(summed) == ev.stats["series_evals"]
-    assert {_bits(corners[0]), _bits(end)} <= set(summed)
+    assert len(set(stepped)) == len(stepped) == ev.stats["contour_steps"]
+    # the corners are summed first, as the reach check; a corner stepped to
+    # later is the only point both summed and stepped to
+    assert summed[:4] == [_bits(c) for c in corners]
+    assert set(summed) & set(stepped) <= set(summed[:4])
+    if bounds[0] == -1.0:  # every point lies within 2 of the origin
+        assert stepped == []
+    else:
+        assert set(summed) & set(stepped) == set(summed[:4])
 
 
 def test_series_evals_on_the_default_region_stay_pinned():
-    # 234 sums for the winding count (each boundary point once), 27 Newton
-    # steps and 9 residuals
-    assert find_complex_zeros(-4.75, 1.5).stats["series_evals"] == 270
+    # the contour has 212 boundary points and 21 subdivision midpoints; the 10
+    # within |rho| < 2 are summed and the other 223 stepped to.  The sums are
+    # those 10, the 4 corners (the reach check), 27 Newton steps and 9
+    # residuals: 50
+    stats = find_complex_zeros(-4.75, 1.5).stats
+    assert stats["series_evals"] == 50
+    assert stats["contour_steps"] == 223
+
+
+def _default_contour(L: float) -> Rect:
+    base = default_search_region(L)
+    return Rect(base.re_min, base.re_max, -0.01, base.im_max)
+
+
+@pytest.mark.parametrize("L,eta,bounds", [
+    (-33 / 4, 1 / 2, None), (-35 / 4, 1 / 4, None), (-35 / 4, 2.0, None), (-27 / 4, 3.0, None),
+    (-31 / 4, 9 / 4, None), (-19 / 4, 3 / 2, None), (-23 / 4, 0.0, None), (-9 / 4, 11 / 4, None),
+    # along the axis at strongly negative L the series runs out to radius 7.9;
+    # steps from radius 2 are off by a factor 4e6 and the count raises
+    (-16.25, 0.0, (-20.25, 20.25, -0.01, 2.0)),
+])
+def test_stepped_contour_values_match_high_precision(monkeypatch, L, eta, bounds):
+    # every third stepped point, subdivision midpoints included
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    stepped = []
+    plain_step = _Evaluator.step
+
+    def spy_step(self, z, f, df, to):
+        value = plain_step(self, z, f, df, to)
+        stepped.append((to, value[0]))
+        return value
+
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
+    _winding(_Evaluator(L, eta, 1e-12), region)
+    assert len(stepped) > 100
+    for to, f in stepped[::3]:
+        ref = phi_mpmath(L, eta, to)
+        assert abs(f - ref) <= 1e-6 * abs(ref), (to, f, ref)
+
+
+def _eigen_count(L: float, eta: float, region: Rect) -> int:
+    """Eigenvalues lambda of the order-400 Jacobi matrix with 1/lambda in the region."""
+    import numpy as np
+
+    diag, off = _jacobi(L, eta, 400)
+    eigs = np.linalg.eigvals(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return sum(1 for lam in eigs if abs(lam) > 1e-12 and region.contains(complex(1 / lam)))
+
+
+@pytest.mark.parametrize("L,eta,bounds,count", [
+    # the series cannot sum these boundaries above its cancellation floor, the
+    # steps can; the finder then fails only at Newton's seed count
+    (-27 / 4, 3.0, None, 12),
+    (-35 / 4, 2.0, None, 15),
+    # steps from radius 3 count 2 here, from radius 2 the count raises
+    (-20.25, 2.0, (-22.25, -1.0, 0.6, 4.0), 1),
+])
+def test_stepped_windings_match_the_jacobi_eigenvalues(L, eta, bounds, count):
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    assert count_zeros_region(L, eta, region) == count
+    assert _eigen_count(L, eta, region) == count
+
+
+def test_a_loose_tolerance_leaves_the_stepped_winding_alone():
+    # the contour's sums run to double precision whatever tol is; chains of
+    # steps from sums cut off at tol = 1e-3 counted 15 zeros here
+    region = _default_contour(-8.25)
+    assert count_zeros_region(-8.25, 0.0, region, tol=1e-3) == 13
+    assert count_zeros_region(-8.25, 0.0, region) == 13
+
+
+def test_zeta_values_are_power_sums_of_minus_the_zeros():
+    # zeta_L(k) = sum_j (-rho_j)^(-k) over the zeros of phi: at (-19/4, 3/2) the
+    # default region's zeros and their conjugates give it to 2e-6, and
+    # sum_j rho_j^(-k) has the opposite sign
+    L, eta = F(-19, 4), F(3, 2)
+    table = zeta_table(CoulombParams(L, eta), 11)
+    report = find_complex_zeros(float(L), float(eta))
+    zeros = [*report.zeros, *(z.conjugate() for z in report.zeros if z.imag > 1e-7)]
+    for k, rounded in ((7, -3.6124e-3), (9, 1.79332e-2), (11, -2.43695e-5)):
+        value = float(table.value(k))
+        assert abs(value - rounded) <= 1e-5 * abs(rounded)
+        assert abs(sum((-z) ** -k for z in zeros) - value) <= 1e-5 * abs(value)
+        assert sum(z ** -k for z in zeros).real * value < 0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -325,10 +415,12 @@ def test_zero_report_stats_count_the_work():
     report = find_complex_zeros(-2.75, 1.5)
     stats = report.stats
     assert set(stats) == {
-        "series_evals", "newton_starts", "newton_steps",
+        "series_evals", "contour_steps", "newton_starts", "newton_steps",
         "nudge_retries", "jacobi_n", "ql_sweeps",
     }
     assert all(type(v) is int and v >= 0 for v in stats.values())
+    # the contour is mostly stepped: its series sums are few
+    assert stats["contour_steps"] > stats["series_evals"] - stats["newton_steps"]
     # one start per located zero at least, each start at least two steps
     assert stats["newton_starts"] >= len(report.zeros)
     assert stats["newton_steps"] >= 2 * stats["newton_starts"]
@@ -498,13 +590,14 @@ def test_one_parameter_pair_shares_one_coefficient_list():
     _series.cache_clear()
     report = find_complex_zeros(-3.75, 1.5)
     coeffs = _Evaluator(-3.75, 1.5, 1e-12).coeffs
-    assert len(coeffs) == 70
+    # the winding count sums its corners to double precision, with derivative
+    assert len(coeffs) == 86
     # the winding count, phi and phi' on the same pair extend no further
     count_zeros_region(-3.75, 1.5, report.region)
     for z in report.zeros:
         phi(-3.75, 1.5, z)
         phi_derivative(-3.75, 1.5, z)
-    assert len(coeffs) == 70
+    assert len(coeffs) == 86
     assert _Evaluator(-3.75, 1.5, 1e-8).coeffs is coeffs
     # an equal pair of signed zeros reads the pair as first built
     phi(0.0, 0.0, 2 + 1j)
