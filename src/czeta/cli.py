@@ -23,7 +23,7 @@ from .classify import classify
 from .errors import ParameterError, VerificationError
 from .exact import format_rational, parse_rational
 from .hankel import bernoulli_hankel_det, coulomb_routes, genocchi_hankel_det, rayleigh_routes
-from .numeric import Rect, default_search_region, find_complex_zeros
+from .numeric import Rect, find_complex_zeros
 from .verify import run_verification
 from .zeta import CoulombParams, zeta_table
 

@@ -32,8 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul, truediv
 
 from ._record import Frozen
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
@@ -190,56 +188,18 @@ class _Evaluator:
         if rho == 0:
             return complex(1.0), complex(c[1])
         L = self.L
+        s = complex(1.0)  # j = 0 term
+        comp = 0j
+        s1 = complex(c[1]) if want_derivative else 0j
+        comp1 = 0j
+        power = complex(1.0)
         abs_rho = abs(rho)
         swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
         twice_swing = 2 * swing
-
-        # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
-        # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
-        # the shift keeps its association ((j + 2L) + 2), which decides
-        # the index where the sum stops
-        def bounds_tail(j: int) -> bool:
-            shift = j + 2 * L + 2
-            return shift > 0 and (j + 1) * shift >= twice_swing
-
-        # both factors only grow with j (in floats too), so the test fails
-        # below one index j0 and holds from j0 on: start at the real root of
-        # (j+1)(j+b) = 2*swing, b = 2L+2, and step to the first index it holds
-        b = 2 * L + 2
-        root = (math.sqrt((b - 1) * (b - 1) + 4 * twice_swing) - (b + 1)) / 2
-        j0 = max(1, math.ceil(root)) if root <= _SERIES_CAP else _SERIES_CAP + 1
-        while j0 > 1 and bounds_tail(j0 - 1):
-            j0 -= 1
-        while j0 <= _SERIES_CAP and not bounds_tail(j0):
-            j0 += 1
-
-        # below j0 no term can stop the sum: sum them without the stop test
-        self._ensure(min(j0 + _COEFF_CHUNK - 1, _SERIES_CAP))
-        powers = list(accumulate(repeat(rho, j0 - 1), mul, initial=complex(1.0)))
-        terms = list(map(mul, c[1:j0], powers[1:]))
-        s = complex(1.0)  # j = 0 term
-        comp = 0j
-        for term in terms:
-            y = term - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-        s1 = complex(c[1]) if want_derivative else 0j
-        comp1 = 0j
-        if want_derivative:
-            # (j c_j) rho^j / rho for j = 2 .. j0-1
-            for dterm in map(truediv, map(mul, map(mul, range(2, j0), c[2:j0]), powers[2:]),
-                             repeat(rho)):
-                y1 = dterm - comp1
-                t1 = s1 + y1
-                comp1 = (t1 - s1) - y1
-                s1 = t1
-        t_max = max([1.0, *map(abs, terms)])
-        t_prev = abs(terms[-1]) if terms else 1.0
-
-        power = powers[-1]
+        t_prev = 1.0
+        t_max = 1.0
         known = len(c)
-        for j in range(j0, _SERIES_CAP + 1):
+        for j in range(1, _SERIES_CAP + 1):
             if j >= known:
                 self._ensure(min(j + _COEFF_CHUNK - 1, _SERIES_CAP))
                 known = len(c)
@@ -258,23 +218,29 @@ class _Evaluator:
             t_cur = abs(term)
             if t_cur > t_max:
                 t_max = t_cur
-            last_two = t_prev if t_prev > t_cur else t_cur
-            tail = 2 * last_two
-            ok = tail <= tol * (1 + abs(s))
-            if ok and want_derivative:
-                dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
-                ok = dtail <= tol * (1 + abs(s1))
-            if ok:
-                # cancellation guard: the rounding floor (epsilon times the
-                # largest term) must stay far below the evaluator's tol, also
-                # where the tail is cut off at a tighter one
-                if 2.3e-16 * t_max > 1e6 * self.tol * (1 + abs(s)):
-                    raise NoConvergence(
-                        f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
-                        f"the tolerance at rho = {rho}; |rho| too large for "
-                        "double precision"
-                    )
-                return s, s1
+            # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
+            # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
+            # the shift keeps its association ((j + 2L) + 2), which decides
+            # the index where the sum stops
+            shift = j + 2 * L + 2
+            if shift > 0 and (j + 1) * shift >= twice_swing:
+                last_two = t_prev if t_prev > t_cur else t_cur
+                tail = 2 * last_two
+                ok = tail <= tol * (1 + abs(s))
+                if ok and want_derivative:
+                    dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
+                    ok = dtail <= tol * (1 + abs(s1))
+                if ok:
+                    # cancellation guard: the rounding floor (epsilon times the
+                    # largest term) must stay far below the evaluator's tol,
+                    # also where the tail is cut off at a tighter one
+                    if 2.3e-16 * t_max > 1e6 * self.tol * (1 + abs(s)):
+                        raise NoConvergence(
+                            f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
+                            f"the tolerance at rho = {rho}; |rho| too large for "
+                            "double precision"
+                        )
+                    return s, s1
             t_prev = t_cur
         raise NoConvergence(
             f"series for phi did not reach tol = {tol} within {_SERIES_CAP} terms "
@@ -346,7 +312,9 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
 def _winding(ev: _Evaluator, region: Rect) -> int:
     corners = region.corners()
     # the series sums the corners first, so a region out of its reach raises
-    # before the rest of the boundary exists
+    # before the rest of the boundary exists; their cancellation floor also
+    # refuses boundaries the steps count wrong: without it the default region
+    # of (-1.25, 12) reports 7 real zeros for 8, missing the one near -4.712
     summed = {c: ev.values(c) for c in corners[:4]}
     zs = []
     for ca, cb in zip(corners, corners[1:]):
@@ -501,8 +469,8 @@ class ZeroReport(Frozen):
     plain and value-with-derivative), "contour_steps" (Taylor steps that
     value the winding contours' points away from the origin), "newton_starts"
     (one per eigenvalue seed in the region), "newton_steps" (the final
-    polishing step included), "nudge_retries" (outer contours given up for a
-    nudged one), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
+    polishing step included), "nudge_retries" (contours given up for a
+    nudged copy), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
     was formed) and "ql_sweeps" (QL iterations over every matrix formed).
     """
 

@@ -123,6 +123,27 @@ def test_no_bare_assert_in_the_package():
         assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export; every other module uses what it imports
+    import ast
+
+    sources = sorted(p for p in (ROOT / "src" / "czeta").glob("*.py") if p.name != "__init__.py")
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((line, name) for name, line in imported.items() if name not in used)
+        assert unused == [], f"{path.name}: unused imports (line, name) {unused}"
+
+
 def test_all_is_sorted_and_unique():
     import czeta
 
