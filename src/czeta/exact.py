@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Frozen
 from .errors import ParameterError
@@ -68,17 +68,19 @@ class ExactMatrix(Frozen):
         return self.entries[i][j]
 
 
-def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
-    """Integer-exact Bareiss elimination of `a` in place, one pivot per step.
+def _bareiss_minors(rows: Sequence[Sequence[Fraction]], swap: bool) -> list[Fraction]:
+    """Pivot k of an integer-exact Bareiss elimination over its first k+1 row scales.
 
-    Step k yields its pivot, signed by the row swaps so far.  Before any swap
-    the pivot of step k is the (k+1) x (k+1) leading minor of `a`, and the
-    last one is det(a).  A zero pivot is swapped for a nonzero entry below it
-    when `swap` is set; a pivot that stays zero is yielded and ends the pass.
+    Each row is scaled to integers by the lcm of its own denominators, and each
+    pivot is signed by the row swaps so far.  Without `swap`, entry k is the
+    (k+1) x (k+1) leading minor; with it, a zero pivot is swapped for a nonzero
+    entry below it and the last entry is the determinant.  A pivot that stays
+    zero is recorded and ends the pass.
     """
+    scales = [math.lcm(*[e.denominator for e in row]) for row in rows]
+    a = [[e.numerator * (scale // e.denominator) for e in row] for scale, row in zip(scales, rows)]
     n = len(a)
-    sign = 1
-    prev = 1
+    minors, sign, prev, scale = [], 1, 1, 1
     for k in range(n):
         if a[k][k] == 0 and swap:
             for i in range(k + 1, n):
@@ -87,29 +89,15 @@ def _bareiss(a: list[list[int]], swap: bool) -> Iterator[int]:
                     sign = -sign
                     break
         pivot = a[k][k]
-        yield sign * pivot
+        scale *= scales[k]
+        minors.append(Fraction(sign * pivot, scale))
         if pivot == 0:
-            return
+            break
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # exact by Bareiss' identity: prev divides the cross term
                 a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = pivot
-
-
-def _bareiss_minors(rows: Sequence[Sequence[Fraction]], swap: bool) -> list[Fraction]:
-    """Pivot k of `_bareiss` over the first k+1 row scales, for each step k.
-
-    Each row is scaled to integers by the lcm of its own denominators.  Without
-    `swap`, entry k is the (k+1) x (k+1) leading minor; with it, the last entry
-    is the determinant, and 0 when a column has no nonzero pivot left.
-    """
-    scales = [math.lcm(*[e.denominator for e in row]) for row in rows]
-    a = [[e.numerator * (scale // e.denominator) for e in row] for scale, row in zip(scales, rows)]
-    minors, scale = [], 1
-    for k, pivot in enumerate(_bareiss(a, swap)):
-        scale *= scales[k]
-        minors.append(Fraction(pivot, scale))
     return minors
 
 

@@ -84,9 +84,9 @@ def _as_rect(region: Rect | tuple) -> Rect:
 
 
 @lru_cache(maxsize=128)
-def _series(L: float, eta: float) -> tuple[float, float, list[float]]:
-    """(L, eta, coefficients) of one parameter pair, as first built; every
-    evaluator of an equal pair extends the same coefficient list."""
+def _series(L: float, eta: float) -> list[float]:
+    """The coefficient list of one parameter pair, which every evaluator of the
+    pair extends; the evaluator keys it with signed zeros folded to +0.0."""
     b = 2 * L + 2
     if not (math.isfinite(b) and math.isfinite(eta)):
         raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
@@ -98,7 +98,7 @@ def _series(L: float, eta: float) -> tuple[float, float, list[float]]:
             raise SingularB(
                 f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
             )
-    return L, eta, [1.0]
+    return [1.0]
 
 
 @lru_cache(maxsize=128)
@@ -124,7 +124,9 @@ class _Evaluator:
         # then fail as NoConvergence
         if not 0 < tol < math.inf:
             raise ParameterError(f"tol must be positive and finite, got {tol}")
-        self.L, self.eta, self.coeffs = _series(float(L), float(eta))
+        # -0.0 + 0.0 is 0.0: one cache key per pair, whatever sign an earlier call passed
+        self.L, self.eta = float(L) + 0.0, float(eta) + 0.0
+        self.coeffs = _series(self.L, self.eta)
         self.tol = tol
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
@@ -251,16 +253,20 @@ class _Evaluator:
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
-    The truncation tail is bounded below tol*(1+|result|).  Raises
-    ParameterError unless tol is positive and finite, SingularB for
-    parameters where the series is undefined and NoConvergence when the term
-    cap is exhausted (practically, |rho| far beyond desk scale).
+    The truncation tail is bounded below tol*(1+|result|).  A signed zero in
+    L or eta is taken as +0.0.  Raises ParameterError unless tol is positive
+    and finite, SingularB for parameters where the series is undefined, and
+    NoConvergence when the term cap is exhausted or on the cancellation floor,
+    when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both
+    mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
+    "cancellation floor 2.25e+07 exceeds the tolerance at rho = (60+0j) ...".
     """
     return _Evaluator(L, eta, tol).phi(rho)
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
-    """d/drho of the entire factor, by term-wise differentiation of the series."""
+    """d/drho of the entire factor, by term-wise differentiation of the series; its
+    tail bound and its errors, NoConvergence on the cancellation floor too, are `phi`'s."""
     return _Evaluator(L, eta, tol).newton_values(rho)[1]
 
 

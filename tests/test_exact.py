@@ -113,18 +113,18 @@ def test_bareiss_runs_only_for_non_hankel_input_and_zero_minors(monkeypatch):
     from czeta.hankel import build_coulomb_hankel, build_rayleigh_hankel
     from czeta.zeta import CoulombParams
 
-    passes, bareiss = [], czeta.exact._bareiss  # the size of each Bareiss pass
+    passes, bareiss = [], czeta.exact._bareiss_minors  # the size of each Bareiss pass
     chebyshev, hankel_minors = [], czeta.exact._hankel_minors  # one entry per call
 
-    def counted(a, swap):
-        passes.append(len(a))
-        return bareiss(a, swap)
+    def counted(rows, swap):
+        passes.append(len(rows))
+        return bareiss(rows, swap)
 
     def counted_hankel(m):
         chebyshev.append(m.dim)
         return hankel_minors(m)
 
-    monkeypatch.setattr(czeta.exact, "_bareiss", counted)
+    monkeypatch.setattr(czeta.exact, "_bareiss_minors", counted)
     monkeypatch.setattr(czeta.exact, "_hankel_minors", counted_hankel)
     zeta_matrix = build_coulomb_hankel(CoulombParams(F(-185, 4), F(3, 2)), 12).matrix
     assert leading_minors(zeta_matrix)[-1] == det_exact(zeta_matrix)

@@ -617,10 +617,46 @@ def test_one_parameter_pair_shares_one_coefficient_list():
         phi_derivative(-3.75, 1.5, z)
     assert len(coeffs) == 82
     assert _Evaluator(-3.75, 1.5, 1e-8).coeffs is coeffs
-    # an equal pair of signed zeros reads the pair as first built
-    phi(0.0, 0.0, 2 + 1j)
-    ev = _Evaluator(0.0, -0.0, 1e-12)
-    assert math.copysign(1.0, ev.eta) == 1.0
+    # a signed zero keys the pair as +0.0, whichever sign was built first
+    for first, second in (((0.0, 0.0), (-0.0, -0.0)), ((-0.0, -0.0), (0.0, 0.0))):
+        _series.cache_clear()
+        phi(*first, 2 + 1j)
+        ev = _Evaluator(*second, 1e-12)
+        assert math.copysign(1.0, ev.L) == math.copysign(1.0, ev.eta) == 1.0
+        assert ev.coeffs is _Evaluator(*first, 1e-12).coeffs
+
+
+def _signed_zero_calls() -> list[tuple]:
+    """(fn, L, eta, rho): phi and phi' at pairs with L or eta = -0.0, at seeded
+    points with a signed-zero part; the first result has a zero real part."""
+    rng = random.Random(20261020)
+    calls = [(phi_derivative, 0.0, -0.0, complex(0.0, -0.3437734562189467))]
+    for L, eta in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, 1.5), (-2.0, -0.0), (2.5, -0.0)):
+        for _ in range(4):
+            x, y = rng.uniform(-6, 6), rng.uniform(-6, 6)
+            for rho in (complex(x, 0.0), complex(x, -0.0), complex(0.0, y), complex(-0.0, y)):
+                calls += [(phi, L, eta, rho), (phi_derivative, L, eta, rho)]
+    return calls
+
+
+def test_signed_zero_results_do_not_depend_on_call_order():
+    calls = _signed_zero_calls()
+
+    def reprs(twin_first):
+        _series.cache_clear()
+        out = []
+        for fn, L, eta, rho in calls:
+            if twin_first:
+                phi(L + 0.0, eta + 0.0, 1j)  # the pair's +0.0 twin
+            out.append(repr(fn(L, eta, rho)))
+            if not twin_first:
+                phi(L + 0.0, eta + 0.0, 1j)
+        return out
+
+    assert reprs(twin_first=False) == reprs(twin_first=True)
+    assert repr(phi_derivative(0.0, -0.0, complex(0.0, -0.3437734562189467))) == (
+        "0.11595112087334501j"
+    )
 
 
 def test_outer_contour_through_a_zero_is_nudged():
