@@ -37,7 +37,6 @@ from ._record import Frozen
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 
 _SERIES_CAP = 500
-_COEFF_CHUNK = 16  # coefficients computed per growth step of a series' table
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
 _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
 _NEWTON_STEPS = 60  # Newton steps per start before it is given up
@@ -83,10 +82,13 @@ def _as_rect(region: Rect | tuple) -> Rect:
         raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 
-@lru_cache(maxsize=128)
-def _series(L: float, eta: float) -> list[float]:
-    """The coefficient list of one parameter pair, which every evaluator of the
-    pair extends; the evaluator keys it with signed zeros folded to +0.0."""
+# callers reuse a pair only within one case (a finder call, then phi and phi'
+# at its zeros); a full verify-all builds 6 tables, about 16 KB each
+@lru_cache(maxsize=16)
+def _series(L: float, eta: float) -> tuple[float, ...]:
+    """B_0 .. B_{_SERIES_CAP} of one parameter pair: one immutable table, built
+    once and shared by every evaluator of the pair, from any thread; the
+    evaluator keys it with signed zeros folded to +0.0."""
     b = 2 * L + 2
     if not (math.isfinite(b) and math.isfinite(eta)):
         raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
@@ -98,7 +100,16 @@ def _series(L: float, eta: float) -> list[float]:
             raise SingularB(
                 f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
             )
-    return [1.0]
+    c = [1.0]
+    two_l, two_eta = 2 * L, 2 * eta
+    prev2, prev = 0.0, 1.0
+    for j in range(1, _SERIES_CAP + 1):
+        denom = j * (j + two_l + 1)
+        # a vanishing denom is eta = 0 with negative integer L: the 0/0 index
+        # is odd and the coefficient vanishes by evenness of the function
+        prev2, prev = prev, 0.0 if abs(denom) < 1e-12 * j else (two_eta * prev - prev2) / denom
+        c.append(prev)
+    return tuple(c)
 
 
 @lru_cache(maxsize=128)
@@ -170,22 +181,8 @@ class _Evaluator:
             t0, t1, t2, a2 = t1, t2, t, a
         raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
-    def _ensure(self, n: int) -> None:
-        c = self.coeffs
-        while len(c) <= n:
-            j = len(c)
-            denom = j * (j + 2 * self.L + 1)
-            if abs(denom) < 1e-12 * j:
-                # eta = 0 with negative integer L: the 0/0 index is odd and
-                # the coefficient vanishes by evenness of the function
-                c.append(0.0)
-                continue
-            prev2 = c[j - 2] if j >= 2 else 0.0
-            c.append((2 * self.eta * c[j - 1] - prev2) / denom)
-
     def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
         rho = complex(rho)
-        self._ensure(1)
         c = self.coeffs
         if rho == 0:
             return complex(1.0), complex(c[1])
@@ -200,11 +197,7 @@ class _Evaluator:
         twice_swing = 2 * swing
         t_prev = 1.0
         t_max = 1.0
-        known = len(c)
         for j in range(1, _SERIES_CAP + 1):
-            if j >= known:
-                self._ensure(min(j + _COEFF_CHUNK - 1, _SERIES_CAP))
-                known = len(c)
             power *= rho
             term = c[j] * power
             y = term - comp
@@ -260,6 +253,8 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both
     mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
     "cancellation floor 2.25e+07 exceeds the tolerance at rho = (60+0j) ...".
+    Every call on one pair reads the same immutable coefficient table, so
+    calls from several threads at once are safe.
     """
     return _Evaluator(L, eta, tol).phi(rho)
 

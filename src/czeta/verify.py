@@ -20,7 +20,7 @@ from ._record import Frozen
 from .classify import classify, hurwitz_counts
 from .exact import parse_rational
 from .hankel import _factorial_hankel_det, _rayleigh_products, coulomb_routes, rayleigh_routes
-from .numeric import Rect, find_complex_zeros
+from .numeric import _REAL_AXIS_TOL, Rect, find_complex_zeros
 from .zeta import CoulombParams
 
 
@@ -121,7 +121,7 @@ def _run_classification(cfg, _table):
 def _match_expected_zeros(report, expected, tol) -> bool:
     """True when the found upper-half-plane zeros and the expected ones pair off
     one to one, each pair within tol in both coordinates (augmenting paths)."""
-    found = [z for z in report.zeros if z.imag > 1e-7]
+    found = [z for z in report.zeros if z.imag > _REAL_AXIS_TOL]
     if len(found) != len(expected):
         return False
     near = [
@@ -160,7 +160,7 @@ def _run_hurwitz(cfg, _table):
         imag_ok = report.counts["imaginary_pairs"] == case.get("imaginary_pairs", 0)
         real_ok = True
         if case.get("real_at_pi_multiples"):
-            reals = [z for z in report.zeros if abs(z.imag) <= 1e-7]
+            reals = [z for z in report.zeros if abs(z.imag) <= _REAL_AXIS_TOL]
             real_ok = bool(reals) and all(
                 abs(z.real - round(z.real / math.pi) * math.pi) <= cfg["real_zero_tol"]
                 and round(z.real / math.pi) != 0

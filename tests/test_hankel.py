@@ -278,6 +278,9 @@ def test_rayleigh_builders_reject_bad_parameters():
         build_rayleigh_hankel(-2, 0, 1)
     with pytest.raises(SingularParameter):
         build_rayleigh_hankel(1, 0, 0)
+    # rayleigh_routes checks ell before it builds, so only a direct call gets here
+    with pytest.raises(SingularParameter, match=r"^ell must be >= 0, got -1$"):
+        build_rayleigh_hankel(1, -1, 2)
     with pytest.raises(SingularParameter):
         det_rayleigh_ell2(-1, 2)
 

@@ -2,6 +2,8 @@ import cmath
 import math
 import random
 import struct
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
 
@@ -12,9 +14,12 @@ from czeta.classify import classify
 from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularB
 from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
+    _SERIES_CAP,
     Rect,
     _Evaluator,
     _jacobi,
+    _newton,
+    _phase_along_edge,
     _series,
     _ql_eigenvalues,
     _winding,
@@ -509,6 +514,26 @@ def test_a_polishing_step_out_of_reach_fails_only_its_start(monkeypatch):
     assert report.stats["jacobi_n"] == clean.stats["jacobi_n"] * 3 // 2
 
 
+def test_a_taylor_step_that_does_not_converge_raises():
+    # a step of 9 from rho = 1 is far outside the local series' radius
+    ev = _Evaluator(-0.5, 1.0, 1e-12)
+    with pytest.raises(NoConvergence, match=r"^Taylor step from 1 to 10 did not converge$"):
+        ev.step(1, *ev.values(1), 10)
+
+
+def test_an_exact_zero_on_the_contour_raises():
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    with pytest.raises(ContourTooClose, match=r"^zero on the contour near 0j \.\. \(1\+0j\)$"):
+        _phase_along_edge(ev, 0j, 1 + 0j, (0j, 1j), (1 + 0j, 0j), 2.0)
+
+
+def test_newton_gives_up_a_start_where_the_derivative_vanishes():
+    # phi'(0) = eta/(L+1) = 0 for sin(rho)/rho
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    assert _newton(ev, 0j) is None
+    assert ev.stats["newton_steps"] == 1
+
+
 @pytest.mark.parametrize("L", [-4.75, -2.75])
 def test_one_newton_start_per_zero_on_the_default_region(L):
     # each eigenvalue seed in the region polishes to its own zero; the old
@@ -607,16 +632,15 @@ def test_one_parameter_pair_shares_one_coefficient_list():
     _series.cache_clear()
     report = find_complex_zeros(-3.75, 1.5)
     coeffs = _Evaluator(-3.75, 1.5, 1e-12).coeffs
-    # the winding count sums its corners to double precision, with derivative;
-    # the list grows by 16 coefficients as the sum reaches its end
-    assert len(coeffs) == 82
-    # the winding count, phi and phi' on the same pair extend no further
+    # one immutable table of every coefficient up to the cap, built once
+    assert isinstance(coeffs, tuple)
+    assert len(coeffs) == _SERIES_CAP + 1
     count_zeros_region(-3.75, 1.5, report.region)
     for z in report.zeros:
         phi(-3.75, 1.5, z)
         phi_derivative(-3.75, 1.5, z)
-    assert len(coeffs) == 82
     assert _Evaluator(-3.75, 1.5, 1e-8).coeffs is coeffs
+    assert _series.cache_info().misses == 1
     # a signed zero keys the pair as +0.0, whichever sign was built first
     for first, second in (((0.0, 0.0), (-0.0, -0.0)), ((-0.0, -0.0), (0.0, 0.0))):
         _series.cache_clear()
@@ -624,6 +648,45 @@ def test_one_parameter_pair_shares_one_coefficient_list():
         ev = _Evaluator(*second, 1e-12)
         assert math.copysign(1.0, ev.L) == math.copysign(1.0, ev.eta) == 1.0
         assert ev.coeffs is _Evaluator(*first, 1e-12).coeffs
+
+
+def test_concurrent_calls_on_fresh_pairs_match_single_threaded_ones():
+    # six threads call phi and phi' at once on each of 200 pairs no call has
+    # built yet, the interpreter switching threads every microsecond; a table
+    # that the calls grew in place gave 14-64 of these 2400 values wrong in
+    # five runs, and kept a duplicated coefficient for later calls
+    threads = 6
+    pairs = [(-3.756 + k / 997, 1.5 - k / 1009) for k in range(200)]
+    calls = [(fn, rho) for rho in (11 + 0.5j, 9 - 2j, -7 + 3j, 5 + 1j, -10 - 0.5j, 8j)
+             for fn in (phi, phi_derivative)]
+    _series.cache_clear()
+    expected = {(p, i): fn(*p, rho) for p in pairs for i, (fn, rho) in enumerate(calls)}
+    _series.cache_clear()
+    got, fresh = {}, {}
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def worker(t):
+        for p in pairs:
+            barrier.wait()
+            for i in range(t, len(calls), threads):
+                fn, rho = calls[i]
+                got[p, i] = fn(*p, rho)
+            barrier.wait()
+            if t == 0:
+                fresh[p] = _Evaluator(*p, 1e-12).coeffs == _series.__wrapped__(*p)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [k for k in expected if repr(got.get(k)) != repr(expected[k])] == []
+    assert fresh == dict.fromkeys(pairs, True)
 
 
 def _signed_zero_calls() -> list[tuple]:
