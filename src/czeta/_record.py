@@ -1,39 +1,32 @@
-"""Slotted base classes for the package's records, in place of dataclasses.
+"""A slotted, immutable base class for the package's records, in place of dataclasses.
 
-A record lists its fields in ``__slots__`` and sets them in its own
-``__init__``.  Its repr is ``Name(field=value, ...)`` over the first
-``_shown`` fields, and ``==`` compares the first ``_compared`` fields of two
-instances of the same class (None: every field); any other operand gives
-NotImplemented.
+A record lists its fields in ``__slots__`` and sets them once, by
+``_set_fields``, in its own ``__init__``.  Its repr is ``Name(field=value, ...)``
+over every field, ``==`` compares the first ``_compared`` fields of two
+instances of the same class (None: every field), any other operand gives
+NotImplemented, and it hashes by its compared fields.
 """
 
 
-class Record:
+class Frozen:
     __slots__ = ()
-    _shown = _compared = None
+    _compared = None
+
+    def _set_fields(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self, count):
         return tuple([getattr(self, name) for name in self.__slots__[:count]])
 
     def __repr__(self):
-        shown = self.__slots__[:self._shown]
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in shown)})"
+        fields = ', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields(self._compared) == other._fields(self._compared)
-
-
-class Frozen(Record):
-    """A record whose ``__init__`` sets its fields once, by ``_set_fields``; it
-    hashes by its compared fields."""
-
-    __slots__ = ()
-
-    def _set_fields(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __hash__(self):
         return hash(self._fields(self._compared))

@@ -92,10 +92,9 @@ def _hankel(moments: list[Fraction], n: int) -> ExactMatrix:
 
 
 def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
-    """Fill the matrix from one zeta table extended through zeta_L(2n)."""
+    """Fill the matrix from one zeta table built through zeta_L(2n)."""
     _check_n(n)
-    table = zeta_table(params, 2 * n)
-    return CoulombHankel(params, n, _hankel([table.value(k) for k in range(2, 2 * n + 1)], n))
+    return CoulombHankel(params, n, _hankel(zeta_table(params, 2 * n).values(), n))
 
 
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
@@ -339,17 +338,19 @@ def rayleigh_routes(
     nu: Fraction | int, ell: int, nmax: int, names=None
 ) -> dict[str, list[Fraction]]:
     """The Rayleigh Hankel determinants for n = 1..nmax by each route in `names`
-    (default all), in that order; "closed" is left out for an ell without a
-    closed form (ell > 3)."""
+    (default all), in that order.  An ell without a closed form (ell > 3)
+    leaves "closed" out of the default and raises UnsupportedEll when named."""
     nu = _check_nu(nu)
     _check_n(nmax)
     if ell < 0:
         raise SingularParameter(f"ell must be >= 0, got {ell}")
-    return {
-        name: _RAYLEIGH_ROUTES[name](nu, ell, nmax)
-        for name in _route_names(names, _RAYLEIGH_ROUTES)
-        if name != "closed" or ell in _RAYLEIGH_POLY
-    }
+    chosen = _route_names(names, _RAYLEIGH_ROUTES)
+    if "closed" in chosen and ell not in _RAYLEIGH_POLY:
+        if names:
+            raise UnsupportedEll(f"no closed form for ell = {ell}; the closed route "
+                                 f"covers ell = 0..{max(_RAYLEIGH_POLY)}")
+        chosen = tuple(name for name in chosen if name != "closed")
+    return {name: _RAYLEIGH_ROUTES[name](nu, ell, nmax) for name in chosen}
 
 
 def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from ._record import Frozen, Record
+from ._record import Frozen
 from .errors import SingularParameter, VerificationError
 
 
@@ -68,36 +68,13 @@ def zeta_base(params: CoulombParams) -> Fraction:
     return value / (2 * L + 3)
 
 
-class ZetaTable(Record):
-    """Memoized zeta_L(2..kmax) for fixed (L, eta); grows monotonically.
+class ZetaTable(Frozen):
+    """zeta_L(2..kmax) for fixed (L, eta), built once by `zeta_table`; immutable."""
 
-    Beside the values the table keeps their integer numerators on two scales,
-    so the convolution sums integer products and each new value costs one
-    reduction instead of one per term.  With z_i = zeta_L(i+2), every pair of
-    the sum for zeta(k+1) has one index at most h = (k-3)//2:
+    __slots__ = ("params", "_values")  # _values[i] = zeta_L(i+2)
 
-    - N_i = z_i M, where M is the lcm of every denominator so far; every
-      later pair takes its larger index at or above h, so an N_i below h is
-      not rescaled again;
-    - P_i = z_i M_h for i <= h only, where M_h is the lcm of the denominators of
-      z_0..z_h; it grows (and P is rescaled) only when h advances.
-
-    Each product P_i N_j is then S_h x S_k bits instead of S_k x S_k, and the
-    sum and the drift term share the denominator b M_h M.  The pole factor
-    2L+k+2 is the integer 2p+(k+2)q over q, with L = p/q, so a step builds
-    no Fraction but its value.
-    """
-
-    # _values[i] = zeta(i+2); _den = M, _nums[i] = N_i (i >= h), _half_den = M_h,
-    # _half[i] = P_i; repr and == see only the first two
-    __slots__ = ("params", "_values", "_den", "_nums", "_half_den", "_half")
-    _shown = _compared = 2
-
-    def __init__(self, params: CoulombParams):
-        base = zeta_base(params)
-        self.params, self._values = params, [base]
-        self._den, self._nums = base.denominator, [base.numerator]
-        self._half_den, self._half = 1, []
+    def __init__(self, params: CoulombParams, _values: tuple[Fraction, ...]):
+        self._set_fields(params, _values)
 
     @property
     def kmax(self) -> int:
@@ -107,52 +84,16 @@ class ZetaTable(Record):
         if k < 2:
             raise SingularParameter(f"zeta_L(k) requires k >= 2, got {k}")
         if k > self.kmax:
-            self.extend_to(k)
+            raise IndexError(f"zeta_L(k) available for 2 <= k <= {self.kmax}, got {k}")
         return self._values[k - 2]
 
     def values(self) -> list[Fraction]:
         return list(self._values)
 
     def extend_to(self, kmax: int) -> "ZetaTable":
-        L, eta = self.params.L, self.params.eta
-        p, q = L.numerator, L.denominator
-        z, nums, half = self._values, self._nums, self._half
-        # zeta(k+1) = (drift * zeta(k) + conv) / (2L+k+2), drift = 2 eta/(L+1) = a/b;
-        # over the common denominator b M_h M this is one integer numerator
-        drift = 2 * eta / (L + 1) if eta != 0 else Fraction(0)
-        a, b = drift.numerator, drift.denominator
-        while len(z) + 1 < kmax:
-            k = len(z) + 1  # producing zeta(k+1)
-            last = k - 3  # the convolution runs over i + j = last
-            h = max(last, 0) // 2
-            while len(half) <= h:
-                zi = z[len(half)]
-                self._half_den = _rescale(half, 0, self._half_den, zi.denominator)
-                half.append(zi.numerator * (self._half_den // zi.denominator))
-            M, Mh = self._den, self._half_den
-            # the sum is symmetric: twice the half plus the middle term when
-            # last is even
-            conv = 0
-            for i in range((last + 1) // 2):
-                conv += half[i] * nums[last - i]
-            conv *= 2
-            if last >= 0 and last % 2 == 0:
-                conv += half[h] * nums[h]
-            num = b * conv + a * nums[k - 2] * Mh
-            pole = 2 * p + (k + 2) * q  # (2L+k+2) q
-            if pole == 0:
-                # only reachable at eta = 0 with negative integer L, where the
-                # target index k+1 is odd and the value is 0 by evenness
-                if eta == 0 and num == 0 and (k + 1) % 2 == 1:
-                    z.append(Fraction(0))
-                    nums.append(0)
-                    continue
-                raise SingularParameter(f"2L+k+2 = 0 at L = {L}, k = {k}")
-            value = Fraction(num * q, b * Mh * M * pole)
-            M = self._den = _rescale(nums, h, M, value.denominator)
-            z.append(value)
-            nums.append(value.numerator * (M // value.denominator))
-        return self
+        """This table if it reaches zeta_L(kmax), else a fresh `zeta_table`
+        through kmax; the receiver never changes."""
+        return self if kmax <= self.kmax else zeta_table(self.params, kmax)
 
 
 def _rescale(nums: list[int], start: int, scale: int, d: int) -> int:
@@ -165,10 +106,65 @@ def _rescale(nums: list[int], start: int, scale: int, d: int) -> int:
 
 
 def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
-    """Fresh table holding zeta_L(2), ..., zeta_L(kmax)."""
+    """The table of zeta_L(2), ..., zeta_L(kmax), built once.
+
+    Beside the values the recurrence keeps their integer numerators on two
+    scales, so the convolution sums integer products and each new value costs
+    one reduction instead of one per term.  With z_i = zeta_L(i+2), every pair
+    of the sum for zeta(k+1) has one index at most h = (k-3)//2:
+
+    - N_i = z_i M, where M is the lcm of every denominator so far; every
+      later pair takes its larger index at or above h, so an N_i below h is
+      not rescaled again;
+    - P_i = z_i M_h for i <= h only, where M_h is the lcm of the denominators of
+      z_0..z_h; it grows (and P is rescaled) only when h advances.
+
+    Each product P_i N_j is then S_h x S_k bits instead of S_k x S_k, and the
+    sum and the drift term share the denominator b M_h M.  The pole factor
+    2L+k+2 is the integer 2p+(k+2)q over q, with L = p/q, so a step builds
+    no Fraction but its value.
+    """
     if kmax < 2:
         raise SingularParameter(f"kmax must be >= 2, got {kmax}")
-    return ZetaTable(params).extend_to(kmax)
+    base = zeta_base(params)
+    L, eta = params.L, params.eta
+    p, q = L.numerator, L.denominator
+    # z[i] = zeta(i+2); M, nums[i] = N_i (i >= h); Mh, half[i] = P_i
+    z, M, nums, Mh, half = [base], base.denominator, [base.numerator], 1, []
+    # zeta(k+1) = (drift * zeta(k) + conv) / (2L+k+2), drift = 2 eta/(L+1) = a/b;
+    # over the common denominator b M_h M this is one integer numerator
+    drift = 2 * eta / (L + 1) if eta != 0 else Fraction(0)
+    a, b = drift.numerator, drift.denominator
+    for k in range(2, kmax):  # producing zeta(k+1)
+        last = k - 3  # the convolution runs over i + j = last
+        h = max(last, 0) // 2
+        while len(half) <= h:
+            zi = z[len(half)]
+            Mh = _rescale(half, 0, Mh, zi.denominator)
+            half.append(zi.numerator * (Mh // zi.denominator))
+        # the sum is symmetric: twice the half plus the middle term when
+        # last is even
+        conv = 0
+        for i in range((last + 1) // 2):
+            conv += half[i] * nums[last - i]
+        conv *= 2
+        if last >= 0 and last % 2 == 0:
+            conv += half[h] * nums[h]
+        num = b * conv + a * nums[k - 2] * Mh
+        pole = 2 * p + (k + 2) * q  # (2L+k+2) q
+        if pole == 0:
+            # only reachable at eta = 0 with negative integer L, where the
+            # target index k+1 is odd and the value is 0 by evenness
+            if eta == 0 and num == 0 and (k + 1) % 2 == 1:
+                z.append(Fraction(0))
+                nums.append(0)
+                continue
+            raise SingularParameter(f"2L+k+2 = 0 at L = {L}, k = {k}")
+        value = Fraction(num * q, b * Mh * M * pole)
+        M = _rescale(nums, h, M, value.denominator)
+        z.append(value)
+        nums.append(value.numerator * (M // value.denominator))
+    return ZetaTable(params, tuple(z))
 
 
 def _check_nu(nu: Fraction | int) -> Fraction:
@@ -189,7 +185,7 @@ def rayleigh(nu: Fraction | int, k: int) -> Fraction:
 def _sigmas(nu: Fraction, kmax: int) -> list[Fraction]:
     """sigma_2(nu), sigma_4(nu), ..., sigma_{2 kmax}(nu), from one zeta table."""
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2 * kmax)
-    return [table.value(2 * k) / 2 for k in range(1, kmax + 1)]
+    return [value / 2 for value in table.values()[::2]]
 
 
 def _bernoulli_numbers(nmax: int) -> list[Fraction]:

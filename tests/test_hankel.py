@@ -471,9 +471,13 @@ def test_routes_name_the_valid_routes_for_an_unknown_one():
         coulomb_routes(p, 3, ("closd",))
     # the check reads the names once, so an iterator still selects its routes
     assert coulomb_routes(p, 3, iter(["closed"])) == coulomb_routes(p, 3, ("closed",))
-    # the closed route of an ell without one is a known name that gives no entry;
-    # "dj" is the CLI's alias only
-    assert rayleigh_routes(1, 5, 2, ("closed",)) == {}
+    # the closed route of an ell without one is a known name: named, it raises
+    # UnsupportedEll, and the default leaves it out; "dj" is the CLI's alias only
+    for names in (("closed",), ("direct", "closed")):
+        with pytest.raises(UnsupportedEll, match=r"^no closed form for ell = 5; "
+                                                 r"the closed route covers ell = 0\.\.3$"):
+            rayleigh_routes(1, 5, 2, names)
+    assert list(rayleigh_routes(1, 5, 2)) == ["direct", "desnanot-jacobi"]
     for names in (("dj",), ("direct", "closd")):
         with pytest.raises(ParameterError, match=r"the routes are direct, desnanot-jacobi, closed$"):
             rayleigh_routes(1, 5, 2, names)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -101,9 +103,11 @@ def test_validate_rejects_every_closed_formula_pole():
 def test_table_is_memoized_and_monotone():
     t = zeta_table(CoulombParams(0, 1), 4)
     first = t.values()
-    t.extend_to(10)
-    assert t.values()[: len(first)] == first
-    assert t.kmax == 10
+    grown = t.extend_to(10)
+    assert grown.values()[: len(first)] == first
+    assert grown.kmax == 10
+    assert t.kmax == 4 and t.values() == first
+    assert grown.extend_to(10) is grown and grown.extend_to(4) is grown
 
 
 @pytest.mark.parametrize(
@@ -123,43 +127,71 @@ def test_table_is_memoized_and_monotone():
     ],
 )
 def test_table_grown_in_steps_equals_one_call(L, eta):
-    # the two scales of ZetaTable survive growth in any steps, through
-    # extend_to and through .value(k) past kmax
+    # a table is built once: extend_to in any steps gives tables equal to a
+    # one-call build, each a prefix of any longer one, and leaves its receiver
+    # as it was; value past kmax names the range instead of growing
     p = CoulombParams(L, eta)
     whole = zeta_table(p, 110).values()
-    single = zeta_table(p, 2)
-    for kmax in range(3, 111):
-        single.extend_to(kmax)
-    assert single.values() == whole
+    small = zeta_table(p, 2)
     rng = random.Random(f"{L} {eta}")
-    uneven, by_value, kmax = zeta_table(p, 2), zeta_table(p, 2), 2
+    kmax = 2
     while kmax < 110:
         kmax = min(110, kmax + rng.choice((1, 2, 3, 7, 13, 29)))
-        uneven.extend_to(kmax)
-        assert by_value.value(kmax) == whole[kmax - 2]
-    assert uneven.values() == by_value.values() == whole
-    assert uneven == by_value == single
+        grown = small.extend_to(kmax)
+        assert grown == zeta_table(p, kmax) and grown.values() == whole[:kmax - 1]
+        assert small.kmax == 2 and small.values() == whole[:1]
+        assert grown.extend_to(kmax) is grown and grown.extend_to(2) is grown
+        with pytest.raises(IndexError, match=rf"^zeta_L\(k\) available for 2 <= k <= {kmax}, "
+                                             rf"got {kmax + 1}$"):
+            grown.value(kmax + 1)
+        assert grown.kmax == kmax
+
+
+def test_concurrent_extend_to_on_one_shared_table_matches_a_fresh_build():
+    # three threads at once call extend_to on one shared table, for each of 20
+    # fresh pairs, with a thread switch every microsecond; each result must equal
+    # a fresh build, and the shared table must stay as it was
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    wrong = []
+    try:
+        for i in range(20):
+            p = CoulombParams(F(-(4 * i + 1), 4), F(2 * i + 1, 2))
+            shared = zeta_table(p, 3)
+            before = shared.values()
+            kmaxes = (40, 60, 80)
+            results = [None] * len(kmaxes)
+            barrier = threading.Barrier(len(kmaxes))
+
+            def grow(j):
+                barrier.wait()
+                try:
+                    results[j] = shared.extend_to(kmaxes[j]).values()
+                except Exception as exc:  # a corrupted table may raise anywhere
+                    results[j] = exc
+
+            threads = [threading.Thread(target=grow, args=(j,)) for j in range(len(kmaxes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for kmax, result in zip(kmaxes, results):
+                if result != zeta_table(p, kmax).values():
+                    wrong.append((p, kmax))
+            if shared.values() != before:
+                wrong.append((p, "shared table changed"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
     p = CoulombParams(F(-1, 3), F(1, 2))
     table = zeta_table(p, 12)
-    text = f"ZetaTable(params={p!r}, _values={table.values()!r})"
-    assert repr(table) == text
-    # other private scales and numerators change neither repr nor ==
-    scaled = zeta_table(p, 12)
-    scaled._den, scaled._half_den = 7 * scaled._den, 5 * scaled._half_den
-    scaled._nums, scaled._half = [7 * x for x in scaled._nums], [5 * x for x in scaled._half]
-    assert scaled == table and not scaled != table and repr(scaled) == text
-    scaled._nums[0] += 1
-    scaled._den = 0
-    assert scaled == table and repr(scaled) == text
-    # grown in other steps, the scales and numerators differ; the tables do not
-    stepped = zeta_table(p, 3)
-    for kmax in (5, 8, 12):
-        stepped.extend_to(kmax)
-    assert stepped == table and repr(stepped) == repr(table)
-    assert stepped != zeta_table(p, 13)
+    assert repr(table) == f"ZetaTable(params={p!r}, _values={tuple(table.values())!r})"
+    assert table == zeta_table(p, 3).extend_to(5).extend_to(8).extend_to(12)
+    assert hash(table) == hash(zeta_table(p, 12))
+    assert table != zeta_table(p, 13)
     assert table != zeta_table(CoulombParams(F(-1, 3), F(1, 3)), 12)
     # the class takes a replacement method, as a tracer installs one
     grown = []
@@ -170,7 +202,7 @@ def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
         return extend_to(self, kmax)
 
     monkeypatch.setattr(ZetaTable, "extend_to", counted)
-    assert table.value(14) == zeta_table(p, 14).value(14) and grown == [14, 14]
+    assert table.extend_to(14) == zeta_table(p, 14) and grown == [14]
 
 
 def test_rayleigh_against_closed_formulas():
@@ -227,6 +259,20 @@ def test_bernoulli_frozen_small_cases():
     assert genocchi(3) == -3
 
 
+def test_zeta_value_beyond_kmax_extends_the_table():
+    # a value past kmax comes from the table extend_to returns; the table
+    # read stays as it was and names its range
+    params = CoulombParams(0, 1)
+    table = zeta_table(params, 3)
+    assert table.kmax == 3
+    with pytest.raises(IndexError, match=r"^zeta_L\(k\) available for 2 <= k <= 3, got 6$"):
+        table.value(6)
+    extended = table.extend_to(6)
+    assert extended.value(6) == zeta_table(params, 6).values()[-1]
+    assert extended.kmax == 6 and extended.values() == zeta_table(params, 6).values()
+    assert table.kmax == 3 and table.values() == zeta_table(params, 3).values()
+
+
 def test_zeta_input_checks_name_the_bad_index():
     params = CoulombParams(0, 1)
     table = zeta_table(params, 3)
@@ -240,11 +286,3 @@ def test_zeta_input_checks_name_the_bad_index():
         bernoulli(0)
     with pytest.raises(SingularParameter, match=r"^genocchi\(n\) requires n >= 1, got 0$"):
         genocchi(0)
-
-
-def test_zeta_value_beyond_kmax_extends_the_table():
-    params = CoulombParams(0, 1)
-    table = zeta_table(params, 3)
-    assert table.kmax == 3
-    assert table.value(6) == zeta_table(params, 6).values()[-1]
-    assert table.kmax == 6 and table.values() == zeta_table(params, 6).values()
