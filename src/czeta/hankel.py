@@ -58,7 +58,8 @@ class RecurrenceCoeffs(Frozen):
     usable on the Bessel branch.  The Hankel moments zeta_L(k+2) have the
     nodes -1/rho_j (see `czeta.zeta`), and b_n = -alpha_n is minus their
     recurrence coefficient: the Jacobi matrix with diagonal b_n and
-    off-diagonal sqrt(a_n) has the eigenvalues 1/rho_j.
+    off-diagonal sqrt(a_n) has the eigenvalues 1/rho_j.  The zero finder
+    forms that matrix from these exact values, each rounded once.
     """
 
     __slots__ = ("params", "_a", "_b")  # _a[i] = a_{i+1}, _b[i] = b_i
@@ -97,30 +98,32 @@ def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
     return CoulombHankel(params, n, _hankel(zeta_table(params, 2 * n).values(), n))
 
 
+def _recurrence_terms(params: CoulombParams, nmax: int) -> tuple[list, list]:
+    """a_1..a_nmax and b_0..b_nmax as unreduced integer (numerator, denominator)
+    pairs: with L = p/q, eta = r/s and u = (n+L+1) q, a_n = (u^2 s^2 + r^2 q^2) q^2 /
+    (u^2 s^2 d) with d = (2n+2L+1)(2n+2L+3) q^2, or q^2 / d at eta = 0, and
+    b_n = -r q^2 / (s u (u+q)), or 0 at eta = 0, where u = 0 at integer L."""
+    params.validate()
+    p, q = params.L.numerator, params.L.denominator
+    r, s = params.eta.numerator, params.eta.denominator
+    q2, rq2 = q * q, (r * q) ** 2
+    a, b = [], []
+    for n in range(0, nmax + 1):
+        u = p + (n + 1) * q
+        b.append((-r * q2, s * u * (u + q)) if r else (0, 1))
+        if n >= 1:
+            d = (2 * p + (2 * n + 1) * q) * (2 * p + (2 * n + 3) * q)
+            us2 = (u * s) ** 2
+            a.append(((us2 + rq2) * q2, us2 * d) if r else (q2, d))
+    return a, b
+
+
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     """Coefficients a_1..a_nmax and b_0..b_nmax, exactly."""
     if nmax < 1:
         raise SingularParameter(f"nmax must be >= 1, got {nmax}")
-    params.validate()
-    # over integers, with L = p/q, eta = r/s and u = (n+L+1) q:
-    # a_n = (u^2 s^2 + r^2 q^2) q^2 / (u^2 s^2 d) with d = (2n+2L+1)(2n+2L+3) q^2,
-    # a_n = q^2 / d at eta = 0, and b_n = -r q^2 / (s u (u+q))
-    p, q = params.L.numerator, params.L.denominator
-    r, s = params.eta.numerator, params.eta.denominator
-    q2, rq2 = q * q, (r * q) ** 2
-    a = []
-    b = []
-    for n in range(0, nmax + 1):
-        u = p + (n + 1) * q
-        b.append(Fraction(-r * q2, s * u * (u + q)) if r else Fraction(0))
-        if n >= 1:
-            d = (2 * p + (2 * n + 1) * q) * (2 * p + (2 * n + 3) * q)
-            if r:
-                us2 = (u * s) ** 2
-                a.append(Fraction((us2 + rq2) * q2, us2 * d))
-            else:
-                a.append(Fraction(q2, d))
-    return RecurrenceCoeffs(params, tuple(a), tuple(b))
+    a, b = _recurrence_terms(params, nmax)
+    return RecurrenceCoeffs(params, tuple(Fraction(*t) for t in a), tuple(Fraction(*t) for t in b))
 
 
 def _coulomb_closed(params: CoulombParams, nmax: int, first: int = 1) -> list[Fraction]:

@@ -35,6 +35,8 @@ from functools import lru_cache
 
 from ._record import Frozen
 from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
+from .hankel import _recurrence_terms
+from .zeta import CoulombParams
 
 _SERIES_CAP = 500
 _IMAG_AXIS_TOL = 1e-7  # |re| below this flags a purely imaginary zero
@@ -406,19 +408,11 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
 
 def _jacobi(L: float, eta: float, size: int) -> tuple[list[complex], list[complex]]:
     """Diagonal b_0..b_{size-1} and off-diagonal sqrt(a_1)..sqrt(a_{size-1}) of the
-    Jacobi matrix: with u = n + L + 1, b_n = -eta/(u (u+1)) and a_n = (1 + eta^2/u^2)
-    / ((2n+2L+1)(2n+2L+3)), the eta terms dropped at eta = 0, where u = 0 at integer
-    L (`recurrence_coeffs`' closed forms).  a_n < 0 makes it complex symmetric.
-    The zeta values' moment nodes are -1/rho_j; the diagonal b_n = -alpha_n
-    turns them back into the eigenvalues 1/rho_j."""
-    diag, off = [], []
-    for n in range(size):
-        u = n + L + 1
-        diag.append(complex(-eta / (u * (u + 1))) if eta else 0j)
-        if n:
-            d = (2 * n + 2 * L + 1) * (2 * n + 2 * L + 3)
-            off.append(cmath.sqrt((1 + (eta / u) ** 2) / d if eta else 1 / d))
-    return diag, off
+    Jacobi matrix whose eigenvalues are 1/rho_j (see `RecurrenceCoeffs`): the exact
+    coefficients at the binary values of L and eta, each rounded once.  a_n < 0
+    makes it complex symmetric."""
+    a, b = _recurrence_terms(CoulombParams(L, eta), size - 1)
+    return [complex(n / d) for n, d in b], [cmath.sqrt(n / d) for n, d in a]
 
 
 def _ql_eigenvalues(diag: list[complex], off: list[complex]) -> tuple[list[complex], int]:

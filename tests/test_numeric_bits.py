@@ -134,7 +134,7 @@ def test_pinned_zeros_validate_against_high_precision():
 
 
 def test_zero_reports_are_pinned():
-    assert _digest(_finder_reports()) == "908ca9a4d3524e0aeadb5547521840a1eb40254bf1ffd91c12575ff4bf7ca5a3"
+    assert _digest(_finder_reports()) == "0399d93943c9614672b99ef33111ad2e4e8e170b6c718bfacb38fe50dda68683"
 
 
 def test_stop_index_keeps_the_shift_association():
