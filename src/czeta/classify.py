@@ -21,14 +21,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._record import Frozen
-from .errors import (
-    BoundaryParameter,
-    ExcludedParameter,
-    SingularParameter,
-    VerificationError,
-)
+from .errors import SingularParameter, VerificationError
 from .hankel import coulomb_routes
-from .zeta import CoulombParams
+from .zeta import CoulombParams, _check_nu
 
 
 class ZeroClassification(Frozen):
@@ -47,13 +42,6 @@ class HurwitzCount(NamedTuple):
     imaginary_pair: bool
 
 
-def _validate_for_classification(params: CoulombParams) -> None:
-    try:
-        params.validate()
-    except SingularParameter as exc:
-        raise ExcludedParameter(str(exc)) from exc
-
-
 def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
     """Closed form of D_{n-1} D_n (n >= 0; D_{-1} = 1, empty product = 1):
 
@@ -64,9 +52,9 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
     negative integer L), evaluated as det H_n det H_{n+1} from one running
     closed product.
     """
-    _validate_for_classification(params)
+    params.validate()
     if n < 0:
-        raise ExcludedParameter(f"n must be >= 0, got {n}")
+        raise SingularParameter(f"n must be >= 0, got {n}")
     dets = coulomb_routes(params, n + 1, ("closed",))["closed"]  # det H_1 .. det H_{n+1}
     return (dets[n - 1] if n else 1) * dets[n]
 
@@ -78,18 +66,18 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     closed product (see ``dd_product_closed``), which is never evaluated:
     every power base^(4k+4) and (1 + eta^2/shift^2)^(2k+3) is positive, so
     the sign is that of 2L+2n+3.  No factor vanishes off the excluded set,
-    which the parameter check rejects as ExcludedParameter.  In auto
+    which CoulombParams.validate refuses as SingularParameter.  In auto
     mode nmax = max(ceil(-L) + 2, 3), which covers every possible negative
     sign (they require 2L+2n+3 < 0) with a margin of at least two; the
-    trailing margin must be positive, and the negative count is checked
-    against floor(-L-1/2).
+    trailing margin must be positive (else, as for a bad nmax, SingularParameter),
+    and the negative count is checked against floor(-L-1/2).
     """
-    _validate_for_classification(params)
+    params.validate()
     L = params.L
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
     if not isinstance(nmax, int) or nmax < 0:
-        raise ExcludedParameter(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
+        raise SingularParameter(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
 
     # 2L+2n+3 times the denominator q > 0 of L: an integer with the same sign
     p, q = L.numerator, L.denominator
@@ -98,9 +86,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
 
     # the negatives all sit at the front: n < -L - 3/2
     if signs and signs[-1] != 1:
-        raise ExcludedParameter(
-            f"nmax = {nmax} too small: sign sequence still negative at its end"
-        )
+        raise SingularParameter(f"nmax = {nmax} too small: sign sequence still negative at its end")
     if L < Fraction(-3, 2):
         expected = math.floor(-L - Fraction(1, 2))
         if m != expected:
@@ -119,13 +105,11 @@ def hurwitz_counts(nu: Fraction | int) -> HurwitzCount:
     - -2s-2 < nu < -2s-1 (s >= 0): 4s+2 complex zeros, two purely imaginary;
     - -2s-1 < nu < -2s (s >= 1): 4s complex zeros, none imaginary.
 
-    Negative integer nu sits on a trichotomy boundary (and on the excluded
-    set of the eta = 0 classifier) and is refused.  The count is checked
-    against twice the classifier's pair count on every call.
+    Negative integer nu, a trichotomy boundary and the excluded set -N of the
+    eta = 0 classifier, raises SingularParameter from czeta.zeta._check_nu.
+    The count is checked against twice the classifier's pair count on every call.
     """
-    nu = Fraction(nu)
-    if nu.denominator == 1 and nu.numerator <= -1:
-        raise BoundaryParameter(f"nu = {nu} is a negative integer boundary point")
+    nu = _check_nu(nu)
     if nu > -1:
         count, imaginary = 0, False
     else:

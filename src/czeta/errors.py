@@ -6,23 +6,13 @@ class ParameterError(ValueError):
 
 
 class SingularParameter(ParameterError):
-    """Parameters hit a pole of the zeta recurrence or of a closed determinant formula."""
-
-
-class ExcludedParameter(ParameterError):
-    """Zero classification was requested on the excluded parameter set."""
-
-
-class BoundaryParameter(ParameterError):
-    """The Bessel-order trichotomy is undefined at this boundary point."""
+    """A pole of a formula, or an index below its range.  The one refusal of the excluded
+    set, in three forms: rational (L, eta) with L in -(N+1)/2, only -N-1/2 if eta = 0
+    (CoulombParams.validate); a Bessel order nu in -N; float (L, eta) on it (numeric series)."""
 
 
 class UnsupportedEll(ParameterError):
-    """The requested closed form only exists for offset 0 or 1."""
-
-
-class SingularB(ParameterError):
-    """The confluent-series denominator parameter 2L+2 is a nonpositive integer."""
+    """The function asked has no closed form at this ell (the Rayleigh closed route covers 0..3)."""
 
 
 class VerificationError(ArithmeticError):

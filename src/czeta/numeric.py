@@ -34,7 +34,7 @@ import math
 from functools import lru_cache
 
 from ._record import Frozen
-from .errors import ContourTooClose, NoConvergence, ParameterError, SingularB
+from .errors import ContourTooClose, NoConvergence, ParameterError, SingularParameter
 from .hankel import _recurrence_terms
 from .zeta import CoulombParams
 
@@ -99,7 +99,7 @@ def _series(L: float, eta: float) -> tuple[float, ...]:
         # nonpositive integer series parameter; only the eta = 0 even
         # (Bessel-type) branch with integer L stays meaningful
         if not (eta == 0 and b_round % 2 == 0):
-            raise SingularB(
+            raise SingularParameter(
                 f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
             )
     c = [1.0]
@@ -250,7 +250,7 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
 
     The truncation tail is bounded below tol*(1+|result|).  A signed zero in
     L or eta is taken as +0.0.  Raises ParameterError unless tol is positive
-    and finite, SingularB for parameters where the series is undefined, and
+    and finite, SingularParameter on the excluded set (see czeta.errors), and
     NoConvergence when the term cap is exhausted or on the cancellation floor,
     when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both
     mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
@@ -457,7 +457,9 @@ class ZeroReport(Frozen):
 
     `zeros` holds one representative per zero: real zeros as found, and the
     upper half-plane member of each conjugate pair (the mirror partner is
-    implied by the real Taylor coefficients, never listed).  `counts` carries
+    implied by the real Taylor coefficients, never listed).  `residuals` holds
+    |phi| at each zero, not its distance to the root: at (-0.25, -3) the zero
+    14.964485479198789 has |phi| = 2.5e-10 but lies 5.3e-9 off.  `counts` carries
     the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
     always empty (the finder accounts for the whole winding count or raises).
     `stats` counts the work the call did: "series_evals" (sums of the series,

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from czeta.classify import ZeroClassification, classify, dd_product_closed, hurwitz_counts
-from czeta.errors import BoundaryParameter, ExcludedParameter, VerificationError
+from czeta.errors import SingularParameter, VerificationError
 from czeta.exact import det_exact
 from czeta.hankel import build_coulomb_hankel
 from czeta.zeta import CoulombParams, zeta_base
@@ -96,7 +96,7 @@ def test_classify_explicit_nmax():
 
 def test_classify_refuses_excluded_sets():
     for L, eta in [(-2, 1), (F(-3, 2), 1), (-1, F(1, 2)), (F(-3, 2), 0), (F(-5, 2), 0)]:
-        with pytest.raises(ExcludedParameter):
+        with pytest.raises(SingularParameter):
             classify(CoulombParams(L, eta))
 
 
@@ -146,15 +146,80 @@ def test_hurwitz_raises_when_the_classifier_disagrees(monkeypatch):
 
 def test_hurwitz_boundary_refusals():
     for nu in (-1, -2, F(-3)):
-        with pytest.raises(BoundaryParameter):
+        with pytest.raises(SingularParameter, match="on excluded set -N$"):
             hurwitz_counts(nu)
 
 
 def test_classifier_input_checks():
     params = CoulombParams(0, 1)
-    with pytest.raises(ExcludedParameter, match=r"^n must be >= 0, got -1$"):
+    with pytest.raises(SingularParameter, match=r"^n must be >= 0, got -1$"):
         dd_product_closed(params, -1)
     for nmax in ("x", -1):
         message = rf"^nmax must be a nonnegative integer or 'auto', got {nmax!r}$"
-        with pytest.raises(ExcludedParameter, match=message):
+        with pytest.raises(SingularParameter, match=message):
             classify(params, nmax)
+
+
+def test_every_entry_point_refuses_the_excluded_set_as_singular_parameter():
+    # one refusal of the set in each of its three forms, no subclass of it
+    import re
+    from pathlib import Path
+
+    import czeta
+    import czeta.errors
+
+    def refusal(call):
+        try:
+            call()
+        except Exception as exc:  # the exact type is the check
+            return type(exc)
+        return None
+
+    rational = {
+        "zeta_base": czeta.zeta_base,
+        "zeta_table": lambda p: czeta.zeta_table(p, 6),
+        "recurrence_coeffs": lambda p: czeta.recurrence_coeffs(p, 3),
+        "coulomb_routes": lambda p: czeta.coulomb_routes(p, 3),
+        "det_coulomb_closed": lambda p: czeta.det_coulomb_closed(p, 3),
+        "det_coulomb_via_moments": lambda p: czeta.det_coulomb_via_moments(p, 3),
+        "build_coulomb_hankel": lambda p: czeta.build_coulomb_hankel(p, 3),
+        "classify": czeta.classify,
+        "dd_product_closed": lambda p: czeta.dd_product_closed(p, 2),
+    }
+    orders = {
+        "rayleigh": lambda nu: czeta.rayleigh(nu, 2),
+        "rayleigh_routes": lambda nu: czeta.rayleigh_routes(nu, 0, 2),
+        "build_rayleigh_hankel": lambda nu: czeta.build_rayleigh_hankel(nu, 0, 2),
+        "parity_split_check": lambda nu: czeta.parity_split_check(nu, 2),
+        "hurwitz_counts": czeta.hurwitz_counts,
+        "det_rayleigh_dj": lambda nu: czeta.det_rayleigh_dj(nu, 2, 2),
+        "det_rayleigh_closed": lambda nu: czeta.det_rayleigh_closed(nu, 0, 2),
+        "det_rayleigh_ell2": lambda nu: czeta.det_rayleigh_ell2(nu, 2),
+        "det_rayleigh_ell3": lambda nu: czeta.det_rayleigh_ell3(nu, 2),
+    }
+    floats = {
+        "phi": lambda L, eta: czeta.phi(L, eta, 0.5),
+        "phi_derivative": lambda L, eta: czeta.phi_derivative(L, eta, 0.5),
+        "count_zeros_region": lambda L, eta: czeta.count_zeros_region(L, eta, (-1, 1, -1, 1)),
+        "find_complex_zeros": lambda L, eta: czeta.find_complex_zeros(L, eta),
+    }
+    raised = {}
+    for L, eta in [(F(-3, 2), 1), (-2, F(1, 2)), (F(-5, 2), 0)]:
+        for name, fn in rational.items():
+            raised[name, L, eta] = refusal(lambda: fn(CoulombParams(L, eta)))
+    for nu in (-1, -2):
+        for name, fn in orders.items():
+            raised[name, nu] = refusal(lambda: fn(nu))
+    for L, eta in [(-1.5, 1.0), (-2.5, 0.0), (-2.0, 0.5)]:
+        for name, fn in floats.items():
+            raised[name, L, eta] = refusal(lambda: fn(L, eta))
+    assert len(raised) == 3 * 9 + 2 * 9 + 3 * 4
+    assert {key: kind for key, kind in raised.items() if kind is not SingularParameter} == {}
+
+    # and every type left in czeta.errors is raised somewhere in the package
+    source = "".join(path.read_text() for path in
+                     (Path(__file__).resolve().parent.parent / "src" / "czeta").glob("*.py"))
+    defined = [name for name, v in vars(czeta.errors).items()
+               if isinstance(v, type) and v.__module__ == "czeta.errors"]
+    assert len(defined) == 6
+    assert [name for name in defined if not re.search(rf"\braise {name}\(", source)] == []

@@ -136,14 +136,14 @@ def test_probe_covers_every_rejection():
     records = _coulomb_records()
     assert len(records) >= 6435
     # values, both excluded-set messages and the classifier's own refusals
-    for needle in ("Fraction(", "(eta = 0 branch)", "(eta != 0)", "ExcludedParameter",
+    for needle in ("Fraction(", "(eta = 0 branch)", "(eta != 0)", " classify SingularParameter: ",
                    "too small"):
         assert any(needle in r for r in records), needle
 
 
 def test_coulomb_domain_behaviour_is_pinned():
     assert _digest(_coulomb_records()) == (
-        "ebe49bb9aae2c76a6bcce2187cd3a22466f7bf15faf9b146356160735dff77fa"
+        "b019f9944c2d2560c2c6dd1be6e7372eeefa208889c084ad46cce00315cf0b5b"
     )
 
 

@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 from czeta.classify import classify
-from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularB
+from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularParameter
 from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
     _SERIES_CAP,
@@ -94,11 +94,11 @@ def test_phi_derivative_matches_high_precision():
 
 
 def test_phi_singular_parameters():
-    with pytest.raises(SingularB):
+    with pytest.raises(SingularParameter):
         phi(-1, 1.0, 0.5)  # 2L+2 = 0 with eta != 0
-    with pytest.raises(SingularB):
+    with pytest.raises(SingularParameter):
         phi(-1.5, 0.7, 0.5)  # 2L+2 = -1
-    with pytest.raises(SingularB):
+    with pytest.raises(SingularParameter):
         phi(-2.5, 0.0, 0.5)  # eta = 0 but half-integer orbital: genuinely singular
     # eta = 0 with integer orbital stays on the Bessel branch
     assert phi(-2.0, 0.0, 0.3) != 0
