@@ -7,8 +7,8 @@ class ParameterError(ValueError):
 
 class SingularParameter(ParameterError):
     """A pole of a formula, or an index below its range.  The one refusal of the excluded
-    set, in three forms: rational (L, eta) with L in -(N+1)/2, only -N-1/2 if eta = 0
-    (CoulombParams.validate); a Bessel order nu in -N; float (L, eta) on it (numeric series)."""
+    set, from two checks: CoulombParams.validate for an (L, eta) pair, rational or float at
+    its exact value, with L in -(N+1)/2, only -N-1/2 if eta = 0; _check_nu for nu in -N."""
 
 
 class UnsupportedEll(ParameterError):

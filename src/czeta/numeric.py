@@ -34,7 +34,7 @@ import math
 from functools import lru_cache
 
 from ._record import Frozen
-from .errors import ContourTooClose, NoConvergence, ParameterError, SingularParameter
+from .errors import ContourTooClose, NoConvergence, ParameterError
 from .hankel import _recurrence_terms
 from .zeta import CoulombParams
 
@@ -88,28 +88,20 @@ def _as_rect(region: Rect | tuple) -> Rect:
 # at its zeros); a full verify-all builds 6 tables, about 16 KB each
 @lru_cache(maxsize=16)
 def _series(L: float, eta: float) -> tuple[float, ...]:
-    """B_0 .. B_{_SERIES_CAP} of one parameter pair: one immutable table, built
-    once and shared by every evaluator of the pair, from any thread; the
-    evaluator keys it with signed zeros folded to +0.0."""
-    b = 2 * L + 2
-    if not (math.isfinite(b) and math.isfinite(eta)):
+    """B_0 .. B_{_SERIES_CAP} of a pair that `CoulombParams.validate` passes at its exact
+    values: one immutable table, built once and shared by every evaluator of the pair,
+    from any thread; the evaluator keys it with signed zeros folded to +0.0."""
+    if not (math.isfinite(2 * L + 2) and math.isfinite(eta)):
         raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
-    b_round = round(b)
-    if abs(b - b_round) < 1e-9 and b_round <= 0:
-        # nonpositive integer series parameter; only the eta = 0 even
-        # (Bessel-type) branch with integer L stays meaningful
-        if not (eta == 0 and b_round % 2 == 0):
-            raise SingularParameter(
-                f"2L+2 = {b_round} is a nonpositive integer at L = {L}"
-            )
+    CoulombParams(L, eta).validate()  # the exact values `_jacobi` reads too
     c = [1.0]
     two_l, two_eta = 2 * L, 2 * eta
     prev2, prev = 0.0, 1.0
     for j in range(1, _SERIES_CAP + 1):
         denom = j * (j + two_l + 1)
-        # a vanishing denom is eta = 0 with negative integer L: the 0/0 index
-        # is odd and the coefficient vanishes by evenness of the function
-        prev2, prev = prev, 0.0 if abs(denom) < 1e-12 * j else (two_eta * prev - prev2) / denom
+        # past validate a zero denom is eta = 0 with negative integer L: the 0/0
+        # index is odd and the coefficient vanishes by evenness of the function
+        prev2, prev = prev, 0.0 if denom == 0 else (two_eta * prev - prev2) / denom
         c.append(prev)
     return tuple(c)
 
@@ -250,7 +242,8 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
 
     The truncation tail is bounded below tol*(1+|result|).  A signed zero in
     L or eta is taken as +0.0.  Raises ParameterError unless tol is positive
-    and finite, SingularParameter on the excluded set (see czeta.errors), and
+    and finite, SingularParameter from `CoulombParams.validate` on the excluded
+    set at the exact values of L and eta (so L = -1.5 + 1e-10 is evaluated), and
     NoConvergence when the term cap is exhausted or on the cancellation floor,
     when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both
     mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises

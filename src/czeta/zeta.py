@@ -46,8 +46,9 @@ class CoulombParams(Frozen):
         """Reject L on the excluded set -(N+1)/2, or only -N-1/2 when eta = 0.
 
         Every pole of the closed formulas (zeta_L(2), the recurrence
-        coefficients, the closed product, the classifier's signs) lies in this
-        set, so this is the only check of it.
+        coefficients, the closed product, the classifier's signs) and of the
+        numeric series lies in this set, so this is the only check of it; a
+        float pair is tested at its exact binary value.
         """
         twice = 2 * self.L
         if twice.denominator != 1 or twice.numerator > -2:
@@ -153,13 +154,13 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
         num = b * conv + a * nums[k - 2] * Mh
         pole = 2 * p + (k + 2) * q  # (2L+k+2) q
         if pole == 0:
-            # only reachable at eta = 0 with negative integer L, where the
+            # past validate only eta = 0 with negative integer L, where the
             # target index k+1 is odd and the value is 0 by evenness
-            if eta == 0 and num == 0 and (k + 1) % 2 == 1:
-                z.append(Fraction(0))
-                nums.append(0)
-                continue
-            raise SingularParameter(f"2L+k+2 = 0 at L = {L}, k = {k}")
+            if num != 0:
+                raise VerificationError(f"odd zeta_L({k + 1}) != 0 at the pole 2L+k+2 = 0, L = {L}")
+            z.append(Fraction(0))
+            nums.append(0)
+            continue
         value = Fraction(num * q, b * Mh * M * pole)
         M = _rescale(nums, h, M, value.denominator)
         z.append(value)

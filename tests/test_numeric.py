@@ -94,14 +94,34 @@ def test_phi_derivative_matches_high_precision():
 
 
 def test_phi_singular_parameters():
-    with pytest.raises(SingularParameter):
-        phi(-1, 1.0, 0.5)  # 2L+2 = 0 with eta != 0
-    with pytest.raises(SingularParameter):
-        phi(-1.5, 0.7, 0.5)  # 2L+2 = -1
-    with pytest.raises(SingularParameter):
-        phi(-2.5, 0.0, 0.5)  # eta = 0 but half-integer orbital: genuinely singular
+    # a float on the excluded set is refused by CoulombParams.validate, with its message
+    for L, eta, message in [
+        (-1, 1.0, r"^L = -1 on excluded set -\(N\+1\)/2 \(eta != 0\)$"),  # 2L+2 = 0
+        (-1.5, 0.7, r"^L = -3/2 on excluded set -\(N\+1\)/2 \(eta != 0\)$"),  # 2L+2 = -1
+        # eta = 0 but half-integer orbital: genuinely singular
+        (-2.5, 0.0, r"^L = -5/2 on excluded set -N-1/2 \(eta = 0 branch\)$"),
+    ]:
+        with pytest.raises(SingularParameter, match=message) as info:
+            phi(L, eta, 0.5)
+        assert type(info.value) is SingularParameter
     # eta = 0 with integer orbital stays on the Bessel branch
     assert phi(-2.0, 0.0, 0.3) != 0
+    # floats just off the set are evaluated at their exact values, however near it
+    for L in (-1.5 + 1e-10, -1.5 - 1e-10, -1.4999999999999998, -2 + 3e-10, -1 + 1e-11,
+              -2.5 + 1e-10):
+        for eta in (0.0, 1.0):
+            for rho in (0.7 + 0.2j, -1.3 + 0.5j, 2.5 - 0.1j):
+                ref = phi_mpmath(L, eta, rho)
+                assert abs(phi(L, eta, rho) - ref) <= 1e-12 * max(1, abs(ref)), (L, eta, rho)
+                dref = complex(mp.diff(lambda r: mp.e ** (-1j * r) * mp.hyp1f1(
+                    mp.mpf(L) + 1 - 1j * mp.mpf(eta), 2 * mp.mpf(L) + 2, 2j * r
+                ), mp.mpc(rho)))
+                assert abs(phi_derivative(L, eta, rho) - dref) <= 1e-12 * max(1, abs(dref)), (
+                    L, eta, rho)
+            try:
+                find_complex_zeros(L, eta)
+            except Exception as exc:
+                assert type(exc).__module__ == "czeta.errors", (L, eta, exc)
 
 
 def test_phi_no_convergence_far_out():
@@ -529,6 +549,22 @@ def test_an_exact_zero_on_the_contour_raises():
     ev = _Evaluator(0.0, 0.0, 1e-12)
     with pytest.raises(ContourTooClose, match=r"^zero on the contour near 0j \.\. \(1\+0j\)$"):
         _phase_along_edge(ev, 0j, 1 + 0j, (0j, 1j), (1 + 0j, 0j), 2.0)
+
+
+def test_a_winding_that_is_not_integral_raises(monkeypatch):
+    import czeta.numeric
+
+    # one edge turns the phase by pi and the rest by nothing: half a turn in all
+    steps = iter([math.pi])
+    monkeypatch.setattr(czeta.numeric, "_phase_along_edge", lambda *args: next(steps, 0.0))
+    with pytest.raises(ContourTooClose, match=r"^winding number 0\.5000 not integral over "):
+        _winding(_Evaluator(0.0, 0.0, 1e-12), Rect(-1, 1, -1, 1))
+
+
+def test_a_ql_rotation_that_breaks_down_raises():
+    # [[1, i], [i, -1]] is nilpotent: f = +-ig at its first rotation, so r = 0
+    with pytest.raises(NoConvergence, match=r"^QL rotation broke down at eigenvalue 0 of 2$"):
+        _ql_eigenvalues([1 + 0j, -1 + 0j], [1j])
 
 
 def test_newton_gives_up_a_start_where_the_derivative_vanishes():
