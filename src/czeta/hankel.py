@@ -14,7 +14,7 @@ one running Rayleigh product per (nu, ell), the latter two at nu = 1/2 and
 -1/2, rescaled.  `leading_minors` is the only determinant entry point (it takes
 the Chebyshev algorithm for these Hankel matrices, and Bareiss only when a
 leading minor below the last vanishes), and every sigma_{2k}(nu) comes from one
-helper, `czeta.zeta._sigmas`.
+helper, `czeta.zeta._sigmas`, which reads a prefix of the pair's held table.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _hankel(moments: list[Fraction], n: int) -> ExactMatrix:
 
 
 def build_coulomb_hankel(params: CoulombParams, n: int) -> CoulombHankel:
-    """Fill the matrix from one zeta table built through zeta_L(2n)."""
+    """Fill the matrix from zeta_L(2..2n), a prefix of the pair's held zeta table."""
     _check_n(n)
     return CoulombHankel(params, n, _hankel(zeta_table(params, 2 * n).values(), n))
 

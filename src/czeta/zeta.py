@@ -22,7 +22,9 @@ evenness of the eta = 0 function.
 
 The Rayleigh function sigma_{2k}(nu) (power sums over the positive zeros of
 the Bessel function J_nu) is zeta_{nu-1/2}(2k) / 2, and Bernoulli/Genocchi
-numbers are recovered from sigma_{2n}(1/2) and sigma_{2n}(-1/2).
+numbers are recovered from sigma_{2n}(1/2) and sigma_{2n}(-1/2).  Every value
+comes from `zeta_table`, which holds one immutable table for each of the last
+16 pairs and serves a shorter request as a prefix of it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def zeta_base(params: CoulombParams) -> Fraction:
 
 
 class ZetaTable(Frozen):
-    """zeta_L(2..kmax) for fixed (L, eta), built once by `zeta_table`; immutable."""
+    """zeta_L(2..kmax) for fixed (L, eta); immutable, so `zeta_table` holds one per pair."""
 
     __slots__ = ("params", "_values")  # _values[i] = zeta_L(i+2)
 
@@ -92,8 +94,8 @@ class ZetaTable(Frozen):
         return list(self._values)
 
     def extend_to(self, kmax: int) -> "ZetaTable":
-        """This table if it reaches zeta_L(kmax), else a fresh `zeta_table`
-        through kmax; the receiver never changes."""
+        """This table if it reaches zeta_L(kmax), else `zeta_table(params,
+        kmax)`; the receiver never changes."""
         return self if kmax <= self.kmax else zeta_table(self.params, kmax)
 
 
@@ -106,8 +108,32 @@ def _rescale(nums: list[int], start: int, scale: int, d: int) -> int:
     return scale
 
 
+# the longest table asked for of each of the last _HELD pairs, oldest first;
+# only atomic dict operations touch it, so threads at worst build one twice
+_HELD = 16
+_tables: dict[CoulombParams, ZetaTable] = {}
+
+
 def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
-    """The table of zeta_L(2), ..., zeta_L(kmax), built once.
+    """zeta_L(2), ..., zeta_L(kmax): the pair's held table or a prefix of it.
+
+    The last 16 pairs hold one immutable table each, the longest asked for; a
+    longer request builds the pair's table through kmax and holds it instead.
+    """
+    if kmax < 2:
+        raise SingularParameter(f"kmax must be >= 2, got {kmax}")
+    held = _tables.get(params)
+    if held is None or held.kmax < kmax:
+        held = _build_table(params, kmax)  # an excluded pair raises: never held
+        _tables.pop(params, None)  # so the rebuilt pair is the newest
+        _tables[params] = held
+        for stale in list(_tables)[:-_HELD]:
+            _tables.pop(stale, None)
+    return held if held.kmax == kmax else ZetaTable(params, held._values[:kmax - 1])
+
+
+def _build_table(params: CoulombParams, kmax: int) -> ZetaTable:
+    """The table of zeta_L(2), ..., zeta_L(kmax), from the recurrence.
 
     Beside the values the recurrence keeps their integer numerators on two
     scales, so the convolution sums integer products and each new value costs
@@ -125,8 +151,6 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
     2L+k+2 is the integer 2p+(k+2)q over q, with L = p/q, so a step builds
     no Fraction but its value.
     """
-    if kmax < 2:
-        raise SingularParameter(f"kmax must be >= 2, got {kmax}")
     base = zeta_base(params)
     L, eta = params.L, params.eta
     p, q = L.numerator, L.denominator
@@ -184,7 +208,7 @@ def rayleigh(nu: Fraction | int, k: int) -> Fraction:
 
 
 def _sigmas(nu: Fraction, kmax: int) -> list[Fraction]:
-    """sigma_2(nu), sigma_4(nu), ..., sigma_{2 kmax}(nu), from one zeta table."""
+    """sigma_2(nu), ..., sigma_{2 kmax}(nu), from a prefix of the pair's zeta table."""
     table = zeta_table(CoulombParams(nu - Fraction(1, 2), Fraction(0)), 2 * kmax)
     return [value / 2 for value in table.values()[::2]]
 

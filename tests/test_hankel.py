@@ -22,7 +22,7 @@ from czeta.hankel import (
     recurrence_coeffs,
     _rayleigh_products,
 )
-from czeta.zeta import CoulombParams, rayleigh
+from czeta.zeta import CoulombParams, rayleigh, zeta_table
 
 from oracles import (
     dd_k_product,
@@ -565,6 +565,39 @@ def test_verify_all_makes_one_engine_call_per_parameter_pair(monkeypatch):
         cases, bad, _ = _tally(family.run(grid[family.key], table))
         assert cases > 0 and not bad
         assert tuple(calls.values()) == expected[family.name], family.name
+
+
+def test_every_exact_consumer_of_a_pair_reads_one_zeta_table(builds):
+    # the case exact-deep times: its own table, then the matrix, the routes and
+    # a smaller matrix all read prefixes of it
+    p = CoulombParams(F(-133, 3), F(3, 2))
+    table = zeta_table(p, 110)
+    assert build_coulomb_hankel(p, 20).matrix[19, 19] == table.value(40)
+    coulomb_routes(p, 20)
+    det_exact(build_coulomb_hankel(p, 12).matrix)
+    assert builds == [(p, 110)]
+
+
+def test_parity_split_reads_one_zeta_table(builds):
+    # the zeta side through zeta_L(18) and both Rayleigh sides at nu = 5/2
+    # (sigma_{2k}(nu) = zeta_{nu-1/2}(2k) / 2) read one table of (L, eta) = (2, 0)
+    split = parity_split_check(F(5, 2), 4)
+    assert split.odd[0] == split.odd[1] and split.even[0] == split.even[1]
+    assert builds == [(CoulombParams(2, 0), 18)]
+
+
+@pytest.mark.parametrize("quick, tables, pairs", [(False, 38, 27), (True, 14, 8)])
+def test_verify_all_builds_each_pairs_table_once_per_longer_request(builds, quick, tables, pairs):
+    # from an empty store; every build past the first of a pair is asked for a
+    # longer table than the pair holds, none is a pair the store let go
+    from czeta.verify import run_verification
+
+    assert all(family.passed for family in run_verification(quick=quick))
+    assert (len(builds), len({params for params, _ in builds})) == (tables, pairs)
+    longest = {}
+    for params, kmax in builds:
+        assert kmax > longest.get(params, 1)
+        longest[params] = kmax
 
 
 def _perturbed_products(monkeypatch, at_ell):

@@ -11,7 +11,8 @@ import mpmath as mp
 import pytest
 
 from czeta.classify import classify
-from czeta.errors import ContourTooClose, NoConvergence, ParameterError, SingularParameter
+from czeta.errors import (ContourTooClose, NoConvergence, ParameterError, SingularParameter,
+                          UnsupportedEll, VerificationError)
 from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
     _SERIES_CAP,
@@ -204,6 +205,24 @@ def test_a_large_eta_default_region_raises_or_counts_every_real_zero(L, eta, n_r
     except NoConvergence:
         return
     assert report.counts["real"] == n_real
+
+
+@pytest.mark.xfail(strict=True, reason="the winding count skips the real zero at -5.386 "
+                   "and the finder returns the other seven without an error")
+def test_the_default_region_at_eta_12_gives_all_eight_real_zeros_or_an_error():
+    # the real zeros of phi(-0.75, 12, .) in the default region, by 30-digit
+    # mpmath findroot; the lower edge at -0.01 passes 0.01 below each, and the
+    # contour's 0.4 pieces miss the fast phase turn beside the one at -5.386
+    roots = [-5.3864410748, -4.1120534653, -2.9875340404, -2.0255932410,
+             -1.2384266610, -0.6370597141, -0.2306301129, -0.0256984985]
+    try:
+        report = find_complex_zeros(-0.75, 12.0)
+    except (ContourTooClose, NoConvergence, ParameterError, UnsupportedEll, VerificationError):
+        return
+    assert report.counts["real"] == len(roots)
+    found = sorted(z.real for z in report.zeros if z.imag == 0)
+    assert len(found) == len(roots)
+    assert all(abs(x - root) < 1e-6 for x, root in zip(found, roots))
 
 
 def test_default_search_region_scales_with_pair_count():

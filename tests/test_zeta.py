@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import czeta.zeta
 from czeta.classify import classify
 from czeta.errors import SingularParameter
 from czeta.hankel import _coulomb_closed, recurrence_coeffs
 from czeta.zeta import (
     CoulombParams,
     ZetaTable,
+    _build_table,
     bernoulli,
     genocchi,
     rayleigh,
@@ -131,14 +133,14 @@ def test_table_grown_in_steps_equals_one_call(L, eta):
     # one-call build, each a prefix of any longer one, and leaves its receiver
     # as it was; value past kmax names the range instead of growing
     p = CoulombParams(L, eta)
-    whole = zeta_table(p, 110).values()
+    whole = _build_table(p, 110).values()  # past the store, so it cannot vouch for itself
     small = zeta_table(p, 2)
     rng = random.Random(f"{L} {eta}")
     kmax = 2
     while kmax < 110:
         kmax = min(110, kmax + rng.choice((1, 2, 3, 7, 13, 29)))
         grown = small.extend_to(kmax)
-        assert grown == zeta_table(p, kmax) and grown.values() == whole[:kmax - 1]
+        assert grown == _build_table(p, kmax) and grown.values() == whole[:kmax - 1]
         assert small.kmax == 2 and small.values() == whole[:1]
         assert grown.extend_to(kmax) is grown and grown.extend_to(2) is grown
         with pytest.raises(IndexError, match=rf"^zeta_L\(k\) available for 2 <= k <= {kmax}, "
@@ -150,7 +152,7 @@ def test_table_grown_in_steps_equals_one_call(L, eta):
 def test_concurrent_extend_to_on_one_shared_table_matches_a_fresh_build():
     # three threads at once call extend_to on one shared table, for each of 20
     # fresh pairs, with a thread switch every microsecond; each result must equal
-    # a fresh build, and the shared table must stay as it was
+    # a fresh build past the store, and the shared table must stay as it was
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     wrong = []
@@ -176,13 +178,88 @@ def test_concurrent_extend_to_on_one_shared_table_matches_a_fresh_build():
             for thread in threads:
                 thread.join()
             for kmax, result in zip(kmaxes, results):
-                if result != zeta_table(p, kmax).values():
+                if result != _build_table(p, kmax).values():
                     wrong.append((p, kmax))
             if shared.values() != before:
                 wrong.append((p, "shared table changed"))
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+def test_a_shorter_request_is_a_prefix_of_the_held_table(builds):
+    p = CoulombParams(F(-133, 3), F(3, 2))
+    held = zeta_table(p, 60)
+    assert zeta_table(p, 60) is held and held.extend_to(40) is held
+    for kmax in (2, 3, 41, 59):
+        assert zeta_table(p, kmax).values() == held.values()[:kmax - 1]
+    assert builds == [(p, 60)]
+    # a longer request builds the pair's table again and holds it instead
+    longer = zeta_table(p, 80)
+    assert longer.values()[:59] == held.values() and zeta_table(p, 70).values() == longer.values()[:69]
+    assert builds == [(p, 60), (p, 80)] and czeta.zeta._tables == {p: longer}
+
+
+def test_the_store_holds_the_last_sixteen_pairs(builds):
+    pairs = [CoulombParams(F(i, 3), F(1, 2)) for i in range(17)]
+    for p in pairs:
+        zeta_table(p, 6)
+    assert len(builds) == 17 and list(czeta.zeta._tables) == pairs[1:]
+    zeta_table(pairs[16], 6)  # a held pair builds nothing
+    assert len(builds) == 17
+    zeta_table(pairs[0], 6)  # the oldest went first: it builds again
+    assert builds[-1] == (pairs[0], 6) and len(builds) == 18
+    assert list(czeta.zeta._tables) == pairs[2:] + pairs[:1]
+    # a rebuilt pair becomes the newest, so the next fresh pair evicts another
+    zeta_table(pairs[2], 9)
+    zeta_table(CoulombParams(7, 0), 6)
+    assert list(czeta.zeta._tables) == pairs[4:] + [pairs[0], pairs[2], CoulombParams(7, 0)]
+
+
+def test_threads_sharing_the_store_read_every_table_right(builds):
+    # 4 threads ask for 40 pairs at random kmax with a thread switch every
+    # microsecond, so the threads' builds, holds and evictions interleave;
+    # every table must equal a build past the store
+    pairs = [CoulombParams(F(-(4 * i + 1), 4), F(2 * i + 1, 2)) for i in range(40)]
+    whole = {p: _build_table(p, 110).values() for p in pairs}
+    wrong = []
+
+    def read(seed):
+        rng = random.Random(seed)
+        for p in rng.sample(pairs, len(pairs)):
+            kmax = rng.choice((3, 20, 60, 110))
+            try:
+                table = zeta_table(p, kmax)
+                if table.params != p or table.values() != whole[p][:kmax - 1]:
+                    wrong.append((p, kmax))
+            except Exception as exc:  # a store read while another thread evicts may raise
+                wrong.append((p, kmax, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(builds) >= 40
+    assert len(czeta.zeta._tables) <= 16
+
+
+def test_a_refused_request_is_never_held(builds):
+    params = CoulombParams(0, 1)
+    for _ in range(2):
+        with pytest.raises(SingularParameter, match=r"^kmax must be >= 2, got 1$"):
+            zeta_table(params, 1)
+    excluded = CoulombParams(-2, 1)
+    for _ in range(2):  # refused on every call, since nothing is held
+        with pytest.raises(SingularParameter, match=r"^L = -2 on excluded set -\(N\+1\)/2 \(eta != 0\)$"):
+            zeta_table(excluded, 8)
+    assert builds == [(excluded, 8)] * 2 and czeta.zeta._tables == {}
 
 
 def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
