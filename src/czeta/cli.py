@@ -12,7 +12,6 @@ family with its case count and wall time).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -46,6 +45,8 @@ def _render(record: dict, fmt: str) -> str:
         return json.dumps(record, indent=2)
     rows = list(_flatten(record))
     if fmt == "csv":
+        import csv  # only here: the import costs every run about 1 ms
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["field", "value"])
@@ -104,7 +105,8 @@ def _cmd_hankel_det(args) -> tuple[dict, int]:
                     for name, dets in routes.items()},
     }
     # the record is printed either way; a disagreement exits 2
-    equal = len({dets[-1] for dets in routes.values()}) == 1
+    first, *others = (dets[-1] for dets in routes.values())
+    equal = all(value == first for value in others)
     if args.verify:
         record["verification"] = {"routes_equal": equal}
     return record, 0 if equal else 2

@@ -12,11 +12,13 @@ double precision.  Real coefficients also make conjugate symmetry of the
 evaluation exact.
 
 `find_complex_zeros` takes the number of zeros in a rectangle from the
-argument principle: the phase of phi along a contour whose corners and
-points near the origin are summed from the series and whose other points
-each take (phi, phi') from one Taylor step of rho phi'' + (2L+2) phi' +
-(rho - 2 eta) phi = 0 from a neighbour no farther from the real axis (about
-17 terms, none cancelling).  Its candidates come from the exact recurrence: the Hankel
+argument principle: the phase of phi along a contour whose points near the
+origin are summed from the series and whose other points each take (phi,
+phi') from one Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0
+from a neighbour no farther from the real axis (about 15 recurrence terms,
+none cancelling).  The corners are summed first, as a reach check that is a plain
+sum unless the contour reads the corner's value, and phi' is summed only
+where a step may start.  Its candidates come from the exact recurrence: the Hankel
 determinants of zeta_L(k) are moment determinants, so the eigenvalues of the
 truncated Jacobi matrix of their recurrence coefficients converge to
 1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29 (1975)
@@ -145,11 +147,12 @@ class _Evaluator:
         self.stats["newton_steps"] += 1
         return self._sum(z, self.tol, want_derivative=True)
 
-    def values(self, z: complex) -> tuple[complex, complex]:
-        """Value and derivative for the contour, summed to double precision; a sum
-        whose rounding floor tol does not cover still raises NoConvergence."""
+    def values(self, z: complex, derivative: bool = True) -> tuple[complex, complex | None]:
+        """Value, and derivative or None, for the contour, summed to double precision;
+        a sum whose rounding floor tol does not cover still raises NoConvergence."""
         self.stats["series_evals"] += 1
-        return self._sum(z, _ROUNDING, want_derivative=True)
+        f, df = self._sum(z, _ROUNDING, derivative)
+        return f, df if derivative else None
 
     def step(self, z: complex, f: complex, df: complex, to: complex) -> tuple[complex, complex]:
         """(phi, phi') at `to` from (f, df) at z by the Taylor series in w = rho - z of
@@ -180,7 +183,6 @@ class _Evaluator:
         c = self.coeffs
         if rho == 0:
             return complex(1.0), complex(c[1])
-        L = self.L
         s = complex(1.0)  # j = 0 term
         comp = 0j
         s1 = complex(c[1]) if want_derivative else 0j
@@ -188,7 +190,7 @@ class _Evaluator:
         power = complex(1.0)
         abs_rho = abs(rho)
         swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
-        twice_swing = 2 * swing
+        first = _first_stop(2 * self.L, 2 * swing)
         t_prev = 1.0
         t_max = 1.0
         for j in range(1, _SERIES_CAP + 1):
@@ -207,12 +209,9 @@ class _Evaluator:
             t_cur = abs(term)
             if t_cur > t_max:
                 t_max = t_cur
-            # once (j+1)(j+2L+2) >= 2*swing with a positive shift, every later
-            # term ratio stays <= 1/2 and the tail is <= 2*max of the last two;
-            # the shift keeps its association ((j + 2L) + 2), which decides
-            # the index where the sum stops
-            shift = j + 2 * L + 2
-            if shift > 0 and (j + 1) * shift >= twice_swing:
+            # from `first` on every later term ratio stays <= 1/2 and the tail
+            # is <= 2*max of the last two
+            if j >= first:
                 last_two = t_prev if t_prev > t_cur else t_cur
                 tail = 2 * last_two
                 ok = tail <= tol * (1 + abs(s))
@@ -235,6 +234,28 @@ class _Evaluator:
             f"series for phi did not reach tol = {tol} within {_SERIES_CAP} terms "
             f"at rho = {rho}"
         )
+
+
+def _stops_at(j: int, two_l: float, twice_swing: float) -> bool:
+    """Whether the shift j + 2L + 2 is positive and (j+1)(j+2L+2) >= 2*swing; the
+    shift keeps its association ((j + 2L) + 2), which decides where a sum stops."""
+    shift = j + two_l + 2
+    return shift > 0 and (j + 1) * shift >= twice_swing
+
+
+def _first_stop(two_l: float, twice_swing: float) -> int:
+    """The first j >= 1 at which `_stops_at` holds, or _SERIES_CAP + 1 if none does:
+    where a series sum may stop.  Both sides of its test grow with j, so it holds
+    for every later j.  The larger root of (j+1)(j+2L+2) = 2*swing places the
+    search and the test itself settles it, also where rounding moves the root."""
+    root = (math.sqrt((two_l + 1) * (two_l + 1) + 4 * twice_swing) - (two_l + 3)) / 2
+    # a nan or infinite root (rho or L far out of range) starts at the cap
+    j = math.ceil(root) if 1 <= root < _SERIES_CAP else 1 if root < 1 else _SERIES_CAP + 1
+    while j > 1 and _stops_at(j - 1, two_l, twice_swing):
+        j -= 1
+    while j <= _SERIES_CAP and not _stops_at(j, two_l, twice_swing):
+        j += 1
+    return j
 
 
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
@@ -297,9 +318,16 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
             f"phase step above pi/2 after maximal subdivision near {za} .. {zb}"
         )
     zm = (za + zb) / 2
-    # stepped from the end nearer the real axis, as on the contour
-    near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
-    vm = ev.values(zm) if abs(zm) < radius else ev.step(near, *vnear, zm)
+    # stepped from the end nearer the real axis, as on the contour; summed inside
+    # the radius, with phi' only if an end lies outside, where a later midpoint
+    # may be stepped from it.  The edges are axis-parallel, so a midpoint lies
+    # between its ends in each coordinate: a piece with both ends inside, the
+    # only kind beside an end summed without phi', stays inside
+    if abs(zm) < radius:
+        vm = ev.values(zm, abs(za) >= radius or abs(zb) >= radius)
+    else:
+        near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
+        vm = ev.step(near, *vnear, zm)
     return _phase_along_edge(ev, za, zm, va, vm, radius, depth - 1) + _phase_along_edge(
         ev, zm, zb, vm, vb, radius, depth - 1
     )
@@ -307,30 +335,55 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
 
 def _winding(ev: _Evaluator, region: Rect) -> int:
     corners = region.corners()
-    # the series sums the corners first, so a region out of its reach raises
-    # before the rest of the boundary exists; their cancellation floor also
-    # refuses boundaries the steps count wrong: without it the default region
-    # of (-1.25, 12) reports 7 real zeros for 8, missing the one near -4.712
-    summed = {c: ev.values(c) for c in corners[:4]}
-    zs = []
-    for ca, cb in zip(corners, corners[1:]):
-        pieces = max(4, math.ceil(abs(cb - ca) / 0.4))
-        zs += [ca + (cb - ca) * i / pieces for i in range(pieces)]
+    edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.4)))
+             for ca, cb in zip(corners, corners[1:])]
+    n = sum(pieces for _, _, pieces in edges)
+    radius = _series_radius(ev.L)
+
+    def point(edge, i):
+        ca, cb, pieces = edge
+        return ca + (cb - ca) * i / pieces
+
     # value the points nearest the real axis first: each is stepped to from a
     # valued neighbour no farther from the axis (phi grows away from it, so a
     # step toward it loses the subdominant solution); the series sums the points
     # inside the radius and any without a valued neighbour, first the one
-    # nearest the origin
-    radius = _series_radius(ev.L)
-    n = len(zs)
+    # nearest the origin.  Ties go to the point first on the boundary
+    def order(i, z):
+        return abs(z.imag), abs(z), i
+
+    # the series sums the corners first, so a region out of its reach raises
+    # before the rest of the boundary exists; their cancellation floor also
+    # refuses boundaries the steps count wrong: without it the default region
+    # of (-1.25, 12) reports 7 real zeros for 8, missing the one near -4.712.
+    # A corner the contour steps to (outside the radius, with a neighbour earlier
+    # in `order`) takes a plain sum; the others keep theirs.
+    # A summed point needs phi' only if a step may start there: to a neighbour
+    # outside the radius, or to a midpoint of the piece between them
+    summed, start = {}, 0
+    for k, edge in enumerate(edges):
+        c = edge[0]
+        before, after = point(edges[k - 1], edges[k - 1][2] - 1), point(edge, 1)
+        if abs(c) >= radius and order(start, c) > min(
+                order((start - 1) % n, before), order(start + 1, after)):
+            ev.values(c, derivative=False)
+        else:
+            summed[c] = ev.values(c, max(abs(before), abs(after)) >= radius)
+        start += edge[2]
+    zs = [point(edge, i) for edge in edges for i in range(edge[2])]
+    moduli = [abs(z) for z in zs]
+    # `order` by two stable sorts on floats, cheaper than one on tuples
+    by_order = sorted(sorted(range(n), key=moduli.__getitem__),
+                      key=[abs(z.imag) for z in zs].__getitem__)
     vals = [None] * n
-    for i in sorted(range(n), key=lambda i: (abs(zs[i].imag), abs(zs[i]))):
+    for i in by_order:
         z = zs[i]
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        if vals[j] is not None and abs(z) >= radius:
+        if vals[j] is not None and moduli[i] >= radius:
             vals[i] = ev.step(zs[j], *vals[j], z)
         else:
-            vals[i] = summed[z] if z in summed else ev.values(z)
+            vals[i] = summed[z] if z in summed else ev.values(
+                z, max(moduli[i - 1], moduli[(i + 1) % n]) >= radius)
     total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
                 for i in range(n))
     turns = total / (2 * math.pi)

@@ -63,8 +63,9 @@ def _read_routes(evaluated: dict, route_set, *pair, nmax: int) -> dict[str, list
 def _run_coulomb_hankel(cfg, table):
     for params in _param_grid(cfg):
         routes = table(coulomb_routes, params, nmax=cfg["n_max"])
-        for n, values in enumerate(zip(*routes.values()), 1):
-            yield (params.L, params.eta, n), len(set(values)) == 1
+        # compared with ==: hashing a big Fraction costs a modular inverse of its denominator
+        for n, (first, *others) in enumerate(zip(*routes.values()), 1):
+            yield (params.L, params.eta, n), all(value == first for value in others)
 
 
 def _run_rayleigh(cfg, table, route, ells):

@@ -6,7 +6,8 @@ binomial recurrence, the entire Coulomb factor from a direct complex
 confluent-series product (and from mpmath's 35-digit 1F1, or 0F1 at eta = 0;
 mpmath is a test-only dependency), the normalized Bessel function from its own
 even power series, and the Coulomb and Rayleigh closed products from their
-k-indexed form.
+k-indexed form.  `series_sum_reference` keeps the evaluator's series sum with
+its stop test decided term by term.
 """
 
 from fractions import Fraction
@@ -175,3 +176,66 @@ def dj_solution_formula(nu, ell, n, det):
     for k in range(2, n + 1):
         acc += det(ell + 1, k) ** 2 / (det(ell, k) * det(ell, k + 1))
     return det(ell, n + 1) * acc
+
+
+class SeriesNoConvergence(Exception):
+    """Raised by `series_sum_reference` where the library raises NoConvergence."""
+
+
+def series_sum_reference(coeffs, L, eta, guard_tol, rho, tol, want_derivative):
+    """The evaluator's series sum as it was before it found its first stop index
+    once per sum: the shift j + 2L + 2 and the stop test are recomputed at every
+    term.  coeffs are B_0 .. B_cap and guard_tol the evaluator's tolerance, which
+    the cancellation guard reads; returns (phi, phi' or 0j)."""
+    cap = len(coeffs) - 1
+    rho = complex(rho)
+    c = coeffs
+    if rho == 0:
+        return complex(1.0), complex(c[1])
+    s = complex(1.0)
+    comp = 0j
+    s1 = complex(c[1]) if want_derivative else 0j
+    comp1 = 0j
+    power = complex(1.0)
+    abs_rho = abs(rho)
+    swing = 2 * abs(eta) * abs_rho + abs_rho * abs_rho
+    twice_swing = 2 * swing
+    t_prev = 1.0
+    t_max = 1.0
+    for j in range(1, cap + 1):
+        power *= rho
+        term = c[j] * power
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if want_derivative and j >= 2:
+            dterm = (j * c[j]) * power / rho
+            y1 = dterm - comp1
+            t1 = s1 + y1
+            comp1 = (t1 - s1) - y1
+            s1 = t1
+        t_cur = abs(term)
+        if t_cur > t_max:
+            t_max = t_cur
+        shift = j + 2 * L + 2
+        if shift > 0 and (j + 1) * shift >= twice_swing:
+            last_two = t_prev if t_prev > t_cur else t_cur
+            tail = 2 * last_two
+            ok = tail <= tol * (1 + abs(s))
+            if ok and want_derivative:
+                dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
+                ok = dtail <= tol * (1 + abs(s1))
+            if ok:
+                if 2.3e-16 * t_max > 1e6 * guard_tol * (1 + abs(s)):
+                    raise SeriesNoConvergence(
+                        f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
+                        f"the tolerance at rho = {rho}; |rho| too large for "
+                        "double precision"
+                    )
+                return s, s1
+        t_prev = t_cur
+    raise SeriesNoConvergence(
+        f"series for phi did not reach tol = {tol} within {cap} terms "
+        f"at rho = {rho}"
+    )

@@ -33,7 +33,8 @@ from czeta.numeric import (
 from czeta.verify import load_grid
 from czeta.zeta import CoulombParams, zeta_table
 
-from oracles import bessel_normalized, phi_hyp1f1, phi_mpmath
+from oracles import (SeriesNoConvergence, bessel_normalized, phi_hyp1f1, phi_mpmath,
+                     series_sum_reference)
 
 mp.mp.dps = 35
 
@@ -141,6 +142,54 @@ def test_conjugate_symmetry_100_points():
             lhs = phi(L, eta, rho.conjugate(), tol)
             rhs = phi(L, eta, rho, tol).conjugate()
             assert abs(lhs - rhs) < 10 * tol
+
+
+def _series_probe(rng: random.Random) -> tuple[float, float, complex, float, float]:
+    """(L, eta, rho, sum tol, evaluator tol) of one seeded series sum; the
+    evaluator's tol is the cancellation guard's."""
+    tols = (1e-12, 2.0**-53, 1e-8)
+    eta = 0.0 if rng.random() < 0.35 else rng.uniform(-4, 4)
+    kind = rng.random()
+    if kind < 0.5:  # beside the excluded set -(N+1)/2, on either side
+        L = -(rng.randint(1, 40) + 1) / 2 + rng.choice([-1, 1]) * rng.choice(
+            [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.25])
+    elif kind < 0.65 and eta == 0.0:  # a negative integer L is outside the set at eta = 0
+        L = -float(rng.randint(1, 20))
+    else:
+        L = rng.uniform(-20, 6)
+    modulus = rng.choice([math.exp(rng.uniform(math.log(0.05), math.log(30))),
+                          rng.uniform(0.05, 30)])
+    rho = cmath.rect(modulus, rng.choice([0.0, math.pi / 2, rng.uniform(-math.pi, math.pi)]))
+    return L, eta, rho, rng.choice(tols), rng.choice(tols)
+
+
+def test_each_series_sum_stops_where_the_term_by_term_test_stops():
+    # the stop index found once per sum against a copy of the loop that tests
+    # the shift at every term: the same bits of phi and phi', or the same raise
+    rng = random.Random(30)
+    probes = [_series_probe(rng) for _ in range(2000)]
+    # the stop test first holds at j = 9 with equality, (j+1)(j+2L+2) = 2*swing = 5/8,
+    # where the plain sum's tail is already below tol
+    probes += [(-5.46875, 160 - 2.0**-11, rho * 2.0**-10, 1e-12, 1e-12) for rho in (1, -1, 1j)]
+    # past the term cap, and a rho the sum never stops at
+    probes += [(L, 0.5, rho, 1e-12, 1e-12) for L in (0.0, -3.25, -19.5 + 1e-9)
+               for rho in (400.0, -1e5j, complex(math.inf, 0), complex(0, math.nan))]
+    raised = []
+    for L, eta, rho, tol, guard in probes:
+        ev = _Evaluator(L, eta, guard)
+        for want_derivative in (False, True):
+            try:
+                expected = series_sum_reference(ev.coeffs, ev.L, ev.eta, guard, rho, tol,
+                                                want_derivative)
+            except SeriesNoConvergence as exc:
+                raised.append(str(exc).split()[0])
+                with pytest.raises(NoConvergence) as info:
+                    ev._sum(rho, tol, want_derivative)
+                assert str(info.value) == str(exc)
+                continue
+            got = ev._sum(rho, tol, want_derivative)
+            assert list(map(_bits, got)) == list(map(_bits, expected)), (L, eta, rho, tol)
+    assert raised.count("cancellation") > 100 and raised.count("series") == 24
 
 
 def test_bessel_reduction_tenth_digit():
@@ -381,6 +430,37 @@ def test_series_evals_on_the_default_region_stay_pinned():
 def _default_contour(L: float) -> Rect:
     base = default_search_region(L)
     return Rect(base.re_min, base.re_max, -0.01, base.im_max)
+
+
+@pytest.mark.parametrize("L,eta,bounds", [
+    (-4.75, 1.5, None),
+    (-1.75, 1.5, (-1.0, 1.0, 0.05, 1.0)),
+    (-2.0, 0.0, None),  # the Bessel branch: the series meets its 0/0 odd index
+], ids=["default-region", "small-rectangle", "bessel-default-region"])
+def test_one_winding_sums_phi_prime_only_where_a_step_starts(monkeypatch, L, eta, bounds):
+    # a value-and-derivative sum costs about 1.5 plain ones; the corners' reach
+    # check and the points no step leaves take plain sums
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    with_derivative, plain, starts, stepped = [], [], [], []
+    plain_sum, plain_step = _Evaluator._sum, _Evaluator.step
+
+    def spy_sum(self, rho, tol, want_derivative):
+        (with_derivative if want_derivative else plain).append(_bits(rho))
+        return plain_sum(self, rho, tol, want_derivative)
+
+    def spy_step(self, z, f, df, to):
+        starts.append(_bits(z))
+        stepped.append(_bits(to))
+        return plain_step(self, z, f, df, to)
+
+    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
+    _winding(_Evaluator(L, eta, 1e-12), region)
+    assert set(with_derivative) == set(starts) - set(stepped)
+    # the corners' reach check comes first and is plain: the default regions step
+    # to every corner, and the small rectangle lies within the radius
+    assert plain[:4] == [_bits(c) for c in region.corners()[:4]]
+    assert (with_derivative == []) == (bounds is not None)
 
 
 @pytest.mark.parametrize("L,eta,bounds", [
