@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._record import Frozen
-from .errors import SingularParameter, VerificationError
+from .errors import ParameterError, VerificationError
 from .hankel import coulomb_routes
 from .zeta import CoulombParams, _check_nu
 
@@ -54,7 +54,7 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
     """
     params.validate()
     if n < 0:
-        raise SingularParameter(f"n must be >= 0, got {n}")
+        raise ParameterError(f"n must be >= 0, got {n}")
     dets = coulomb_routes(params, n + 1, ("closed",))["closed"]  # det H_1 .. det H_{n+1}
     return (dets[n - 1] if n else 1) * dets[n]
 
@@ -69,7 +69,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     which CoulombParams.validate refuses as SingularParameter.  In auto
     mode nmax = max(ceil(-L) + 2, 3), which covers every possible negative
     sign (they require 2L+2n+3 < 0) with a margin of at least two; the
-    trailing margin must be positive (else, as for a bad nmax, SingularParameter),
+    trailing margin must be positive (else, as for a bad nmax, ParameterError),
     and the negative count is checked against floor(-L-1/2).
     """
     params.validate()
@@ -77,7 +77,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
     if not isinstance(nmax, int) or nmax < 0:
-        raise SingularParameter(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
+        raise ParameterError(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
 
     # 2L+2n+3 times the denominator q > 0 of L: an integer with the same sign
     p, q = L.numerator, L.denominator
@@ -86,7 +86,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
 
     # the negatives all sit at the front: n < -L - 3/2
     if signs and signs[-1] != 1:
-        raise SingularParameter(f"nmax = {nmax} too small: sign sequence still negative at its end")
+        raise ParameterError(f"nmax = {nmax} too small: sign sequence still negative at its end")
     if L < Fraction(-3, 2):
         expected = math.floor(-L - Fraction(1, 2))
         if m != expected:

@@ -2,13 +2,13 @@
 
 
 class ParameterError(ValueError):
-    """A parameter lies outside the domain of validity of the requested operation."""
+    """A parameter outside the operation's domain, or a size or index below its range."""
 
 
 class SingularParameter(ParameterError):
-    """A pole of a formula, or an index below its range.  The one refusal of the excluded
-    set, from two checks: CoulombParams.validate for an (L, eta) pair, rational or float at
-    its exact value, with L in -(N+1)/2, only -N-1/2 if eta = 0; _check_nu for nu in -N."""
+    """A pole of a formula: the one refusal of the excluded set, from two checks:
+    CoulombParams.validate for an (L, eta) pair, rational or float at its exact value,
+    with L in -(N+1)/2, only -N-1/2 if eta = 0; _check_nu for nu in -N."""
 
 
 class UnsupportedEll(ParameterError):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from ._record import Frozen
-from .errors import SingularParameter, VerificationError
+from .errors import ParameterError, SingularParameter, VerificationError
 
 
 class CoulombParams(Frozen):
@@ -85,7 +85,7 @@ class ZetaTable(Frozen):
 
     def value(self, k: int) -> Fraction:
         if k < 2:
-            raise SingularParameter(f"zeta_L(k) requires k >= 2, got {k}")
+            raise ParameterError(f"k must be >= 2, got {k}")
         if k > self.kmax:
             raise IndexError(f"zeta_L(k) available for 2 <= k <= {self.kmax}, got {k}")
         return self._values[k - 2]
@@ -121,7 +121,7 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
     longer request builds the pair's table through kmax and holds it instead.
     """
     if kmax < 2:
-        raise SingularParameter(f"kmax must be >= 2, got {kmax}")
+        raise ParameterError(f"kmax must be >= 2, got {kmax}")
     held = _tables.get(params)
     if held is None or held.kmax < kmax:
         held = _build_table(params, kmax)  # an excluded pair raises: never held
@@ -203,7 +203,7 @@ def rayleigh(nu: Fraction | int, k: int) -> Fraction:
     """Rayleigh function sigma_{2k}(nu) = zeta_{nu-1/2}(2k) / 2."""
     nu = _check_nu(nu)
     if k < 1:
-        raise SingularParameter(f"Rayleigh order requires k >= 1, got {k}")
+        raise ParameterError(f"k must be >= 1, got {k}")
     return _sigmas(nu, k)[-1]
 
 
@@ -216,7 +216,7 @@ def _sigmas(nu: Fraction, kmax: int) -> list[Fraction]:
 def _bernoulli_numbers(nmax: int) -> list[Fraction]:
     """B_2, B_4, ..., B_{2 nmax} (see `bernoulli`), from one zeta table."""
     if nmax < 1:
-        raise SingularParameter(f"bernoulli(n) requires n >= 1, got {nmax}")
+        raise ParameterError(f"n must be >= 1, got {nmax}")
     return [
         (-1) ** (n + 1) * factorial(2 * n) * Fraction(2) ** (1 - 2 * n) * sigma
         for n, sigma in enumerate(_sigmas(Fraction(1, 2), nmax), 1)
@@ -225,9 +225,7 @@ def _bernoulli_numbers(nmax: int) -> list[Fraction]:
 
 def _genocchi_numbers(nmax: int) -> list[Fraction]:
     """G_2, G_4, ..., G_{2 nmax}, each cross-checked as in `genocchi`, from one
-    zeta table per route."""
-    if nmax < 1:
-        raise SingularParameter(f"genocchi(n) requires n >= 1, got {nmax}")
+    zeta table per route; `_bernoulli_numbers` refuses an nmax below 1."""
     out = []
     for n, (b, sigma) in enumerate(
         zip(_bernoulli_numbers(nmax), _sigmas(Fraction(-1, 2), nmax)), 1

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from czeta.classify import ZeroClassification, classify, dd_product_closed, hurwitz_counts
-from czeta.errors import SingularParameter, VerificationError
+from czeta.errors import ParameterError, SingularParameter, VerificationError
 from czeta.exact import det_exact
 from czeta.hankel import build_coulomb_hankel
 from czeta.zeta import CoulombParams, zeta_base
@@ -152,12 +152,14 @@ def test_hurwitz_boundary_refusals():
 
 def test_classifier_input_checks():
     params = CoulombParams(0, 1)
-    with pytest.raises(SingularParameter, match=r"^n must be >= 0, got -1$"):
+    with pytest.raises(ParameterError, match=r"^n must be >= 0, got -1$") as exc:
         dd_product_closed(params, -1)
+    assert exc.type is ParameterError
     for nmax in ("x", -1):
         message = rf"^nmax must be a nonnegative integer or 'auto', got {nmax!r}$"
-        with pytest.raises(SingularParameter, match=message):
+        with pytest.raises(ParameterError, match=message) as exc:
             classify(params, nmax)
+        assert exc.type is ParameterError
 
 
 def test_every_entry_point_refuses_the_excluded_set_as_singular_parameter():
@@ -223,3 +225,66 @@ def test_every_entry_point_refuses_the_excluded_set_as_singular_parameter():
                if isinstance(v, type) and v.__module__ == "czeta.errors"]
     assert len(defined) == 6
     assert [name for name in defined if not re.search(rf"\braise {name}\(", source)] == []
+
+
+def test_every_size_refusal_is_a_bare_parameter_error():
+    # a size or index below its range is not a pole: the base type, naming the parameter
+    import ast
+    from pathlib import Path
+
+    import czeta
+
+    p = CoulombParams(0, 1)
+    table = czeta.zeta_table(p, 3)
+    refusals = [
+        (lambda: czeta.zeta_table(p, 1), "kmax must be >= 2, got 1"),
+        (lambda: table.value(1), "k must be >= 2, got 1"),
+        (lambda: czeta.rayleigh(1, 0), "k must be >= 1, got 0"),
+        (lambda: czeta.bernoulli(0), "n must be >= 1, got 0"),
+        (lambda: czeta.genocchi(0), "n must be >= 1, got 0"),
+        (lambda: czeta.recurrence_coeffs(p, 0), "nmax must be >= 1, got 0"),
+        (lambda: czeta.build_coulomb_hankel(p, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.coulomb_routes(p, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.det_coulomb_closed(p, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.det_coulomb_via_moments(p, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.build_rayleigh_hankel(1, 0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.build_rayleigh_hankel(1, -1, 2), "ell must be >= 0, got -1"),
+        (lambda: czeta.rayleigh_routes(1, 0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.rayleigh_routes(1, -1, 1), "ell must be >= 0, got -1"),
+        (lambda: czeta.det_rayleigh_closed(1, 0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.det_rayleigh_ell2(1, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.det_rayleigh_ell3(1, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.det_rayleigh_dj(1, 0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.parity_split_check(1, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.bernoulli_hankel_det(0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.genocchi_hankel_det(0, 0), "n must be >= 1, got 0"),
+        (lambda: czeta.dd_product_closed(p, -1), "n must be >= 0, got -1"),
+        (lambda: czeta.classify(p, -1), "nmax must be a nonnegative integer or 'auto', got -1"),
+        (lambda: czeta.classify(p, "x"), "nmax must be a nonnegative integer or 'auto', got 'x'"),
+        (lambda: czeta.classify(CoulombParams(F(-19, 4), F(3, 2)), 2),
+         "nmax = 2 too small: sign sequence still negative at its end"),
+    ]
+    for call, message in refusals:
+        try:
+            call()
+        except Exception as exc:  # the exact type is the check
+            assert type(exc) is ParameterError and str(exc) == message, (message, exc)
+        else:
+            pytest.fail(f"no refusal: {message}")
+
+    # and SingularParameter is raised by the two checks of the excluded set alone
+    def raisers(node, name=""):
+        for child in ast.iter_child_nodes(node):
+            qual = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                qual = f"{name}.{child.name}".lstrip(".")
+            exc = getattr(child, "exc", None) if isinstance(child, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "SingularParameter":
+                yield qual
+            yield from raisers(child, qual)
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "src" / "czeta").glob("*.py"))
+    source = "".join(path.read_text() for path in paths)
+    assert source.count("raise SingularParameter(") == 3
+    found = sorted(q for path in paths for q in raisers(ast.parse(path.read_text())))
+    assert found == ["CoulombParams.validate", "CoulombParams.validate", "_check_nu"]

@@ -161,6 +161,16 @@ def test_classify_negative_fraction_flags(capsys):
     assert payload["results"]["pair_count"] == 1
     assert payload["results"]["all_real"] is False
     assert payload["results"]["sign_sequence"][0] == -1
+    assert payload["parameters"]["nmax"] == "auto"
+
+
+def test_classify_echoes_the_nmax_it_used(capsys):
+    code, out, _ = run(capsys, ["--format", "json", "classify", "--L", "-7/4", "--eta", "3/2",
+                                "--nmax", "007"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["parameters"]["nmax"] == 7
+    assert len(payload["results"]["sign_sequence"]) == 8
 
 
 def test_classify_rejects_excluded_set(capsys):
@@ -268,14 +278,20 @@ def test_usage_errors_exit_1(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["zeta", "--L", "0", "--eta", "0", "--kmax", "1"], "--kmax must be >= 2, got 1"),
-        (["hankel-det", "--L", "0", "--eta", "0", "--n", "0"], "--n must be >= 1, got 0"),
-        (["rayleigh-det", "--nu", "1", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
-        (["bernoulli-det", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
-        (["genocchi-det", "--ell", "0", "--n", "0"], "--n must be >= 1, got 0"),
-        (["rayleigh-det", "--nu", "1", "--ell", "-1", "--n", "1"], "--ell must be >= 0, got -1"),
+        # the library's own size checks, with its messages
+        (["zeta", "--L", "0", "--eta", "0", "--kmax", "1"], "kmax must be >= 2, got 1"),
+        (["hankel-det", "--L", "0", "--eta", "0", "--n", "0"], "n must be >= 1, got 0"),
+        (["rayleigh-det", "--nu", "1", "--ell", "0", "--n", "0"], "n must be >= 1, got 0"),
+        (["bernoulli-det", "--ell", "0", "--n", "0"], "n must be >= 1, got 0"),
+        (["genocchi-det", "--ell", "0", "--n", "0"], "n must be >= 1, got 0"),
+        (["rayleigh-det", "--nu", "1", "--ell", "-1", "--n", "1"], "ell must be >= 0, got -1"),
+        # the one check the CLI keeps: --nmax must parse
         (["classify", "--L", "0", "--eta", "1", "--nmax", "x"],
          "--nmax must be an integer or 'auto', got 'x'"),
+        (["classify", "--L", "-19/4", "--eta", "3/2", "--nmax", "2"],
+         "nmax = 2 too small: sign sequence still negative at its end"),
+        # the pole is checked before the size
+        (["rayleigh-det", "--nu", "-1", "--ell", "0", "--n", "0"], "nu = -1 on excluded set -N"),
     ],
 )
 def test_flag_checks_exit_1_naming_the_flag(capsys, argv, message):

@@ -143,13 +143,13 @@ def test_probe_covers_every_rejection():
 
 def test_coulomb_domain_behaviour_is_pinned():
     assert _digest(_coulomb_records()) == (
-        "b019f9944c2d2560c2c6dd1be6e7372eeefa208889c084ad46cce00315cf0b5b"
+        "e683166d541d8dd83dd6d53c87ec672f090261d61204a10f9168bf7a37fb4397"
     )
 
 
 def test_rayleigh_domain_behaviour_is_pinned():
     assert _digest(_rayleigh_records()) == (
-        "d07eea49a9eebfc8f3ba8701a054707ad34968db51b74c548fd22c18bc191acd"
+        "87ab86bc454de7d317d418f3ad6acebcab3409072ceb2211f42e45890aef4c48"
     )
 
 

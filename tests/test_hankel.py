@@ -276,11 +276,13 @@ def test_parity_split_frozen_and_grid():
 def test_rayleigh_builders_reject_bad_parameters():
     with pytest.raises(SingularParameter):
         build_rayleigh_hankel(-2, 0, 1)
-    with pytest.raises(SingularParameter):
+    with pytest.raises(ParameterError, match=r"^n must be >= 1, got 0$") as exc:
         build_rayleigh_hankel(1, 0, 0)
+    assert exc.type is ParameterError
     # rayleigh_routes checks ell before it builds, so only a direct call gets here
-    with pytest.raises(SingularParameter, match=r"^ell must be >= 0, got -1$"):
+    with pytest.raises(ParameterError, match=r"^ell must be >= 0, got -1$") as exc:
         build_rayleigh_hankel(1, -1, 2)
+    assert exc.type is ParameterError
     with pytest.raises(SingularParameter):
         det_rayleigh_ell2(-1, 2)
 
@@ -417,8 +419,9 @@ def test_desnanot_jacobi_degenerate_entries_take_the_direct_value(monkeypatch):
 
 def test_recurrence_coeffs_input_checks():
     params = CoulombParams(0, 1)
-    with pytest.raises(SingularParameter, match=r"^nmax must be >= 1, got 0$"):
+    with pytest.raises(ParameterError, match=r"^nmax must be >= 1, got 0$") as exc:
         recurrence_coeffs(params, 0)
+    assert exc.type is ParameterError
     coeffs = recurrence_coeffs(params, 2)
     for n in (0, 3):
         with pytest.raises(IndexError, match=rf"^a_n available for 1 <= n <= 2, got {n}$"):
@@ -453,14 +456,16 @@ def test_routes_are_prefixes_of_longer_runs():
 
 
 def test_routes_reject_nmax_below_one():
-    with pytest.raises(SingularParameter, match="got 0"):
-        coulomb_routes(CoulombParams(0, 0), 0, ("moments",))
-    with pytest.raises(SingularParameter, match="got 0"):
-        rayleigh_routes(1, 0, 0, ("closed",))
-    # a negative ell is refused whichever routes are asked for
-    for names in (None, ("closed",)):
-        with pytest.raises(SingularParameter, match=r"^ell must be >= 0, got -1$"):
-            rayleigh_routes(1, -1, 3, names)
+    for call, message in [
+        (lambda: coulomb_routes(CoulombParams(0, 0), 0, ("moments",)), "n must be >= 1, got 0"),
+        (lambda: rayleigh_routes(1, 0, 0, ("closed",)), "n must be >= 1, got 0"),
+        # a negative ell is refused whichever routes are asked for
+        (lambda: rayleigh_routes(1, -1, 3), "ell must be >= 0, got -1"),
+        (lambda: rayleigh_routes(1, -1, 3, ("closed",)), "ell must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert exc.type is ParameterError and str(exc.value) == message
 
 
 def test_routes_name_the_valid_routes_for_an_unknown_one():
