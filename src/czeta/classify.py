@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._record import Frozen
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, VerificationError, _check_size
 from .hankel import coulomb_routes
 from .zeta import CoulombParams, _check_nu
 
@@ -52,9 +52,7 @@ def dd_product_closed(params: CoulombParams, n: int) -> Fraction:
     negative integer L), evaluated as det H_n det H_{n+1} from one running
     closed product.
     """
-    params.validate()
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
+    _check_size("n", n, 0)
     dets = coulomb_routes(params, n + 1, ("closed",))["closed"]  # det H_1 .. det H_{n+1}
     return (dets[n - 1] if n else 1) * dets[n]
 
@@ -66,17 +64,16 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     closed product (see ``dd_product_closed``), which is never evaluated:
     every power base^(4k+4) and (1 + eta^2/shift^2)^(2k+3) is positive, so
     the sign is that of 2L+2n+3.  No factor vanishes off the excluded set,
-    which CoulombParams.validate refuses as SingularParameter.  In auto
+    which the CoulombParams constructor refuses as SingularParameter.  In auto
     mode nmax = max(ceil(-L) + 2, 3), which covers every possible negative
     sign (they require 2L+2n+3 < 0) with a margin of at least two; the
     trailing margin must be positive (else, as for a bad nmax, ParameterError),
     and the negative count is checked against floor(-L-1/2).
     """
-    params.validate()
     L = params.L
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
-    if not isinstance(nmax, int) or nmax < 0:
+    if type(nmax) is not int or nmax < 0:
         raise ParameterError(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
 
     # 2L+2n+3 times the denominator q > 0 of L: an integer with the same sign

@@ -11,8 +11,8 @@ row table of the recursion, with one direct pass for the degenerate n), and a
 single-n consumer reads the last entry.  So do the Bernoulli and Genocchi
 determinants; `det_coulomb_closed` and `det_coulomb_via_moments` pass `first = n`
 instead, so that only det H_n becomes a Fraction.  On the 1872 (L, eta, n) of
-perfbench's exact-deep the two take 215 us a triple this way and 565 us with first = 1
-(CPython 3.11, Xeon), about 5 % of a mean 6.5 ms case.  The Rayleigh, Bernoulli
+perfbench's exact-deep the two take 185 us a triple this way and 575 us with first = 1
+(CPython 3.11, Xeon), about 3 % of a mean 6.7 ms case.  The Rayleigh, Bernoulli
 and Genocchi closed forms all come from one running Rayleigh product per
 (nu, ell), the latter two at nu = 1/2 and -1/2, rescaled.  `leading_minors` is
 the only determinant entry point (it takes the Chebyshev algorithm for these
@@ -28,7 +28,7 @@ from math import factorial
 from typing import NamedTuple
 
 from ._record import Frozen
-from .errors import ParameterError, UnsupportedEll, VerificationError
+from .errors import ParameterError, UnsupportedEll, VerificationError, _check_size
 from .exact import ExactMatrix, leading_minors
 from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
                    zeta_base, zeta_table)
@@ -87,10 +87,8 @@ class RecurrenceCoeffs(Frozen):
 
 
 def _check_n(n: int, ell: int = 0) -> None:
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if ell < 0:
-        raise ParameterError(f"ell must be >= 0, got {ell}")
+    _check_size("n", n, 1)
+    _check_size("ell", ell, 0)
 
 
 def _hankel(moments: list[Fraction], n: int) -> ExactMatrix:
@@ -109,7 +107,6 @@ def _recurrence_terms(params: CoulombParams, nmax: int) -> tuple[list, list]:
     pairs: with L = p/q, eta = r/s and u = (n+L+1) q, a_n = (u^2 s^2 + r^2 q^2) q^2 /
     (u^2 s^2 d) with d = (2n+2L+1)(2n+2L+3) q^2, or q^2 / d at eta = 0, and
     b_n = -r q^2 / (s u (u+q)), or 0 at eta = 0, where u = 0 at integer L."""
-    params.validate()
     p, q = params.L.numerator, params.L.denominator
     r, s = params.eta.numerator, params.eta.denominator
     q2, rq2 = q * q, (r * q) ** 2
@@ -126,8 +123,7 @@ def _recurrence_terms(params: CoulombParams, nmax: int) -> tuple[list, list]:
 
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     """Coefficients a_1..a_nmax and b_0..b_nmax, exactly."""
-    if nmax < 1:
-        raise ParameterError(f"nmax must be >= 1, got {nmax}")
+    _check_size("nmax", nmax, 1)
     a, b = _recurrence_terms(params, nmax)
     return RecurrenceCoeffs(params, tuple(Fraction(*t) for t in a), tuple(Fraction(*t) for t in b))
 
@@ -142,7 +138,6 @@ def _coulomb_closed(params: CoulombParams, nmax: int, first: int = 1) -> list[Fr
     (t^2+r^2q^2)/t^2 with t = (p+mq)s, so det H_n = q^(n^2) num_n / den_n, and
     only the n >= first become Fractions.  Every pole lies in the excluded set.
     """
-    params.validate()
     p, q = params.L.numerator, params.L.denominator
     r, s = params.eta.numerator, params.eta.denominator
     rq2 = (r * q) ** 2
@@ -172,23 +167,20 @@ def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
 
 
 def _coulomb_moments(params: CoulombParams, nmax: int, first: int = 1) -> list[Fraction]:
-    """The moment route for n = first..nmax: one zeta_L(2), one set of recurrence
-    coefficients, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j,
-    kept as integer numerator and denominator; only the n >= first become Fractions."""
+    """The moment route for n = first..nmax: one zeta_L(2), the a_j as unreduced integer
+    pairs, and the running product D_{n+1} = D_n zeta_L(2) prod_{j<=n} a_j, kept as
+    integer numerator and denominator; only the n >= first become Fractions."""
     z2 = zeta_base(params)
     dets = [z2] if first == 1 else []
-    if nmax > 1:
-        coeffs = recurrence_coeffs(params, nmax - 1)
-        z_num, z_den = z2.numerator, z2.denominator
-        num, den, a_num, a_den = z_num, z_den, 1, 1
-        for n in range(1, nmax):
-            a = coeffs.a(n)
-            a_num *= a.numerator
-            a_den *= a.denominator
-            num *= z_num * a_num
-            den *= z_den * a_den
-            if n >= first - 1:
-                dets.append(Fraction(num, den))
+    z_num, z_den = z2.numerator, z2.denominator
+    num, den, a_num, a_den = z_num, z_den, 1, 1
+    for n, (top, bottom) in enumerate(_recurrence_terms(params, nmax - 1)[0], 1):
+        a_num *= top
+        a_den *= bottom
+        num *= z_num * a_num
+        den *= z_den * a_den
+        if n >= first - 1:
+            dets.append(Fraction(num, den))
     return dets
 
 

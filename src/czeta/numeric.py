@@ -90,18 +90,18 @@ def _as_rect(region: Rect | tuple) -> Rect:
 # at its zeros); a full verify-all builds 6 tables, about 16 KB each
 @lru_cache(maxsize=16)
 def _series(L: float, eta: float) -> tuple[float, ...]:
-    """B_0 .. B_{_SERIES_CAP} of a pair that `CoulombParams.validate` passes at its exact
-    values: one immutable table, built once and shared by every evaluator of the pair,
+    """B_0 .. B_{_SERIES_CAP} of a pair that the `CoulombParams` constructor accepts at its
+    exact values: one immutable table, built once and shared by every evaluator of the pair,
     from any thread; the evaluator keys it with signed zeros folded to +0.0."""
     if not (math.isfinite(2 * L + 2) and math.isfinite(eta)):
         raise ParameterError(f"series parameters out of range: L = {L}, eta = {eta}")
-    CoulombParams(L, eta).validate()  # the exact values `_jacobi` reads too
+    CoulombParams(L, eta)  # the exact values `_jacobi` reads too
     c = [1.0]
     two_l, two_eta = 2 * L, 2 * eta
     prev2, prev = 0.0, 1.0
     for j in range(1, _SERIES_CAP + 1):
         denom = j * (j + two_l + 1)
-        # past validate a zero denom is eta = 0 with negative integer L: the 0/0
+        # off the excluded set a zero denom is eta = 0 with negative integer L: the 0/0
         # index is odd and the coefficient vanishes by evenness of the function
         prev2, prev = prev, 0.0 if denom == 0 else (two_eta * prev - prev2) / denom
         c.append(prev)
@@ -263,7 +263,7 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
 
     The truncation tail is bounded below tol*(1+|result|).  A signed zero in
     L or eta is taken as +0.0.  Raises ParameterError unless tol is positive
-    and finite, SingularParameter from `CoulombParams.validate` on the excluded
+    and finite, SingularParameter from the `CoulombParams` constructor on the excluded
     set at the exact values of L and eta (so L = -1.5 + 1e-10 is evaluated), and
     NoConvergence when the term cap is exhausted or on the cancellation floor,
     when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both

@@ -33,25 +33,23 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from ._record import Frozen
-from .errors import ParameterError, SingularParameter, VerificationError
+from .errors import SingularParameter, VerificationError, _check_size
 
 
 class CoulombParams(Frozen):
-    """The parameter pair (L, eta), exact rationals."""
+    """The parameter pair (L, eta), exact rationals, off the excluded set.
+
+    The constructor refuses L in -(N+1)/2, or only -N-1/2 when eta = 0, as
+    SingularParameter.  Every pole of the closed formulas (zeta_L(2), the
+    recurrence coefficients, the closed product, the classifier's signs) and of
+    the numeric series lies in this set, so this is the only check of it; a
+    float pair is tested at its exact binary value.
+    """
 
     __slots__ = ("L", "eta")
 
     def __init__(self, L: Fraction, eta: Fraction):
         self._set_fields(Fraction(L), Fraction(eta))
-
-    def validate(self) -> None:
-        """Reject L on the excluded set -(N+1)/2, or only -N-1/2 when eta = 0.
-
-        Every pole of the closed formulas (zeta_L(2), the recurrence
-        coefficients, the closed product, the classifier's signs) and of the
-        numeric series lies in this set, so this is the only check of it; a
-        float pair is tested at its exact binary value.
-        """
         twice = 2 * self.L
         if twice.denominator != 1 or twice.numerator > -2:
             return
@@ -63,7 +61,6 @@ class CoulombParams(Frozen):
 
 def zeta_base(params: CoulombParams) -> Fraction:
     """zeta_L(2) = (1 + eta^2/(L+1)^2) / (2L+3)."""
-    params.validate()
     L, eta = params.L, params.eta
     value = Fraction(1, 1)
     if eta != 0:
@@ -84,8 +81,7 @@ class ZetaTable(Frozen):
         return len(self._values) + 1
 
     def value(self, k: int) -> Fraction:
-        if k < 2:
-            raise ParameterError(f"k must be >= 2, got {k}")
+        _check_size("k", k, 2)
         if k > self.kmax:
             raise IndexError(f"zeta_L(k) available for 2 <= k <= {self.kmax}, got {k}")
         return self._values[k - 2]
@@ -120,11 +116,10 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
     The last 16 pairs hold one immutable table each, the longest asked for; a
     longer request builds the pair's table through kmax and holds it instead.
     """
-    if kmax < 2:
-        raise ParameterError(f"kmax must be >= 2, got {kmax}")
+    _check_size("kmax", kmax, 2)
     held = _tables.get(params)
     if held is None or held.kmax < kmax:
-        held = _build_table(params, kmax)  # an excluded pair raises: never held
+        held = _build_table(params, kmax)
         _tables.pop(params, None)  # so the rebuilt pair is the newest
         _tables[params] = held
         for stale in list(_tables)[:-_HELD]:
@@ -178,7 +173,7 @@ def _build_table(params: CoulombParams, kmax: int) -> ZetaTable:
         num = b * conv + a * nums[k - 2] * Mh
         pole = 2 * p + (k + 2) * q  # (2L+k+2) q
         if pole == 0:
-            # past validate only eta = 0 with negative integer L, where the
+            # off the excluded set only eta = 0 with negative integer L, where the
             # target index k+1 is odd and the value is 0 by evenness
             if num != 0:
                 raise VerificationError(f"odd zeta_L({k + 1}) != 0 at the pole 2L+k+2 = 0, L = {L}")
@@ -202,8 +197,7 @@ def _check_nu(nu: Fraction | int) -> Fraction:
 def rayleigh(nu: Fraction | int, k: int) -> Fraction:
     """Rayleigh function sigma_{2k}(nu) = zeta_{nu-1/2}(2k) / 2."""
     nu = _check_nu(nu)
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_size("k", k, 1)
     return _sigmas(nu, k)[-1]
 
 
@@ -215,8 +209,7 @@ def _sigmas(nu: Fraction, kmax: int) -> list[Fraction]:
 
 def _bernoulli_numbers(nmax: int) -> list[Fraction]:
     """B_2, B_4, ..., B_{2 nmax} (see `bernoulli`), from one zeta table."""
-    if nmax < 1:
-        raise ParameterError(f"n must be >= 1, got {nmax}")
+    _check_size("n", nmax, 1)
     return [
         (-1) ** (n + 1) * factorial(2 * n) * Fraction(2) ** (1 - 2 * n) * sigma
         for n, sigma in enumerate(_sigmas(Fraction(1, 2), nmax), 1)

@@ -228,9 +228,12 @@ def test_every_entry_point_refuses_the_excluded_set_as_singular_parameter():
 
 
 def test_every_size_refusal_is_a_bare_parameter_error():
-    # a size or index below its range is not a pole: the base type, naming the parameter
+    # a size or index that is no integer or lies below its range is not a pole:
+    # the base type, naming the parameter
     import ast
     from pathlib import Path
+
+    import numpy as np
 
     import czeta
 
@@ -263,6 +266,18 @@ def test_every_size_refusal_is_a_bare_parameter_error():
         (lambda: czeta.classify(p, "x"), "nmax must be a nonnegative integer or 'auto', got 'x'"),
         (lambda: czeta.classify(CoulombParams(F(-19, 4), F(3, 2)), 2),
          "nmax = 2 too small: sign sequence still negative at its end"),
+        # not an integer: a float, a Fraction or a bool
+        (lambda: czeta.zeta_table(p, 4.0), "kmax must be an integer, got 4.0"),
+        (lambda: czeta.zeta_table(p, True), "kmax must be an integer, got True"),
+        (lambda: table.value(3.0), "k must be an integer, got 3.0"),
+        (lambda: czeta.rayleigh(1, 2.0), "k must be an integer, got 2.0"),
+        (lambda: czeta.bernoulli(F(3)), "n must be an integer, got Fraction(3, 1)"),
+        (lambda: czeta.recurrence_coeffs(p, 2.0), "nmax must be an integer, got 2.0"),
+        (lambda: czeta.coulomb_routes(p, 2.0), "n must be an integer, got 2.0"),
+        (lambda: czeta.det_coulomb_closed(p, 2.5), "n must be an integer, got 2.5"),
+        (lambda: czeta.rayleigh_routes(1, 1.0, 2), "ell must be an integer, got 1.0"),
+        (lambda: czeta.dd_product_closed(p, 1.0), "n must be an integer, got 1.0"),
+        (lambda: czeta.classify(p, True), "nmax must be a nonnegative integer or 'auto', got True"),
     ]
     for call, message in refusals:
         try:
@@ -271,6 +286,10 @@ def test_every_size_refusal_is_a_bare_parameter_error():
             assert type(exc) is ParameterError and str(exc) == message, (message, exc)
         else:
             pytest.fail(f"no refusal: {message}")
+    # a numpy integer is an integer
+    assert czeta.zeta_table(p, np.int64(3)) == table and table.value(np.int64(3)) == table.value(3)
+    assert czeta.coulomb_routes(p, np.int64(2)) == czeta.coulomb_routes(p, 2)
+    assert czeta.rayleigh(1, np.int32(2)) == czeta.rayleigh(1, 2)
 
     # and SingularParameter is raised by the two checks of the excluded set alone
     def raisers(node, name=""):
@@ -287,4 +306,4 @@ def test_every_size_refusal_is_a_bare_parameter_error():
     source = "".join(path.read_text() for path in paths)
     assert source.count("raise SingularParameter(") == 3
     found = sorted(q for path in paths for q in raisers(ast.parse(path.read_text())))
-    assert found == ["CoulombParams.validate", "CoulombParams.validate", "_check_nu"]
+    assert found == ["CoulombParams.__init__", "CoulombParams.__init__", "_check_nu"]

@@ -42,7 +42,7 @@ def _outcome(fn, *args) -> str:
 
 def _coulomb_records() -> list[str]:
     calls = [
-        ("validate", lambda p: p.validate()),
+        ("CoulombParams", lambda p: p),
         ("zeta_base", zeta_base),
         ("zeta_table", lambda p: zeta_table(p, 12).values()),
         ("recurrence_coeffs", lambda p: recurrence_coeffs(p, 6)),
@@ -54,7 +54,7 @@ def _coulomb_records() -> list[str]:
         *((f"dd_product_closed{n}", lambda p, n=n: dd_product_closed(p, n)) for n in range(5)),
     ]
     return [
-        f"{L} {eta} {name} {_outcome(fn, CoulombParams(L, eta))}"
+        f"{L} {eta} {name} {_outcome(lambda: fn(CoulombParams(L, eta)))}"
         for L in LS
         for eta in ETAS
         for name, fn in calls
@@ -136,14 +136,21 @@ def test_probe_covers_every_rejection():
     records = _coulomb_records()
     assert len(records) >= 6435
     # values, both excluded-set messages and the classifier's own refusals
-    for needle in ("Fraction(", "(eta = 0 branch)", "(eta != 0)", " classify SingularParameter: ",
-                   "too small"):
+    for needle in ("Fraction(", "(eta = 0 branch)", "(eta != 0)",
+                   " CoulombParams SingularParameter: ", "too small"):
         assert any(needle in r for r in records), needle
+    # an excluded pair is refused where it is built, so every probe of it records that refusal
+    outcomes = {}
+    for r in records:
+        L, eta, _, outcome = r.split(" ", 3)
+        outcomes.setdefault((L, eta), set()).add(outcome)
+    refused = [pair for pair, seen in outcomes.items() if any("excluded set" in o for o in seen)]
+    assert refused and all(len(outcomes[pair]) == 1 for pair in refused)
 
 
 def test_coulomb_domain_behaviour_is_pinned():
     assert _digest(_coulomb_records()) == (
-        "e683166d541d8dd83dd6d53c87ec672f090261d61204a10f9168bf7a37fb4397"
+        "8a2042a8dc87ad5f283bc1a0b348649ca06a2ef366f328f4649e8d09aa911f5d"
     )
 
 

@@ -40,7 +40,8 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case(CoulombParams, ("L", "eta"), (F(1, 3), 0), P_REPR, (F(1, 3), F(1, 2))),
+    Case(CoulombParams, ("L", "eta"), (F(1, 3), 0), P_REPR, (F(1, 3), F(1, 2)),
+         rejects=((F(-3, 2), 1), (F(-5, 2), 0), (-1, F(1, 2)))),
     Case(ZetaTable, ("params", "_values"), (P, (F(3, 11),)),
          f"ZetaTable(params={P_REPR}, _values=(Fraction(3, 11),))", (CoulombParams(0, 0), (F(3, 11),))),
     Case(ExactMatrix, ("entries",), ([[1, F(1, 2)], [F(1, 2), 3]],), M_REPR, ([[1]],),

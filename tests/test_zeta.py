@@ -67,7 +67,7 @@ def test_negative_integer_orbital_on_bessel_branch():
 
 
 def test_validate_rejects_every_closed_formula_pole():
-    # CoulombParams.validate is the only check of the excluded set: each zero of
+    # the CoulombParams constructor is the only check of the excluded set: each zero of
     # a factor of zeta_L(2), of the recurrence coefficients a_n, b_n, of the
     # closed product or of the classifier's signs must lie in it
     for m in range(1, 61):
@@ -90,13 +90,12 @@ def test_validate_rejects_every_closed_formula_pole():
             for factor, L in poles.items():
                 for eta in etas:
                     try:
-                        CoulombParams(L, eta).validate()
+                        CoulombParams(L, eta)
                     except SingularParameter:
                         continue
-                    pytest.fail(f"{factor} vanishes at L = {L}, eta = {eta}; validate accepts it")
+                    pytest.fail(f"{factor} vanishes at L = {L}, eta = {eta}; the pair is built")
         # the eta = 0 branch keeps negative integer L, and the formulas answer there
         params = CoulombParams(-m, 0)
-        params.validate()
         assert len(_coulomb_closed(params, 8)) == 8
         assert recurrence_coeffs(params, 8).nmax == 8
         assert classify(params).pair_count == m - 1
@@ -256,11 +255,10 @@ def test_a_refused_request_is_never_held(builds):
         with pytest.raises(ParameterError, match=r"^kmax must be >= 2, got 1$") as exc:
             zeta_table(params, 1)
         assert exc.type is ParameterError
-    excluded = CoulombParams(-2, 1)
-    for _ in range(2):  # refused on every call, since nothing is held
-        with pytest.raises(SingularParameter, match=r"^L = -2 on excluded set -\(N\+1\)/2 \(eta != 0\)$"):
-            zeta_table(excluded, 8)
-    assert builds == [(excluded, 8)] * 2 and czeta.zeta._tables == {}
+    # an excluded pair is refused where it is built, so it never reaches the store
+    with pytest.raises(SingularParameter, match=r"^L = -2 on excluded set -\(N\+1\)/2 \(eta != 0\)$"):
+        zeta_table(CoulombParams(-2, 1), 8)
+    assert builds == [] and czeta.zeta._tables == {}
 
 
 def test_table_repr_and_equality_see_only_params_and_values(monkeypatch):
