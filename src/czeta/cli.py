@@ -22,8 +22,6 @@ from .classify import classify
 from .errors import ParameterError, VerificationError
 from .exact import format_rational, parse_rational
 from .hankel import bernoulli_hankel_det, coulomb_routes, genocchi_hankel_det, rayleigh_routes
-from .numeric import Rect, find_complex_zeros
-from .verify import run_verification
 from .zeta import CoulombParams, zeta_table
 
 
@@ -148,6 +146,10 @@ def _cmd_classify(args) -> tuple[dict, int]:
 
 
 def _cmd_find_zeros(args) -> tuple[dict, int]:
+    # only here, as verify below: the exact commands never load the float layer,
+    # whose compile costs a process about 7 ms where bytecode is not cached
+    from .numeric import Rect, find_complex_zeros
+
     bounds = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(b is not None for b in bounds):
         if any(b is None for b in bounds):
@@ -172,6 +174,8 @@ def _cmd_find_zeros(args) -> tuple[dict, int]:
 
 
 def _cmd_verify_all(args) -> tuple[dict, int]:
+    from .verify import run_verification  # only here: it loads the numeric layer
+
     results = run_verification(quick=args.quick)
     if args.verbose:
         import logging

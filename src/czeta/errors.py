@@ -29,12 +29,12 @@ class ContourTooClose(ArithmeticError):
     """A zero sits too close to the integration contour for phase tracking."""
 
 
-def _check_size(name: str, value, least: int) -> None:
+def _check_size(name: str, value, least: int | None) -> None:
     """Refuse as ParameterError a size or index that is no integer (a bool, or
-    anything operator.index refuses) or that lies below `least`."""
+    anything operator.index refuses) or that lies below `least`, if given."""
     try:
         value = index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
+    if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")

@@ -76,11 +76,13 @@ class RecurrenceCoeffs(Frozen):
         return len(self._a)
 
     def a(self, n: int) -> Fraction:
+        _check_size("n", n, None)
         if not 1 <= n <= len(self._a):
             raise IndexError(f"a_n available for 1 <= n <= {len(self._a)}, got {n}")
         return self._a[n - 1]
 
     def b(self, n: int) -> Fraction:
+        _check_size("n", n, None)
         if not 0 <= n <= len(self._b) - 1:
             raise IndexError(f"b_n available for 0 <= n <= {len(self._b) - 1}, got {n}")
         return self._b[n]
@@ -357,6 +359,7 @@ def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
 
     g = 0 for the Bernoulli and 1 for the Genocchi numbers X_{2m}.
     """
+    _check_size("ell", ell, None)
     if ell not in (0, 1):
         raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
     _check_n(nmax)

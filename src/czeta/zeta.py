@@ -33,7 +33,16 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from ._record import Frozen
-from .errors import SingularParameter, VerificationError, _check_size
+from .errors import ParameterError, SingularParameter, VerificationError, _check_size
+
+
+def _rational(name: str, value) -> Fraction:
+    """`Fraction(value)`, or ParameterError naming `name` where that fails (a nan, an
+    infinity, a string that is no rational, None)."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(f"{name} must be a finite rational, got {value!r}") from None
 
 
 class CoulombParams(Frozen):
@@ -49,7 +58,7 @@ class CoulombParams(Frozen):
     __slots__ = ("L", "eta")
 
     def __init__(self, L: Fraction, eta: Fraction):
-        self._set_fields(Fraction(L), Fraction(eta))
+        self._set_fields(_rational("L", L), _rational("eta", eta))
         twice = 2 * self.L
         if twice.denominator != 1 or twice.numerator > -2:
             return
@@ -188,7 +197,7 @@ def _build_table(params: CoulombParams, kmax: int) -> ZetaTable:
 
 
 def _check_nu(nu: Fraction | int) -> Fraction:
-    nu = Fraction(nu)
+    nu = _rational("nu", nu)
     if nu.denominator == 1 and nu.numerator <= -1:
         raise SingularParameter(f"nu = {nu} on excluded set -N")
     return nu

@@ -357,7 +357,7 @@ def test_verify_all_failure_exits_2(capsys, monkeypatch):
     from czeta.verify import FamilyResult
 
     monkeypatch.setattr(
-        "czeta.cli.run_verification",
+        "czeta.verify.run_verification",  # the command imports it when it runs
         lambda quick: [FamilyResult("stub", False, 1, "injected failure")],
     )
     code, out, _ = run(capsys, ["verify-all", "--quick"])

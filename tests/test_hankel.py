@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -246,6 +247,16 @@ def test_factorial_hankel_rejects_bad_ell():
         genocchi_hankel_det(-1, 1)
 
 
+@pytest.mark.parametrize("fn", [bernoulli_hankel_det, genocchi_hankel_det])
+@pytest.mark.parametrize("ell", [1.0, True, F(1)])
+def test_factorial_hankel_refuses_an_ell_that_is_no_integer(fn, ell):
+    # 1.0 once failed later, naming n; True once ran as ell = 1
+    message = rf"^ell must be an integer, got {re.escape(repr(ell))}$"
+    with pytest.raises(ParameterError, match=message) as exc:
+        fn(ell, 2)
+    assert exc.type is ParameterError
+
+
 def test_bernoulli_matrix_is_scaled_rayleigh_matrix():
     # B_{2m}/(2m)! = -2 (-1/4)^m sigma_{2m}(1/2): the factorial Bernoulli
     # matrix is a diagonal scaling (alpha = -1/4) of the Rayleigh matrix at
@@ -429,6 +440,13 @@ def test_recurrence_coeffs_input_checks():
     for n in (-1, 3):
         with pytest.raises(IndexError, match=rf"^b_n available for 0 <= n <= 2, got {n}$"):
             coeffs.b(n)
+    # an index that is no integer is refused by name, not by tuple indexing
+    for n in (1.0, True, F(1)):
+        message = rf"^n must be an integer, got {re.escape(repr(n))}$"
+        for method in (coeffs.a, coeffs.b):
+            with pytest.raises(ParameterError, match=message) as exc:
+                method(n)
+            assert exc.type is ParameterError
 
 
 def test_routes_are_prefixes_of_longer_runs():

@@ -47,6 +47,43 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     assert json.loads(_run_python(code, "-S")) == []
 
 
+NUMERIC_NAMES = ["Rect", "ZeroReport", "count_zeros_region", "default_search_region",
+                 "find_complex_zeros", "phi", "phi_derivative"]
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_the_exact_layer_loads_without_the_numeric_one(flags):
+    # the package and the CLI leave czeta.numeric (and with it cmath) and
+    # czeta.verify unloaded, and dir() still lists the numeric names; the first
+    # read of one loads the module and binds the name in the package, to the
+    # numeric module's own object; a star import binds all of __all__
+    code = f"""if True:
+        import json, sys
+        import czeta, czeta.cli
+        loaded = sorted(m for m in ("czeta.numeric", "czeta.verify", "cmath") if m in sys.modules)
+        unlisted = sorted(set(czeta.__all__) - set(dir(czeta)))
+        names = {NUMERIC_NAMES!r}
+        bound_early = [name for name in names if name in vars(czeta)]
+        same = [getattr(czeta, name) is getattr(sys.modules["czeta.numeric"], name)
+                is vars(czeta)[name] for name in names]
+        star = {{}}
+        exec("from czeta import *", star)
+        star = sorted(set(star) - {{"__builtins__"}}) == czeta.__all__
+        verify = "czeta.verify" in sys.modules
+        print(json.dumps([loaded, unlisted, bound_early, same, star, verify]))
+    """
+    loaded, unlisted, bound_early, same, star, verify = json.loads(_run_python(code, *flags))
+    assert loaded == unlisted == bound_early == []
+    assert same == [True] * len(NUMERIC_NAMES) and star and not verify
+
+
+def test_a_name_the_package_lacks_raises_attribute_error():
+    import czeta
+
+    with pytest.raises(AttributeError, match=r"^module 'czeta' has no attribute 'no_such_name'$"):
+        czeta.no_such_name
+
+
 def test_czeta_classify_stays_the_function_once_the_submodule_is_imported():
     # the package re-exports the function under its submodule's name; importing
     # the submodule (directly, or through cli and verify) must not rebind it
@@ -159,11 +196,12 @@ def test_every_name_in_all_resolves():
 
 def test_every_public_attribute_is_exported():
     # a stale export or an unlisted public name shows here; submodules are
-    # attributes too, bound by their import, and stay out of __all__
+    # attributes too, bound by their import, and stay out of __all__; dir()
+    # also lists the numeric names that the package binds on first use
     import types
 
     import czeta
 
-    public = {name for name, value in vars(czeta).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    public = {name for name in dir(czeta) if not name.startswith("_")
+              and not isinstance(getattr(czeta, name), types.ModuleType)}
     assert public == set(czeta.__all__)

@@ -40,6 +40,25 @@ def test_base_singular_parameters():
     assert zeta_base(CoulombParams(-2, 0)) == -1
 
 
+@pytest.mark.parametrize("L, eta", [
+    (float("nan"), 0), (float("inf"), 0), (float("-inf"), 0), ("x", 0), (None, 0), ("1/0", 0),
+    (0, float("nan")), (0, float("inf")), (0, "x"), (0, None),
+])
+def test_params_refuse_a_value_that_is_no_finite_rational(L, eta):
+    name, value = ("L", L) if eta == 0 else ("eta", eta)
+    with pytest.raises(ParameterError, match=rf"^{name} must be a finite rational, got ") as exc:
+        CoulombParams(L, eta)
+    assert exc.type is ParameterError and exc.value.args[0].endswith(repr(value))
+    assert isinstance(exc.value, ValueError)  # callers catching ValueError still work
+
+
+def test_rayleigh_refuses_a_nu_that_is_no_finite_rational():
+    for nu in (float("nan"), float("inf"), "x", None):
+        with pytest.raises(ParameterError, match=r"^nu must be a finite rational, got ") as exc:
+            rayleigh(nu, 1)
+        assert exc.type is ParameterError
+
+
 def test_recurrence_hand_unrolled():
     # empty convolution at the first step: zeta(3) = (1/4) * 2 * zeta(2)
     t = zeta_table(CoulombParams(0, 1), 5)
