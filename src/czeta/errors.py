@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one check of a size or index."""
+"""Exception types shared across the package, and its one check of a size or index
+and one of a rational value."""
 
+from fractions import Fraction
 from operator import index
 
 
@@ -38,3 +40,12 @@ def _check_size(name: str, value, least: int | None) -> None:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if least is not None and value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
+
+
+def _rational(name: str, value) -> Fraction:
+    """`Fraction(value)`, or ParameterError naming `name` where that fails (a nan, an
+    infinity, a string that is no rational, None)."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParameterError(f"{name} must be a finite rational, got {value!r}") from None

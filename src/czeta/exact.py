@@ -20,15 +20,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import Frozen
-from .errors import ParameterError
+from .errors import ParameterError, _rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string; reject anything else (notably decimals)."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    """Parse "p/q" or a bare integer string; reject anything else (notably decimals,
+    and anything not a string)."""
+    text = text.strip() if isinstance(text, str) else text
+    if not (isinstance(text, str) and _RATIONAL_RE.match(text)):
         raise ParameterError(
             f"expected an exact rational 'p/q' or integer, got {text!r}"
         )
@@ -36,8 +37,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms "p/q" string, "p" alone when the denominator is 1."""
-    return str(Fraction(value))
+    """Lowest-terms "p/q" string, "p" alone when the denominator is 1; a value that
+    is no finite rational raises ParameterError."""
+    return str(_rational("value", value))
 
 
 class ExactMatrix(Frozen):
@@ -50,7 +52,8 @@ class ExactMatrix(Frozen):
         # a generator by resizing, and keeps each resized tuple in its free list
         # for that length, so repeated calls hold more memory every time.  An
         # entry that is already a Fraction is kept as it is, not copied.
-        rows = tuple([tuple([e if type(e) is Fraction else Fraction(e) for e in row])
+        rows = tuple([tuple([e if type(e) is Fraction else _rational("matrix entry", e)
+                             for e in row])
                       for row in entries])
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")

@@ -246,6 +246,7 @@ def _rayleigh_closed(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
 
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
     """Closed form of the Rayleigh Hankel determinant; valid only for ell in {0, 1}."""
+    _check_size("ell", ell, 0)
     if ell not in (0, 1):
         raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
     return rayleigh_routes(nu, ell, n, ("closed",))["closed"][-1]
@@ -359,7 +360,7 @@ def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
 
     g = 0 for the Bernoulli and 1 for the Genocchi numbers X_{2m}.
     """
-    _check_size("ell", ell, None)
+    _check_size("ell", ell, 0)
     if ell not in (0, 1):
         raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
     _check_n(nmax)

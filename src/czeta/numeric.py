@@ -114,6 +114,16 @@ def _step_ratios(b: float) -> tuple[tuple[float, float, int], ...]:
     return tuple(((m + b) / (m + 2), 1 / ((m + 2) * (m + 1)), m + 2) for m in range(_STEP_CAP))
 
 
+def _number(name: str, value, kind: type):
+    """kind(value), kind float or complex, or ParameterError naming `name` where that
+    fails: None, a string that is no number, a complex for a float, an int past double range."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a {'real' if kind is float else 'complex'} "
+                             f"number, got {value!r}") from None
+
+
 # the keys of ZeroReport.stats, described there
 _STAT_NAMES = (
     "series_evals", "contour_steps", "newton_starts", "newton_steps",
@@ -129,28 +139,17 @@ class _Evaluator:
     def __init__(self, L: float, eta: float, tol: float):
         # a nan or non-positive tolerance would run the whole series and only
         # then fail as NoConvergence
-        if not 0 < tol < math.inf:
+        self.tol = _number("tol", tol, float)
+        if not 0 < self.tol < math.inf:
             raise ParameterError(f"tol must be positive and finite, got {tol}")
         # -0.0 + 0.0 is 0.0: one cache key per pair, whatever sign an earlier call passed
-        self.L, self.eta = float(L) + 0.0, float(eta) + 0.0
+        self.L, self.eta = _number("L", L, float) + 0.0, _number("eta", eta, float) + 0.0
         self.coeffs = _series(self.L, self.eta)
-        self.tol = tol
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
-
-    def phi(self, z: complex) -> complex:
-        self.stats["series_evals"] += 1
-        return self._sum(z, self.tol, want_derivative=False)[0]
-
-    def newton_values(self, z: complex) -> tuple[complex, complex]:
-        """Value and derivative for one Newton step."""
-        self.stats["series_evals"] += 1
-        self.stats["newton_steps"] += 1
-        return self._sum(z, self.tol, want_derivative=True)
 
     def values(self, z: complex, derivative: bool = True) -> tuple[complex, complex | None]:
         """Value, and derivative or None, for the contour, summed to double precision;
         a sum whose rounding floor tol does not cover still raises NoConvergence."""
-        self.stats["series_evals"] += 1
         f, df = self._sum(z, _ROUNDING, derivative)
         return f, df if derivative else None
 
@@ -179,6 +178,9 @@ class _Evaluator:
         raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
     def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
+        """(phi, phi') at rho, phi' 0j unless wanted, tails below tol: the one series
+        sum, for the public functions, Newton and the contour alike, counted here."""
+        self.stats["series_evals"] += 1
         rho = complex(rho)
         c = self.coeffs
         if rho == 0:
@@ -262,7 +264,8 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
     The truncation tail is bounded below tol*(1+|result|).  A signed zero in
-    L or eta is taken as +0.0.  Raises ParameterError unless tol is positive
+    L or eta is taken as +0.0.  Raises ParameterError naming L, eta, rho or tol
+    where float() (complex() for rho) refuses it, or unless tol is positive
     and finite, SingularParameter from the `CoulombParams` constructor on the excluded
     set at the exact values of L and eta (so L = -1.5 + 1e-10 is evaluated), and
     NoConvergence when the term cap is exhausted or on the cancellation floor,
@@ -272,13 +275,15 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     Every call on one pair reads the same immutable coefficient table, so
     calls from several threads at once are safe.
     """
-    return _Evaluator(L, eta, tol).phi(rho)
+    ev = _Evaluator(L, eta, tol)
+    return ev._sum(_number("rho", rho, complex), ev.tol, False)[0]
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """d/drho of the entire factor, by term-wise differentiation of the series; its
     tail bound and its errors, NoConvergence on the cancellation floor too, are `phi`'s."""
-    return _Evaluator(L, eta, tol).newton_values(rho)[1]
+    ev = _Evaluator(L, eta, tol)
+    return ev._sum(_number("rho", rho, complex), ev.tol, True)[1]
 
 
 def default_search_region(L: float) -> Rect:
@@ -286,9 +291,9 @@ def default_search_region(L: float) -> Rect:
 
     Covers the non-real zeros with ample margin at desk scale; the lower edge
     is nudged below the axis by the zero finder so real zeros are interior.
-    A non-finite L raises ParameterError.
+    An L that is no real number or not finite raises ParameterError.
     """
-    if not math.isfinite(L):
+    if not math.isfinite(_number("L", L, float)):
         raise ParameterError(f"L must be finite, got {L}")
     pairs = max(0, math.floor(-L - 0.5))
     radius = 6.0 + 2.0 * pairs
@@ -307,6 +312,19 @@ def _series_radius(L: float) -> float:
     return max(2.0, 0.9 * lam * 10 ** (-4 / lam))
 
 
+def _contour_value(ev: _Evaluator, z: complex, za: complex, zb: complex, radius: float,
+                   near: complex, vnear: tuple | None) -> tuple[complex, complex | None]:
+    """(phi, phi') at the contour point z between neighbours za and zb, or (phi, None).
+    Outside the radius a Taylor step gives it from `near`, a neighbour no farther
+    from the real axis valued as `vnear`: phi grows away from the axis, so a step
+    toward it loses the subdominant solution.  Inside, or with `vnear` None, the
+    series sums it, with phi' only where a step may start: if za or zb lies outside
+    the radius (a midpoint between two points inside lies inside)."""
+    if vnear is not None and abs(z) >= radius:
+        return ev.step(near, *vnear, z)
+    return ev.values(z, abs(za) >= radius or abs(zb) >= radius)
+
+
 def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float:
     if va[0] == 0 or vb[0] == 0:
         raise ContourTooClose(f"zero on the contour near {za} .. {zb}")
@@ -318,16 +336,9 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
             f"phase step above pi/2 after maximal subdivision near {za} .. {zb}"
         )
     zm = (za + zb) / 2
-    # stepped from the end nearer the real axis, as on the contour; summed inside
-    # the radius, with phi' only if an end lies outside, where a later midpoint
-    # may be stepped from it.  The edges are axis-parallel, so a midpoint lies
-    # between its ends in each coordinate: a piece with both ends inside, the
-    # only kind beside an end summed without phi', stays inside
-    if abs(zm) < radius:
-        vm = ev.values(zm, abs(za) >= radius or abs(zb) >= radius)
-    else:
-        near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
-        vm = ev.step(near, *vnear, zm)
+    # the piece's ends are the midpoint's neighbours
+    near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
+    vm = _contour_value(ev, zm, za, zb, radius, near, vnear)
     return _phase_along_edge(ev, za, zm, va, vm, radius, depth - 1) + _phase_along_edge(
         ev, zm, zb, vm, vb, radius, depth - 1
     )
@@ -344,11 +355,9 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
         ca, cb, pieces = edge
         return ca + (cb - ca) * i / pieces
 
-    # value the points nearest the real axis first: each is stepped to from a
-    # valued neighbour no farther from the axis (phi grows away from it, so a
-    # step toward it loses the subdominant solution); the series sums the points
-    # inside the radius and any without a valued neighbour, first the one
-    # nearest the origin.  Ties go to the point first on the boundary
+    # value the points nearest the real axis first, each by `_contour_value` from
+    # a neighbour valued before it, if any; then those nearest the origin.  Ties go
+    # to the point first on the boundary
     def order(i, z):
         return abs(z.imag), abs(z), i
 
@@ -357,10 +366,9 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     # refuses boundaries the steps count wrong: without it the default region
     # of (-1.25, 12) reports 7 real zeros for 8, missing the one near -4.712.
     # A corner the contour steps to (outside the radius, with a neighbour earlier
-    # in `order`) takes a plain sum; the others keep theirs.
-    # A summed point needs phi' only if a step may start there: to a neighbour
-    # outside the radius, or to a midpoint of the piece between them
-    summed, start = {}, 0
+    # in `order`) takes a plain sum; the others, with no neighbour valued yet, keep
+    # theirs by boundary index
+    kept, start = {}, 0
     for k, edge in enumerate(edges):
         c = edge[0]
         before, after = point(edges[k - 1], edges[k - 1][2] - 1), point(edge, 1)
@@ -368,7 +376,7 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
                 order((start - 1) % n, before), order(start + 1, after)):
             ev.values(c, derivative=False)
         else:
-            summed[c] = ev.values(c, max(abs(before), abs(after)) >= radius)
+            kept[start] = _contour_value(ev, c, before, after, radius, None, None)
         start += edge[2]
     zs = [point(edge, i) for edge in edges for i in range(edge[2])]
     moduli = [abs(z) for z in zs]
@@ -377,13 +385,9 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
                       key=[abs(z.imag) for z in zs].__getitem__)
     vals = [None] * n
     for i in by_order:
-        z = zs[i]
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        if vals[j] is not None and moduli[i] >= radius:
-            vals[i] = ev.step(zs[j], *vals[j], z)
-        else:
-            vals[i] = summed[z] if z in summed else ev.values(
-                z, max(moduli[i - 1], moduli[(i + 1) % n]) >= radius)
+        vals[i] = kept[i] if i in kept else _contour_value(
+            ev, zs[i], zs[i - 1], zs[(i + 1) % n], radius, zs[j], vals[j])
     total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
                 for i in range(n))
     turns = total / (2 * math.pi)
@@ -434,7 +438,8 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     # a value the series cannot reach, the polishing step's included, fails the start
     try:
         for _ in range(_NEWTON_STEPS):
-            f, df = ev.newton_values(z)
+            ev.stats["newton_steps"] += 1
+            f, df = ev._sum(z, ev.tol, True)
             if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
                 return None
             dz = f / df
@@ -442,7 +447,8 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             step = abs(dz)
             # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
             if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
-                f, df = ev.newton_values(z)
+                ev.stats["newton_steps"] += 1
+                f, df = ev._sum(z, ev.tol, True)
                 if df != 0:
                     z = z - f / df
                 return z
@@ -581,7 +587,7 @@ def find_complex_zeros(
         if all(abs(z - w) > 1e-6 for w in zeros):
             zeros.append(z)
 
-    residuals = tuple(abs(ev.phi(z)) for z in zeros)
+    residuals = tuple(abs(ev._sum(z, ev.tol, False)[0]) for z in zeros)
     n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
     pairs = [z for z in zeros if z.imag > _REAL_AXIS_TOL]
     counts = {

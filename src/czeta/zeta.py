@@ -33,16 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from ._record import Frozen
-from .errors import ParameterError, SingularParameter, VerificationError, _check_size
-
-
-def _rational(name: str, value) -> Fraction:
-    """`Fraction(value)`, or ParameterError naming `name` where that fails (a nan, an
-    infinity, a string that is no rational, None)."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise ParameterError(f"{name} must be a finite rational, got {value!r}") from None
+from .errors import SingularParameter, VerificationError, _check_size, _rational
 
 
 class CoulombParams(Frozen):

@@ -174,6 +174,20 @@ def test_matrix_validation():
         ExactMatrix([[1, 2], [3]])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: ExactMatrix([[float("nan")]]), "matrix entry must be a finite rational, got nan"),
+    (lambda: ExactMatrix([[1, 2], [3, "x"]]), "matrix entry must be a finite rational, got 'x'"),
+    (lambda: format_rational(float("nan")), "value must be a finite rational, got nan"),
+    (lambda: format_rational(None), "value must be a finite rational, got None"),
+    (lambda: parse_rational(None), "expected an exact rational 'p/q' or integer, got None"),
+    (lambda: parse_rational(b"1/2"), "expected an exact rational 'p/q' or integer, got b'1/2'"),
+], ids=["entry-nan", "entry-string", "format-nan", "format-none", "parse-none", "parse-bytes"])
+def test_a_value_that_is_no_rational_is_refused_by_name(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert exc.type is ParameterError and str(exc.value) == message
+
+
 @given(
     alpha=st.fractions(min_value=F(-6), max_value=F(6), max_denominator=8).filter(
         lambda a: a != 0

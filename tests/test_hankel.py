@@ -243,8 +243,12 @@ def test_factorial_hankel_reciprocal_integers(ell):
 def test_factorial_hankel_rejects_bad_ell():
     with pytest.raises(UnsupportedEll):
         bernoulli_hankel_det(2, 1)
-    with pytest.raises(UnsupportedEll):
-        genocchi_hankel_det(-1, 1)
+    # below range is the base type, as at every Rayleigh entry point; UnsupportedEll
+    # is an ell >= 0 without a closed form
+    for fn in (bernoulli_hankel_det, genocchi_hankel_det):
+        with pytest.raises(ParameterError, match=r"^ell must be >= 0, got -1$") as exc:
+            fn(-1, 1)
+        assert exc.type is ParameterError
 
 
 @pytest.mark.parametrize("fn", [bernoulli_hankel_det, genocchi_hankel_det])
@@ -480,6 +484,7 @@ def test_routes_reject_nmax_below_one():
         # a negative ell is refused whichever routes are asked for
         (lambda: rayleigh_routes(1, -1, 3), "ell must be >= 0, got -1"),
         (lambda: rayleigh_routes(1, -1, 3, ("closed",)), "ell must be >= 0, got -1"),
+        (lambda: det_rayleigh_closed(1, -1, 3), "ell must be >= 0, got -1"),
     ]:
         with pytest.raises(ParameterError) as exc:
             call()

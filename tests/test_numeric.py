@@ -367,6 +367,30 @@ def test_default_search_region_rejects_a_non_finite_L(L):
         default_search_region(L)
 
 
+@pytest.mark.parametrize("value", [None, "x", 1j], ids=["none", "string", "complex"])
+@pytest.mark.parametrize("name,call", [
+    ("L", lambda v: phi(v, 0, 1)),
+    ("eta", lambda v: phi(0, v, 1)),
+    ("rho", lambda v: phi(0, 0, v)),
+    ("tol", lambda v: phi(0, 0, 1, tol=v)),
+    ("eta", lambda v: phi_derivative(0, v, 1)),
+    ("rho", lambda v: phi_derivative(0, 0, v)),
+    ("L", lambda v: count_zeros_region(v, 0, (0, 1, 0, 1))),
+    ("tol", lambda v: count_zeros_region(0, 0, (0, 1, 0, 1), tol=v)),
+    ("L", lambda v: find_complex_zeros(v, 0)),
+    ("eta", lambda v: find_complex_zeros(0, v)),
+    ("L", default_search_region),
+], ids=["phi-L", "phi-eta", "phi-rho", "phi-tol", "phi_derivative-eta", "phi_derivative-rho",
+        "count-L", "count-tol", "find-L", "find-eta", "default_search_region-L"])
+def test_a_numeric_argument_that_is_no_number_is_refused_by_name(name, call, value):
+    if name == "rho" and value == 1j:  # a complex rho is a point like any other
+        assert isinstance(call(value), complex)
+        return
+    with pytest.raises(ParameterError, match=rf"^{name} must be a (real|complex) number, got ") as exc:
+        call(value)
+    assert exc.type is ParameterError
+
+
 @pytest.mark.parametrize("L,eta", [(math.nan, 0.0), (math.inf, 0.0), (1e308, 0.0), (0.0, math.nan)])
 def test_series_rejects_non_finite_parameters(L, eta):
     with pytest.raises(ParameterError, match="out of range"):
@@ -622,15 +646,18 @@ def test_a_polishing_step_out_of_reach_fails_only_its_start(monkeypatch):
     assert clean.stats["newton_starts"] == 1
     polish_call = clean.stats["newton_steps"]
     calls = []
-    plain = _Evaluator.newton_values
+    plain = _Evaluator._sum
 
-    def newton_values(self, z):
-        calls.append(z)
-        if len(calls) == polish_call:
-            raise NoConvergence("polishing step out of reach")
-        return plain(self, z)
+    def spy_sum(self, rho, tol, want_derivative):
+        # Newton's sums are the value-and-derivative ones at the evaluator's tol;
+        # the contour sums to double precision
+        if want_derivative and tol == self.tol:
+            calls.append(rho)
+            if len(calls) == polish_call:
+                raise NoConvergence("polishing step out of reach")
+        return plain(self, rho, tol, want_derivative)
 
-    monkeypatch.setattr(_Evaluator, "newton_values", newton_values)
+    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
     report = find_complex_zeros(0, 0, search=search)
     assert report.zeros == clean.zeros
     assert report.stats["newton_starts"] == 2
