@@ -23,7 +23,7 @@ from typing import NamedTuple
 from ._record import Frozen
 from .errors import ParameterError, VerificationError, _check_size
 from .hankel import coulomb_routes
-from .zeta import CoulombParams, _check_nu
+from .zeta import CoulombParams, _check_nu, _check_params
 
 
 class ZeroClassification(Frozen):
@@ -70,6 +70,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     trailing margin must be positive (else, as for a bad nmax, ParameterError),
     and the negative count is checked against floor(-L-1/2).
     """
+    _check_params(params)
     L = params.L
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)

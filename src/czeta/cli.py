@@ -247,7 +247,7 @@ def build_parser() -> _Parser:
     for name in ("bernoulli-det", "genocchi-det"):
         p = add_parser(name, _cmd_factorial_det,
                        help=f"factorially normalized {name.split('-')[0]} Hankel determinant")
-        p.add_argument("--ell", type=int, choices=(0, 1), required=True)
+        p.add_argument("--ell", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
 
     p = add_parser("classify", _cmd_classify,

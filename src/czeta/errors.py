@@ -16,7 +16,8 @@ class SingularParameter(ParameterError):
 
 
 class UnsupportedEll(ParameterError):
-    """The function asked has no closed form at this ell (the Rayleigh closed route covers 0..3)."""
+    """An ell >= 0 outside czeta.hankel._RAYLEIGH_POLY (0..3): the Rayleigh closed route
+    refuses it, and through that route every closed-form entry point and the CLI."""
 
 
 class VerificationError(ArithmeticError):

@@ -52,9 +52,12 @@ class ExactMatrix(Frozen):
         # a generator by resizing, and keeps each resized tuple in its free list
         # for that length, so repeated calls hold more memory every time.  An
         # entry that is already a Fraction is kept as it is, not copied.
-        rows = tuple([tuple([e if type(e) is Fraction else _rational("matrix entry", e)
-                             for e in row])
-                      for row in entries])
+        try:
+            rows = tuple([tuple([e if type(e) is Fraction else _rational("matrix entry", e)
+                                 for e in row])
+                          for row in entries])
+        except TypeError:  # entries, or one of its rows, is not iterable
+            raise ParameterError("matrix must be a sequence of rows of entries") from None
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")
         n = len(rows)
@@ -153,6 +156,8 @@ def leading_minors(m: ExactMatrix) -> list[Fraction]:
     last ends the pass; each later minor then comes from one pivoting pass over
     its own leading submatrix.
     """
+    if not isinstance(m, ExactMatrix):
+        raise ParameterError(f"matrix must be an ExactMatrix, got {type(m).__name__}")
     minors = _hankel_minors(m)
     if minors is None:
         minors = _bareiss_minors(m.entries, swap=False)

@@ -13,8 +13,9 @@ determinants; `det_coulomb_closed` and `det_coulomb_via_moments` pass `first = n
 instead, so that only det H_n becomes a Fraction.  On the 1872 (L, eta, n) of
 perfbench's exact-deep the two take 185 us a triple this way and 575 us with first = 1
 (CPython 3.11, Xeon), about 3 % of a mean 6.7 ms case.  The Rayleigh, Bernoulli
-and Genocchi closed forms all come from one running Rayleigh product per
-(nu, ell), the latter two at nu = 1/2 and -1/2, rescaled.  `leading_minors` is
+and Genocchi closed forms all come from the Rayleigh closed route, the latter two
+at nu = 1/2 and -1/2, rescaled, so `_RAYLEIGH_POLY` alone decides which ell has
+one.  `leading_minors` is
 the only determinant entry point (it takes the Chebyshev algorithm for these
 Hankel matrices, and Bareiss only when a leading minor below the last vanishes),
 and every sigma_{2k}(nu) comes from one helper, `czeta.zeta._sigmas`, which
@@ -30,8 +31,8 @@ from typing import NamedTuple
 from ._record import Frozen
 from .errors import ParameterError, UnsupportedEll, VerificationError, _check_size
 from .exact import ExactMatrix, leading_minors
-from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _genocchi_numbers, _sigmas,
-                   zeta_base, zeta_table)
+from .zeta import (CoulombParams, _bernoulli_numbers, _check_nu, _check_params, _genocchi_numbers,
+                   _sigmas, zeta_base, zeta_table)
 
 
 class CoulombHankel(Frozen):
@@ -125,6 +126,7 @@ def _recurrence_terms(params: CoulombParams, nmax: int) -> tuple[list, list]:
 
 def recurrence_coeffs(params: CoulombParams, nmax: int) -> RecurrenceCoeffs:
     """Coefficients a_1..a_nmax and b_0..b_nmax, exactly."""
+    _check_params(params)
     _check_size("nmax", nmax, 1)
     a, b = _recurrence_terms(params, nmax)
     return RecurrenceCoeffs(params, tuple(Fraction(*t) for t in a), tuple(Fraction(*t) for t in b))
@@ -164,6 +166,7 @@ def det_coulomb_closed(params: CoulombParams, n: int) -> Fraction:
 
     prod_{k=0}^{n-1} (2L+2n-2k+1)^-(2k+1) * (1 + eta^2/(L+n-k)^2)^(k+1)
     """
+    _check_params(params)
     _check_n(n)
     return _coulomb_closed(params, n, n)[0]
 
@@ -245,24 +248,18 @@ def _rayleigh_closed(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
 
 
 def det_rayleigh_closed(nu: Fraction | int, ell: int, n: int) -> Fraction:
-    """Closed form of the Rayleigh Hankel determinant; valid only for ell in {0, 1}."""
-    _check_size("ell", ell, 0)
-    if ell not in (0, 1):
-        raise UnsupportedEll(f"closed form holds only for ell in {{0, 1}}, got {ell}")
+    """The closed route's det H_n^(ell)(nu), for every ell in `_RAYLEIGH_POLY`."""
     return rayleigh_routes(nu, ell, n, ("closed",))["closed"][-1]
 
 
 def det_rayleigh_ell2(nu: Fraction | int, n: int) -> Fraction:
-    """ell = 2 family: 2^(-2n(n+2)) (n+1)(n+nu+1) prod_{k=1}^{2n+1} (nu+k)^(k-2n-2)."""
-    return rayleigh_routes(nu, 2, n, ("closed",))["closed"][-1]
+    """`det_rayleigh_closed` at ell = 2."""
+    return det_rayleigh_closed(nu, 2, n)
 
 
 def det_rayleigh_ell3(nu: Fraction | int, n: int) -> Fraction:
-    """ell = 3 family, with the polynomial factor
-
-    (1/6)(n+1)(n+2)(n+nu+1)(n+nu+2) [2n^2 + 6n + 3 + nu(2n+3)]
-    """
-    return rayleigh_routes(nu, 3, n, ("closed",))["closed"][-1]
+    """`det_rayleigh_closed` at ell = 3."""
+    return det_rayleigh_closed(nu, 3, n)
 
 
 def _desnanot_jacobi(nu: Fraction, ell: int, nmax: int) -> list[Fraction]:
@@ -318,11 +315,15 @@ _RAYLEIGH_ROUTES = {
 
 
 def _route_names(names, routes: dict) -> tuple:
-    """`names`, or every route when empty; a string or an unknown name raises ParameterError."""
+    """`names`, or every route when empty; a string, anything else that is no iterable of
+    names, or an unknown name raises ParameterError."""
     if isinstance(names, str):
         raise ParameterError(f"names is a sequence of route names, got the string {names!r}")
-    names = tuple(names or routes)  # read once: `names` may be an iterator
-    unknown = [name for name in names if name not in routes]
+    try:
+        names = tuple(names or routes)  # read once: `names` may be an iterator
+    except TypeError:
+        raise ParameterError(f"names is a sequence of route names, got {names!r}") from None
+    unknown = [name for name in names if not isinstance(name, str) or name not in routes]
     if unknown:
         raise ParameterError(f"unknown route {unknown[0]!r}; the routes are {', '.join(routes)}")
     return names
@@ -331,6 +332,7 @@ def _route_names(names, routes: dict) -> tuple:
 def coulomb_routes(params: CoulombParams, nmax: int, names=None) -> dict[str, list[Fraction]]:
     """The zeta Hankel determinants for n = 1..nmax by each route in `names`
     (default all), in that order: one evaluation per route for all n."""
+    _check_params(params)
     _check_n(nmax)
     return {name: _COULOMB_ROUTES[name](params, nmax)
             for name in _route_names(names, _COULOMB_ROUTES)}
@@ -340,8 +342,9 @@ def rayleigh_routes(
     nu: Fraction | int, ell: int, nmax: int, names=None
 ) -> dict[str, list[Fraction]]:
     """The Rayleigh Hankel determinants for n = 1..nmax by each route in `names`
-    (default all), in that order.  An ell without a closed form (ell > 3)
-    leaves "closed" out of the default and raises UnsupportedEll when named."""
+    (default all), in that order.  An ell outside `_RAYLEIGH_POLY`, the one table of
+    closed-form coverage, leaves "closed" out of the default and raises
+    UnsupportedEll when named."""
     nu = _check_nu(nu)
     _check_n(nmax, ell)
     chosen = _route_names(names, _RAYLEIGH_ROUTES)
@@ -356,21 +359,18 @@ def rayleigh_routes(
 def _factorial_hankel_det(g: int, ell: int, nmax: int) -> list[Fraction]:
     """Direct determinants for n = 1..nmax of entries X_{2m}/(2m)!, each checked against
 
-    (-1)^(n(ell+g)) 2^(-n(4n+4ell-1-g)) prod_{k=1}^{2n+ell-1} (k+1/2-g)^(k-2n-ell),
+    (-1)^(n(ell+g)) 2^(-n(2n+2ell-1-g)) det H_n^(ell)(1/2-g),
 
-    g = 0 for the Bernoulli and 1 for the Genocchi numbers X_{2m}.
+    g = 0 for the Bernoulli and 1 for the Genocchi numbers X_{2m}, and the
+    Rayleigh determinant from the closed route, which refuses an ell it lacks.
     """
-    _check_size("ell", ell, 0)
-    if ell not in (0, 1):
-        raise UnsupportedEll(f"ell must be 0 or 1, got {ell}")
-    _check_n(nmax)
+    # the Rayleigh closed route at nu = 1/2 - g, whose factors are the (k+1/2-g)
+    products = rayleigh_routes(Fraction(1, 2) - g, ell, nmax, ("closed",))["closed"]
     label, numbers = ("Genocchi", _genocchi_numbers) if g else ("Bernoulli", _bernoulli_numbers)
     # entry (i, j) (1-based) is X_{2m}/(2m)! with m = i+j+ell-1, so m runs ell+1..2nmax+ell-1
     xs = numbers(2 * nmax + ell - 1)
     entries = [xs[m - 1] / factorial(2 * m) for m in range(ell + 1, 2 * nmax + ell)]
     dets = leading_minors(_hankel(entries, nmax))
-    # the Rayleigh products at nu = 1/2 - g, whose factors are the (k+1/2-g)
-    products = _rayleigh_products(Fraction(1, 2) - g, ell, nmax)
     for n, (direct, product) in enumerate(zip(dets, products), 1):
         closed = Fraction((-1) ** (n * (ell + g)), 2 ** (n * (2 * n + 2 * ell - 1 - g))) * product
         if direct != closed:
@@ -386,10 +386,10 @@ def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
 
     Direct determinant and closed form
 
-        (-1)^(n*ell) 2^(-n(4n+4ell-1)) prod_{k=1}^{2n+ell-1} (k+1/2)^(k-2n-ell)
+        (-1)^(n*ell) 2^(-n(2n+2ell-1)) det_rayleigh_closed(1/2, ell, n)
 
-    are both evaluated; a mismatch raises VerificationError.  Returns the
-    direct value.
+    are both evaluated, for every ell the closed route covers; a mismatch
+    raises VerificationError.  Returns the direct value.
     """
     return _factorial_hankel_det(0, ell, n)[-1]
 
@@ -397,7 +397,7 @@ def bernoulli_hankel_det(ell: int, n: int) -> Fraction:
 def genocchi_hankel_det(ell: int, n: int) -> Fraction:
     """Determinant of the Hankel matrix with entries G_{2i+2j+2ell-2}/(2i+2j+2ell-2)!.
 
-    Closed form: (-1)^(n(ell+1)) 2^(-n(4n+4ell-2)) prod_{k=1}^{2n+ell-1} (k-1/2)^(k-2n-ell).
+    Closed form: (-1)^(n(ell+1)) 2^(-n(2n+2ell-2)) det_rayleigh_closed(-1/2, ell, n).
     """
     return _factorial_hankel_det(1, ell, n)[-1]
 

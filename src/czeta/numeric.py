@@ -55,8 +55,12 @@ class Rect(Frozen):
 
     def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float):
         self._set_fields(re_min, re_max, im_min, im_max)
-        # finite and ordered; a nan bound fails every comparison
-        if not (-math.inf < re_min < re_max < math.inf and -math.inf < im_min < im_max < math.inf):
+        try:  # finite and ordered; a nan bound fails every comparison
+            ordered = (-math.inf < re_min < re_max < math.inf
+                       and -math.inf < im_min < im_max < math.inf)
+        except TypeError as exc:  # a bound no number compares with
+            raise ParameterError(f"rectangle bounds must be real numbers, got {self}") from exc
+        if not ordered:
             raise ParameterError(f"degenerate rectangle {self}")
 
     def corners(self) -> list[complex]:
@@ -82,7 +86,10 @@ def _as_rect(region: Rect | tuple) -> Rect:
     """A Rect, or four numbers (re_min, re_max, im_min, im_max) made one."""
     try:
         return region if isinstance(region, Rect) else Rect(*region)
-    except TypeError:  # not iterable, not four bounds, or a bound no number compares with
+    except (TypeError, ParameterError) as exc:
+        if isinstance(exc, ParameterError) and exc.__cause__ is None:
+            raise  # a degenerate rectangle keeps its own message
+        # not iterable, not four bounds, or a bound no number compares with
         raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 

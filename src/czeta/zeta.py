@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from ._record import Frozen
-from .errors import SingularParameter, VerificationError, _check_size, _rational
+from .errors import ParameterError, SingularParameter, VerificationError, _check_size, _rational
 
 
 class CoulombParams(Frozen):
@@ -59,8 +59,15 @@ class CoulombParams(Frozen):
             raise SingularParameter(f"L = {self.L} on excluded set -N-1/2 (eta = 0 branch)")
 
 
+def _check_params(params: CoulombParams) -> None:
+    """Refuse as ParameterError a `params` that is no CoulombParams."""
+    if not isinstance(params, CoulombParams):
+        raise ParameterError(f"params must be a CoulombParams, got {params!r}")
+
+
 def zeta_base(params: CoulombParams) -> Fraction:
     """zeta_L(2) = (1 + eta^2/(L+1)^2) / (2L+3)."""
+    _check_params(params)
     L, eta = params.L, params.eta
     value = Fraction(1, 1)
     if eta != 0:
@@ -116,6 +123,7 @@ def zeta_table(params: CoulombParams, kmax: int) -> ZetaTable:
     The last 16 pairs hold one immutable table each, the longest asked for; a
     longer request builds the pair's table through kmax and holds it instead.
     """
+    _check_params(params)
     _check_size("kmax", kmax, 2)
     held = _tables.get(params)
     if held is None or held.kmax < kmax:

@@ -227,6 +227,28 @@ def test_every_entry_point_refuses_the_excluded_set_as_singular_parameter():
     assert [name for name in defined if not re.search(rf"\braise {name}\(", source)] == []
 
 
+@pytest.mark.parametrize("params", [None, (0, 1), F(0)])
+def test_every_params_entry_point_refuses_what_is_no_coulomb_params(params):
+    import czeta
+
+    calls = [
+        lambda: czeta.classify(params),
+        lambda: czeta.zeta_table(params, 4),
+        lambda: czeta.zeta_base(params),
+        lambda: czeta.coulomb_routes(params, 2),
+        lambda: czeta.recurrence_coeffs(params, 2),
+        lambda: czeta.det_coulomb_closed(params, 2),
+        lambda: czeta.det_coulomb_via_moments(params, 2),
+        lambda: czeta.build_coulomb_hankel(params, 2),
+        lambda: czeta.dd_product_closed(params, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert exc.type is ParameterError
+        assert str(exc.value) == f"params must be a CoulombParams, got {params!r}"
+
+
 def test_every_size_refusal_is_a_bare_parameter_error():
     # a size or index that is no integer or lies below its range is not a pole:
     # the base type, naming the parameter

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from czeta.cli import main
+from czeta.exact import format_rational
+from czeta.hankel import bernoulli_hankel_det, genocchi_hankel_det
 
 
 def run(capsys, argv):
@@ -152,6 +154,14 @@ def test_bernoulli_and_genocchi_dets(capsys):
     assert code == 0 and json.loads(out)["results"]["det"] == "1/12"
     code, out, _ = run(capsys, ["--format", "json", "genocchi-det", "--ell", "1", "--n", "1"])
     assert code == 0 and json.loads(out)["results"]["det"] == "1/24"
+    # past the paper's ell in {0, 1}: the value each API call checks
+    for command, fn in (("bernoulli-det", bernoulli_hankel_det),
+                        ("genocchi-det", genocchi_hankel_det)):
+        for ell in (2, 3):
+            code, out, _ = run(capsys, ["--format", "json", command, "--ell", str(ell), "--n", "3"])
+            record = json.loads(out)
+            assert code == 0 and record["results"]["det"] == format_rational(fn(ell, 3))
+            assert record["verification"] == {"closed_form_equal": True}
 
 
 def test_classify_negative_fraction_flags(capsys):
@@ -292,6 +302,13 @@ def test_usage_errors_exit_1(capsys):
          "nmax = 2 too small: sign sequence still negative at its end"),
         # the pole is checked before the size
         (["rayleigh-det", "--nu", "-1", "--ell", "0", "--n", "0"], "nu = -1 on excluded set -N"),
+        (["bernoulli-det", "--ell", "-1", "--n", "1"], "ell must be >= 0, got -1"),
+        (["genocchi-det", "--ell", "-1", "--n", "1"], "ell must be >= 0, got -1"),
+        # the closed route's refusal: its table covers ell = 0..3
+        (["bernoulli-det", "--ell", "4", "--n", "1"],
+         "no closed form for ell = 4; the closed route covers ell = 0..3"),
+        (["genocchi-det", "--ell", "4", "--n", "1"],
+         "no closed form for ell = 4; the closed route covers ell = 0..3"),
     ],
 )
 def test_flag_checks_exit_1_naming_the_flag(capsys, argv, message):

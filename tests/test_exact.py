@@ -181,7 +181,14 @@ def test_matrix_validation():
     (lambda: format_rational(None), "value must be a finite rational, got None"),
     (lambda: parse_rational(None), "expected an exact rational 'p/q' or integer, got None"),
     (lambda: parse_rational(b"1/2"), "expected an exact rational 'p/q' or integer, got b'1/2'"),
-], ids=["entry-nan", "entry-string", "format-nan", "format-none", "parse-none", "parse-bytes"])
+    # a row, or the matrix, that is no sequence, and a list where an ExactMatrix is taken
+    (lambda: ExactMatrix([1]), "matrix must be a sequence of rows of entries"),
+    (lambda: ExactMatrix([[1, 2], 3]), "matrix must be a sequence of rows of entries"),
+    (lambda: ExactMatrix(None), "matrix must be a sequence of rows of entries"),
+    (lambda: det_exact([[1]]), "matrix must be an ExactMatrix, got list"),
+    (lambda: leading_minors(None), "matrix must be an ExactMatrix, got NoneType"),
+], ids=["entry-nan", "entry-string", "format-nan", "format-none", "parse-none", "parse-bytes",
+        "row-int", "second-row-int", "matrix-none", "det-list", "minors-none"])
 def test_a_value_that_is_no_rational_is_refused_by_name(call, message):
     with pytest.raises(ParameterError) as exc:
         call()

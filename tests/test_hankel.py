@@ -26,6 +26,8 @@ from czeta.hankel import (
 from czeta.zeta import CoulombParams, rayleigh, zeta_table
 
 from oracles import (
+    GENOCCHI_CLASSICAL,
+    bernoulli_classical,
     dd_k_product,
     det_coulomb_k_product,
     dj_solution_formula,
@@ -136,8 +138,30 @@ def test_rayleigh_closed_matches_direct(nu, ell):
 
 
 def test_rayleigh_closed_rejects_higher_ell():
-    with pytest.raises(UnsupportedEll):
-        det_rayleigh_closed(1, 2, 1)
+    # the closed route's refusal: ell = 2 and 3 are in its table, 4 is not
+    assert det_rayleigh_closed(1, 2, 1) == det_rayleigh_ell2(1, 1)
+    message = r"^no closed form for ell = 4; the closed route covers ell = 0\.\.3$"
+    with pytest.raises(UnsupportedEll, match=message):
+        det_rayleigh_closed(1, 4, 1)
+
+
+def test_one_table_decides_every_closed_form_refusal(monkeypatch, capsys):
+    # dropping ell = 3 from the table refuses it at every closed-form entry point
+    import czeta.hankel
+    from czeta.cli import main
+
+    assert det_rayleigh_closed(1, 3, 2) and bernoulli_hankel_det(3, 2) and genocchi_hankel_det(3, 2)
+    monkeypatch.delitem(czeta.hankel._RAYLEIGH_POLY, 3)
+    message = r"^no closed form for ell = 3; the closed route covers ell = 0\.\.2$"
+    for call in (lambda: det_rayleigh_closed(1, 3, 2), lambda: det_rayleigh_ell3(1, 2),
+                 lambda: bernoulli_hankel_det(3, 2), lambda: genocchi_hankel_det(3, 2)):
+        with pytest.raises(UnsupportedEll, match=message):
+            call()
+    assert det_rayleigh_closed(1, 2, 2) == det_rayleigh_ell2(1, 2)
+    for command in ("bernoulli-det", "genocchi-det"):
+        assert main([command, "--ell", "3", "--n", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parameter error: no closed form for ell = 3;")
 
 
 def test_ell01_formula_fails_at_ell2_witness():
@@ -240,9 +264,28 @@ def test_factorial_hankel_reciprocal_integers(ell):
         assert abs(genocchi_hankel_det(ell, n).numerator) == 1
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_factorial_hankel_past_the_paper_against_the_classical_numbers(ell):
+    # entries from the binomial recurrence for B_{2m} and the tabulated G_{2m},
+    # determinants by the permutation expansion; each call also checks its value
+    # against the Rayleigh closed route at nu = 1/2 or -1/2
+    from math import factorial
+
+    numbers = {"bernoulli": lambda m: bernoulli_classical(2 * m),
+               "genocchi": lambda m: GENOCCHI_CLASSICAL[m - 1]}
+    for label, fn in (("bernoulli", bernoulli_hankel_det), ("genocchi", genocchi_hankel_det)):
+        for n in (1, 2, 3):
+            rows = [[F(numbers[label](i + j + ell + 1), factorial(2 * (i + j + ell + 1)))
+                     for j in range(n)] for i in range(n)]
+            assert fn(ell, n) == leibniz_det(rows), (label, n)
+
+
 def test_factorial_hankel_rejects_bad_ell():
-    with pytest.raises(UnsupportedEll):
-        bernoulli_hankel_det(2, 1)
+    # the closed route's refusal, with its message
+    message = r"^no closed form for ell = 4; the closed route covers ell = 0\.\.3$"
+    for fn in (bernoulli_hankel_det, genocchi_hankel_det):
+        with pytest.raises(UnsupportedEll, match=message):
+            fn(4, 1)
     # below range is the base type, as at every Rayleigh entry point; UnsupportedEll
     # is an ell >= 0 without a closed form
     for fn in (bernoulli_hankel_det, genocchi_hankel_det):
@@ -376,7 +419,7 @@ def test_rayleigh_routes_over_n_equal_the_single_n_evaluators(ell, monkeypatch):
         assert routes["direct"][1] == 0
 
 
-@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
 def test_factorial_dets_over_n_equal_the_single_n_evaluators(ell):
     from math import factorial
 
@@ -519,6 +562,12 @@ def test_routes_refuse_one_string_of_names():
                                                  r"got the string 'closed'$"):
             routes(*args, "closed")
         assert routes(*args, None) == routes(*args, ()) == routes(*args)
+        # nor is anything that is no iterable of names a bare TypeError
+        with pytest.raises(ParameterError, match=r"^names is a sequence of route names, got 5$"):
+            routes(*args, names=5)
+        for name in (["closed"], None, 1):
+            with pytest.raises(ParameterError, match=rf"^unknown route {re.escape(repr(name))}; "):
+                routes(*args, names=[name])
     assert list(rayleigh_routes(1, 0, 2, ())) == ["direct", "desnanot-jacobi", "closed"]
 
 

@@ -352,6 +352,14 @@ def test_rect_rejects_degenerate_bounds_as_parameter_error(bounds):
         Rect(*bounds)
 
 
+@pytest.mark.parametrize("bounds", [("a", "b", "c", "d"), (-1, 1, 0j, 1), (None, 1, 0, 1)])
+def test_rect_refuses_a_bound_that_is_no_number(bounds):
+    message = r"^rectangle bounds must be real numbers, got Rect\("
+    with pytest.raises(ParameterError, match=message) as exc:
+        Rect(*bounds)
+    assert exc.type is ParameterError
+
+
 @pytest.mark.parametrize("bounds", [(1, 2, 3), (1, 2, 3, 4, 5), 7, (-1, 1, 0, "1"), (-1, 1, 0j, 1)])
 def test_a_region_of_other_than_four_numbers_is_a_parameter_error(bounds):
     # not iterable, the wrong count, or a bound that does not compare as a number
