@@ -74,8 +74,7 @@ def classify(params: CoulombParams, nmax: int | str = "auto") -> ZeroClassificat
     L = params.L
     if nmax == "auto":
         nmax = max(math.ceil(-L) + 2, 3)
-    if type(nmax) is not int or nmax < 0:
-        raise ParameterError(f"nmax must be a nonnegative integer or 'auto', got {nmax!r}")
+    _check_size("nmax", nmax, 0)
 
     # 2L+2n+3 times the denominator q > 0 of L: an integer with the same sign
     p, q = L.numerator, L.denominator

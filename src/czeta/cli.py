@@ -167,7 +167,6 @@ def _cmd_find_zeros(args) -> tuple[dict, int]:
             "zeros": [_complex_pair(z) for z in report.zeros],
             "residuals": list(report.residuals),
             "counts": dict(report.counts),
-            "unresolved_cells": len(report.unresolved),
             "stats": dict(report.stats),
         },
     }, 0

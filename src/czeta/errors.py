@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and its one check of a size or index
-and one of a rational value."""
+"""Exception types shared across the package, and its one check of each kind of argument:
+a size or index (`_check_size`), an exact value (`_rational`, which reads a string such as
+"-7/4") and a float-layer number (`_number`, which takes no str or bytes)."""
 
 from fractions import Fraction
 from operator import index
+
+_TEXT = (str, bytes, bytearray)  # never a float-layer number, nor a sequence of entries
 
 
 class ParameterError(ValueError):
@@ -32,14 +35,14 @@ class ContourTooClose(ArithmeticError):
     """A zero sits too close to the integration contour for phase tracking."""
 
 
-def _check_size(name: str, value, least: int | None) -> None:
+def _check_size(name: str, value, least: int) -> None:
     """Refuse as ParameterError a size or index that is no integer (a bool, or
-    anything operator.index refuses) or that lies below `least`, if given."""
+    anything operator.index refuses) or that lies below `least`."""
     try:
         value = index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
+    if value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value}")
 
 
@@ -50,3 +53,13 @@ def _rational(name: str, value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ArithmeticError):
         raise ParameterError(f"{name} must be a finite rational, got {value!r}") from None
+
+
+def _number(name: str, value, kind: type):
+    """kind(value), kind float or complex, or ParameterError naming `name` where that
+    fails: None, a str or bytes, a complex for a float, an int past double range."""
+    try:
+        return kind(None if isinstance(value, _TEXT) else value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a {'real' if kind is float else 'complex'} "
+                             f"number, got {value!r}") from None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import Frozen
-from .errors import ParameterError, _rational
+from .errors import _TEXT, ParameterError, _rational
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -54,9 +54,9 @@ class ExactMatrix(Frozen):
         # entry that is already a Fraction is kept as it is, not copied.
         try:
             rows = tuple([tuple([e if type(e) is Fraction else _rational("matrix entry", e)
-                                 for e in row])
-                          for row in entries])
-        except TypeError:  # entries, or one of its rows, is not iterable
+                                 for e in (None if isinstance(row, _TEXT) else row)])
+                          for row in (None if isinstance(entries, _TEXT) else entries)])
+        except TypeError:  # entries, or one of its rows, is not iterable or is text
             raise ParameterError("matrix must be a sequence of rows of entries") from None
         if not rows:
             raise ParameterError("matrix must have dimension >= 1")

@@ -77,14 +77,14 @@ class RecurrenceCoeffs(Frozen):
         return len(self._a)
 
     def a(self, n: int) -> Fraction:
-        _check_size("n", n, None)
-        if not 1 <= n <= len(self._a):
+        _check_size("n", n, 1)
+        if n > len(self._a):
             raise IndexError(f"a_n available for 1 <= n <= {len(self._a)}, got {n}")
         return self._a[n - 1]
 
     def b(self, n: int) -> Fraction:
-        _check_size("n", n, None)
-        if not 0 <= n <= len(self._b) - 1:
+        _check_size("n", n, 0)
+        if n > len(self._b) - 1:
             raise IndexError(f"b_n available for 0 <= n <= {len(self._b) - 1}, got {n}")
         return self._b[n]
 

@@ -36,7 +36,7 @@ import math
 from functools import lru_cache
 
 from ._record import Frozen
-from .errors import ContourTooClose, NoConvergence, ParameterError
+from .errors import ContourTooClose, NoConvergence, ParameterError, _number
 from .hankel import _recurrence_terms
 from .zeta import CoulombParams
 
@@ -49,18 +49,16 @@ _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 
 
 class Rect(Frozen):
-    """Axis-aligned rectangle in the complex plane."""
+    """Axis-aligned rectangle in the complex plane; its bounds are held as floats."""
 
     __slots__ = ("re_min", "re_max", "im_min", "im_max")
 
     def __init__(self, re_min: float, re_max: float, im_min: float, im_max: float):
-        self._set_fields(re_min, re_max, im_min, im_max)
-        try:  # finite and ordered; a nan bound fails every comparison
-            ordered = (-math.inf < re_min < re_max < math.inf
-                       and -math.inf < im_min < im_max < math.inf)
-        except TypeError as exc:  # a bound no number compares with
-            raise ParameterError(f"rectangle bounds must be real numbers, got {self}") from exc
-        if not ordered:
+        self._set_fields(*[_number(name, bound, float) for name, bound
+                           in zip(self.__slots__, (re_min, re_max, im_min, im_max))])
+        # finite and ordered; a nan bound fails every comparison
+        if not (-math.inf < self.re_min < self.re_max < math.inf
+                and -math.inf < self.im_min < self.im_max < math.inf):
             raise ParameterError(f"degenerate rectangle {self}")
 
     def corners(self) -> list[complex]:
@@ -86,10 +84,7 @@ def _as_rect(region: Rect | tuple) -> Rect:
     """A Rect, or four numbers (re_min, re_max, im_min, im_max) made one."""
     try:
         return region if isinstance(region, Rect) else Rect(*region)
-    except (TypeError, ParameterError) as exc:
-        if isinstance(exc, ParameterError) and exc.__cause__ is None:
-            raise  # a degenerate rectangle keeps its own message
-        # not iterable, not four bounds, or a bound no number compares with
+    except TypeError:  # not iterable, or not four bounds; Rect names a bound it refuses
         raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 
@@ -119,16 +114,6 @@ def _series(L: float, eta: float) -> tuple[float, ...]:
 def _step_ratios(b: float) -> tuple[tuple[float, float, int], ...]:
     """((m+b)/(m+2), 1/((m+2)(m+1)), m+2), m < _STEP_CAP: a Taylor step's factors, b = 2L+2."""
     return tuple(((m + b) / (m + 2), 1 / ((m + 2) * (m + 1)), m + 2) for m in range(_STEP_CAP))
-
-
-def _number(name: str, value, kind: type):
-    """kind(value), kind float or complex, or ParameterError naming `name` where that
-    fails: None, a string that is no number, a complex for a float, an int past double range."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"{name} must be a {'real' if kind is float else 'complex'} "
-                             f"number, got {value!r}") from None
 
 
 # the keys of ZeroReport.stats, described there
@@ -300,7 +285,8 @@ def default_search_region(L: float) -> Rect:
     is nudged below the axis by the zero finder so real zeros are interior.
     An L that is no real number or not finite raises ParameterError.
     """
-    if not math.isfinite(_number("L", L, float)):
+    L = _number("L", L, float)
+    if not math.isfinite(L):
         raise ParameterError(f"L must be finite, got {L}")
     pairs = max(0, math.floor(-L - 0.5))
     radius = 6.0 + 2.0 * pairs
@@ -520,7 +506,8 @@ class ZeroReport(Frozen):
     |phi| at each zero, not its distance to the root: at (-0.25, -3) the zero
     14.964485479198789 has |phi| = 2.5e-10 but lies 5.3e-9 off.  `counts` carries
     the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
-    always empty (the finder accounts for the whole winding count or raises).
+    always empty (the finder accounts for the whole winding count or raises); only the
+    benchmark harness reads it, and the CLI does not report it.
     `stats` counts the work the call did: "series_evals" (sums of the series,
     plain and value-with-derivative), "contour_steps" (Taylor steps that
     value the winding contours' points away from the origin), "newton_starts"

@@ -155,8 +155,8 @@ def test_classifier_input_checks():
     with pytest.raises(ParameterError, match=r"^n must be >= 0, got -1$") as exc:
         dd_product_closed(params, -1)
     assert exc.type is ParameterError
-    for nmax in ("x", -1):
-        message = rf"^nmax must be a nonnegative integer or 'auto', got {nmax!r}$"
+    for nmax, message in (("x", r"^nmax must be an integer, got 'x'$"),
+                          (-1, r"^nmax must be >= 0, got -1$")):
         with pytest.raises(ParameterError, match=message) as exc:
             classify(params, nmax)
         assert exc.type is ParameterError
@@ -284,8 +284,8 @@ def test_every_size_refusal_is_a_bare_parameter_error():
         (lambda: czeta.bernoulli_hankel_det(0, 0), "n must be >= 1, got 0"),
         (lambda: czeta.genocchi_hankel_det(0, 0), "n must be >= 1, got 0"),
         (lambda: czeta.dd_product_closed(p, -1), "n must be >= 0, got -1"),
-        (lambda: czeta.classify(p, -1), "nmax must be a nonnegative integer or 'auto', got -1"),
-        (lambda: czeta.classify(p, "x"), "nmax must be a nonnegative integer or 'auto', got 'x'"),
+        (lambda: czeta.classify(p, -1), "nmax must be >= 0, got -1"),
+        (lambda: czeta.classify(p, "x"), "nmax must be an integer, got 'x'"),
         (lambda: czeta.classify(CoulombParams(F(-19, 4), F(3, 2)), 2),
          "nmax = 2 too small: sign sequence still negative at its end"),
         # not an integer: a float, a Fraction or a bool
@@ -299,7 +299,7 @@ def test_every_size_refusal_is_a_bare_parameter_error():
         (lambda: czeta.det_coulomb_closed(p, 2.5), "n must be an integer, got 2.5"),
         (lambda: czeta.rayleigh_routes(1, 1.0, 2), "ell must be an integer, got 1.0"),
         (lambda: czeta.dd_product_closed(p, 1.0), "n must be an integer, got 1.0"),
-        (lambda: czeta.classify(p, True), "nmax must be a nonnegative integer or 'auto', got True"),
+        (lambda: czeta.classify(p, True), "nmax must be an integer, got True"),
     ]
     for call, message in refusals:
         try:
@@ -312,6 +312,7 @@ def test_every_size_refusal_is_a_bare_parameter_error():
     assert czeta.zeta_table(p, np.int64(3)) == table and table.value(np.int64(3)) == table.value(3)
     assert czeta.coulomb_routes(p, np.int64(2)) == czeta.coulomb_routes(p, 2)
     assert czeta.rayleigh(1, np.int32(2)) == czeta.rayleigh(1, 2)
+    assert czeta.classify(p, np.int64(5)) == czeta.classify(p, 5)
 
     # and SingularParameter is raised by the two checks of the excluded set alone
     def raisers(node, name=""):

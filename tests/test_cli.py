@@ -205,6 +205,7 @@ def test_find_zeros_json(capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    assert set(payload["results"]) == {"region", "zeros", "residuals", "counts", "stats"}
     assert payload["results"]["counts"]["complex_pairs"] == 1
     (zero,) = payload["results"]["zeros"]
     assert abs(zero["re"] - 0.1500) < 5e-4 and abs(zero["im"] - 0.2520) < 5e-4

@@ -185,10 +185,15 @@ def test_matrix_validation():
     (lambda: ExactMatrix([1]), "matrix must be a sequence of rows of entries"),
     (lambda: ExactMatrix([[1, 2], 3]), "matrix must be a sequence of rows of entries"),
     (lambda: ExactMatrix(None), "matrix must be a sequence of rows of entries"),
+    # text is no sequence of entries: a str or bytes row is not read character by character
+    (lambda: ExactMatrix(["12", "34"]), "matrix must be a sequence of rows of entries"),
+    (lambda: ExactMatrix([b"12", b"34"]), "matrix must be a sequence of rows of entries"),
+    (lambda: ExactMatrix("1"), "matrix must be a sequence of rows of entries"),
     (lambda: det_exact([[1]]), "matrix must be an ExactMatrix, got list"),
     (lambda: leading_minors(None), "matrix must be an ExactMatrix, got NoneType"),
 ], ids=["entry-nan", "entry-string", "format-nan", "format-none", "parse-none", "parse-bytes",
-        "row-int", "second-row-int", "matrix-none", "det-list", "minors-none"])
+        "row-int", "second-row-int", "matrix-none", "row-string", "row-bytes", "matrix-string",
+        "det-list", "minors-none"])
 def test_a_value_that_is_no_rational_is_refused_by_name(call, message):
     with pytest.raises(ParameterError) as exc:
         call()

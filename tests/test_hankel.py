@@ -481,12 +481,15 @@ def test_recurrence_coeffs_input_checks():
         recurrence_coeffs(params, 0)
     assert exc.type is ParameterError
     coeffs = recurrence_coeffs(params, 2)
-    for n in (0, 3):
-        with pytest.raises(IndexError, match=rf"^a_n available for 1 <= n <= 2, got {n}$"):
-            coeffs.a(n)
-    for n in (-1, 3):
-        with pytest.raises(IndexError, match=rf"^b_n available for 0 <= n <= 2, got {n}$"):
-            coeffs.b(n)
+    # below its range an index is refused as ZetaTable.value refuses one; past the table, IndexError
+    for method, n, least in ((coeffs.a, 0, 1), (coeffs.b, -1, 0)):
+        with pytest.raises(ParameterError, match=rf"^n must be >= {least}, got {n}$") as exc:
+            method(n)
+        assert exc.type is ParameterError
+    with pytest.raises(IndexError, match=r"^a_n available for 1 <= n <= 2, got 3$"):
+        coeffs.a(3)
+    with pytest.raises(IndexError, match=r"^b_n available for 0 <= n <= 2, got 3$"):
+        coeffs.b(3)
     # an index that is no integer is refused by name, not by tuple indexing
     for n in (1.0, True, F(1)):
         message = rf"^n must be an integer, got {re.escape(repr(n))}$"

@@ -352,21 +352,33 @@ def test_rect_rejects_degenerate_bounds_as_parameter_error(bounds):
         Rect(*bounds)
 
 
-@pytest.mark.parametrize("bounds", [("a", "b", "c", "d"), (-1, 1, 0j, 1), (None, 1, 0, 1)])
-def test_rect_refuses_a_bound_that_is_no_number(bounds):
-    message = r"^rectangle bounds must be real numbers, got Rect\("
-    with pytest.raises(ParameterError, match=message) as exc:
+@pytest.mark.parametrize("bounds,message", [
+    (("a", "b", "c", "d"), "re_min must be a real number, got 'a'"),
+    ((-1, 1, 0j, 1), "im_min must be a real number, got 0j"),
+    ((None, 1, 0, 1), "re_min must be a real number, got None"),
+    # named, though the bounds before it are out of order
+    ((1, 0, 0, "x"), "im_max must be a real number, got 'x'"),
+], ids=["bounds0", "bounds1", "bounds2", "bounds3"])
+def test_rect_refuses_a_bound_that_is_no_number(bounds, message):
+    with pytest.raises(ParameterError) as exc:
         Rect(*bounds)
-    assert exc.type is ParameterError
+    assert exc.type is ParameterError and str(exc.value) == message
 
 
-@pytest.mark.parametrize("bounds", [(1, 2, 3), (1, 2, 3, 4, 5), 7, (-1, 1, 0, "1"), (-1, 1, 0j, 1)])
-def test_a_region_of_other_than_four_numbers_is_a_parameter_error(bounds):
-    # not iterable, the wrong count, or a bound that does not compare as a number
-    with pytest.raises(ParameterError, match=r"^a region is a Rect or four numbers, got "):
-        find_complex_zeros(-1.75, 1.5, search=bounds)
-    with pytest.raises(ParameterError, match=r"^a region is a Rect or four numbers, got "):
-        count_zeros_region(-1.75, 1.5, bounds)
+@pytest.mark.parametrize("bounds,message", [
+    ((1, 2, 3), "a region is a Rect or four numbers, got (1, 2, 3)"),
+    ((1, 2, 3, 4, 5), "a region is a Rect or four numbers, got (1, 2, 3, 4, 5)"),
+    (7, "a region is a Rect or four numbers, got 7"),
+    ((-1, 1, 0, "1"), "im_max must be a real number, got '1'"),
+    ((-1, 1, 0j, 1), "im_min must be a real number, got 0j"),
+], ids=["bounds0", "bounds1", "7", "bounds3", "bounds4"])
+def test_a_region_of_other_than_four_numbers_is_a_parameter_error(bounds, message):
+    # not iterable or the wrong count is refused as a region; a bound no number, by its name
+    for call in (lambda: find_complex_zeros(-1.75, 1.5, search=bounds),
+                 lambda: count_zeros_region(-1.75, 1.5, bounds)):
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert exc.type is ParameterError and str(exc.value) == message
 
 
 @pytest.mark.parametrize("L", [math.nan, -math.inf, math.inf])
@@ -375,7 +387,9 @@ def test_default_search_region_rejects_a_non_finite_L(L):
         default_search_region(L)
 
 
-@pytest.mark.parametrize("value", [None, "x", 1j], ids=["none", "string", "complex"])
+# the float layer takes no text, not even a number spelled as a str or bytes
+@pytest.mark.parametrize("value", [None, "x", 1j, "1", b"-0.75"],
+                         ids=["none", "string", "complex", "number-string", "bytes"])
 @pytest.mark.parametrize("name,call", [
     ("L", lambda v: phi(v, 0, 1)),
     ("eta", lambda v: phi(0, v, 1)),

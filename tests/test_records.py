@@ -121,8 +121,9 @@ def test_record_behaviour(case):
 
 
 def test_rect_message_names_the_rectangle():
-    with pytest.raises(ParameterError, match=r"^degenerate rectangle Rect\(re_min=0, re_max=0, "
-                                             r"im_min=0, im_max=1\)$"):
+    # the bounds are held as floats
+    with pytest.raises(ParameterError, match=r"^degenerate rectangle Rect\(re_min=0.0, re_max=0.0, "
+                                             r"im_min=0.0, im_max=1.0\)$"):
         Rect(0, 0, 0, 1)
 
 
