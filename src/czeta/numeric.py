@@ -12,21 +12,22 @@ double precision.  Real coefficients also make conjugate symmetry of the
 evaluation exact.
 
 `find_complex_zeros` takes the number of zeros in a rectangle from the
-argument principle: the phase of phi along a contour whose points near the
-origin are summed from the series and whose other points each take (phi,
-phi') from one Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0
-from a neighbour no farther from the real axis (about 15 recurrence terms,
-none cancelling).  The corners are summed first, as a reach check that is a plain
-sum unless the contour reads the corner's value, and phi' is summed only
-where a step may start.  Its candidates come from the exact recurrence: the Hankel
-determinants of zeta_L(k) are moment determinants, so the eigenvalues of the
-truncated Jacobi matrix of their recurrence coefficients converge to
-1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29 (1975)
-878-887; F. Stampach & P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A
-complex QL iteration finds them, Newton iteration on the term-wise
-differentiated series polishes each seed 1/lambda in the rectangle, and the
-distinct limits must be as many as the winding count.  phi(0) = 1, so the
-origin never contributes a zero.
+argument principle: the phase of phi along a contour of pieces at most 0.8
+long, each halved until its phase step is at most pi/2 and |h| max|phi'/phi|
+over its two ends is at most 2.  Every contour point carries (phi, phi'): near
+the origin the series sums both, and every other point takes them from one
+Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
+neighbour no farther from the real axis (about 15 recurrence terms, none
+cancelling).  The corners are summed first, as a reach check that is a plain
+sum unless the contour reads the corner's value.  The finder's candidates come
+from the exact recurrence: the Hankel determinants of zeta_L(k) are moment
+determinants, so the eigenvalues of the truncated Jacobi matrix of their
+recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
+(Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach & P. Stovicek,
+J. Math. Anal. Appl. 419 (2014)).  A complex QL iteration finds them, Newton
+iteration on the term-wise differentiated series polishes each seed 1/lambda
+in the rectangle, and the distinct limits must be as many as the winding
+count.  phi(0) = 1, so the origin never contributes a zero.
 """
 
 from __future__ import annotations
@@ -305,33 +306,40 @@ def _series_radius(L: float) -> float:
     return max(2.0, 0.9 * lam * 10 ** (-4 / lam))
 
 
-def _contour_value(ev: _Evaluator, z: complex, za: complex, zb: complex, radius: float,
-                   near: complex, vnear: tuple | None) -> tuple[complex, complex | None]:
-    """(phi, phi') at the contour point z between neighbours za and zb, or (phi, None).
-    Outside the radius a Taylor step gives it from `near`, a neighbour no farther
-    from the real axis valued as `vnear`: phi grows away from the axis, so a step
-    toward it loses the subdominant solution.  Inside, or with `vnear` None, the
-    series sums it, with phi' only where a step may start: if za or zb lies outside
-    the radius (a midpoint between two points inside lies inside)."""
+def _contour_value(ev: _Evaluator, z: complex, radius: float, near: complex,
+                   vnear: tuple | None) -> tuple[complex, complex]:
+    """(phi, phi') at the contour point z.  Outside the radius a Taylor step gives
+    them from `near`, a neighbour no farther from the real axis valued as `vnear`:
+    phi grows away from the axis, so a step toward it loses the subdominant
+    solution.  Inside, or with `vnear` None, the series sums both."""
     if vnear is not None and abs(z) >= radius:
         return ev.step(near, *vnear, z)
-    return ev.values(z, abs(za) >= radius or abs(zb) >= radius)
+    return ev.values(z)
 
 
 def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float:
+    """Phase change of phi from za to zb.  A piece is accepted when its phase step
+    is at most pi/2 and |h| max|phi'/phi| over its two ends, h = zb - za, is at
+    most 2, so that no fast turn beside a zero near the piece goes unseen; any
+    other piece is halved."""
     if va[0] == 0 or vb[0] == 0:
         raise ContourTooClose(f"zero on the contour near {za} .. {zb}")
     step = cmath.phase(vb[0] / va[0])
-    if abs(step) <= math.pi / 2:
+    turn = abs(zb - za) * max(abs(va[1] / va[0]), abs(vb[1] / vb[0]))
+    if abs(step) <= math.pi / 2 and turn <= 2:
         return step
     if depth == 0:
+        failed = " and ".join(name for name, bad in (
+            ("phase step above pi/2", abs(step) > math.pi / 2),
+            ("|h| max|phi'/phi| above 2", turn > 2)) if bad)
         raise ContourTooClose(
-            f"phase step above pi/2 after maximal subdivision near {za} .. {zb}"
+            f"{failed} after maximal subdivision near {za} .. {zb}: "
+            f"phase step {abs(step):.4g}, |h| max|phi'/phi| {turn:.4g}"
         )
     zm = (za + zb) / 2
     # the piece's ends are the midpoint's neighbours
     near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
-    vm = _contour_value(ev, zm, za, zb, radius, near, vnear)
+    vm = _contour_value(ev, zm, radius, near, vnear)
     return _phase_along_edge(ev, za, zm, va, vm, radius, depth - 1) + _phase_along_edge(
         ev, zm, zb, vm, vb, radius, depth - 1
     )
@@ -339,7 +347,7 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
 
 def _winding(ev: _Evaluator, region: Rect) -> int:
     corners = region.corners()
-    edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.4)))
+    edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.8)))
              for ca, cb in zip(corners, corners[1:])]
     n = sum(pieces for _, _, pieces in edges)
     radius = _series_radius(ev.L)
@@ -357,7 +365,7 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     # the series sums the corners first, so a region out of its reach raises
     # before the rest of the boundary exists; their cancellation floor also
     # refuses boundaries the steps count wrong: without it the default region
-    # of (-1.25, 12) reports 7 real zeros for 8, missing the one near -4.712.
+    # of (-1.25, 20) counts 10 zeros for 11.
     # A corner the contour steps to (outside the radius, with a neighbour earlier
     # in `order`) takes a plain sum; the others, with no neighbour valued yet, keep
     # theirs by boundary index
@@ -369,7 +377,7 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
                 order((start - 1) % n, before), order(start + 1, after)):
             ev.values(c, derivative=False)
         else:
-            kept[start] = _contour_value(ev, c, before, after, radius, None, None)
+            kept[start] = _contour_value(ev, c, radius, None, None)
         start += edge[2]
     zs = [point(edge, i) for edge in edges for i in range(edge[2])]
     moduli = [abs(z) for z in zs]
@@ -379,8 +387,7 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     vals = [None] * n
     for i in by_order:
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        vals[i] = kept[i] if i in kept else _contour_value(
-            ev, zs[i], zs[i - 1], zs[(i + 1) % n], radius, zs[j], vals[j])
+        vals[i] = kept[i] if i in kept else _contour_value(ev, zs[i], radius, zs[j], vals[j])
     total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
                 for i in range(n))
     turns = total / (2 * math.pi)
@@ -397,14 +404,17 @@ def count_zeros_region(
 ) -> int:
     """Number of zeros inside the rectangle, by the argument principle.
 
-    Counted with multiplicity from the winding number of the boundary image.
-    tol governs the contour's series sums (its corners, summed first, and its
-    points near the origin): one whose rounding floor tol does not cover
-    raises NoConvergence.  Those sums and the Taylor steps that value the
+    Counted with multiplicity from the winding number of the boundary image,
+    whose phase is tracked over pieces at most 0.8 long, each halved until its
+    phase step is at most pi/2 and |h| max|phi'/phi| over its two ends is at
+    most 2.  tol governs the contour's series sums (its corners, summed first,
+    and its points near the origin): one whose rounding floor tol does not
+    cover raises NoConvergence.  Those sums and the Taylor steps that value the
     other points are cut off at double precision, whatever tol is.
-    Raises ContourTooClose when a zero sits (numerically) on the boundary,
-    and ParameterError unless region is a Rect or four numbers and tol is
-    positive and finite.
+    Raises ContourTooClose when a zero sits (numerically) on the boundary, so
+    that a piece beside it fails a test after 42 halvings (the message names
+    the test and gives both numbers), and ParameterError unless region is a
+    Rect or four numbers and tol is positive and finite.
     """
     return _winding(_Evaluator(L, eta, tol), _as_rect(region))
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import struct
 import sys
 import threading
@@ -256,12 +257,10 @@ def test_a_large_eta_default_region_raises_or_counts_every_real_zero(L, eta, n_r
     assert report.counts["real"] == n_real
 
 
-@pytest.mark.xfail(strict=True, reason="the winding count skips the real zero at -5.386 "
-                   "and the finder returns the other seven without an error")
 def test_the_default_region_at_eta_12_gives_all_eight_real_zeros_or_an_error():
     # the real zeros of phi(-0.75, 12, .) in the default region, by 30-digit
-    # mpmath findroot; the lower edge at -0.01 passes 0.01 below each, and the
-    # contour's 0.4 pieces miss the fast phase turn beside the one at -5.386
+    # mpmath findroot; the lower edge at -0.01 passes 0.01 below each, and only
+    # the phi'/phi test sees the fast phase turn beside the one at -5.386
     roots = [-5.3864410748, -4.1120534653, -2.9875340404, -2.0255932410,
              -1.2384266610, -0.6370597141, -0.2306301129, -0.0256984985]
     try:
@@ -464,13 +463,13 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
 
 
 def test_series_evals_on_the_default_region_stay_pinned():
-    # the contour has 212 boundary points and 21 subdivision midpoints; the 10
-    # within |rho| < 2 are summed and the other 223 stepped to.  The sums are
-    # those 10, the 4 corners (the reach check), 29 Newton steps and 9
-    # residuals: 52
+    # the contour has 106 boundary points and 62 subdivision midpoints; the 6
+    # within |rho| < 2 are summed and the other 162 stepped to.  The sums are
+    # those 6, the 4 corners (the reach check), 29 Newton steps and 9
+    # residuals: 48
     stats = find_complex_zeros(-4.75, 1.5).stats
-    assert stats["series_evals"] == 52
-    assert stats["contour_steps"] == 223
+    assert stats["series_evals"] == 48
+    assert stats["contour_steps"] == 162
 
 
 def _default_contour(L: float) -> Rect:
@@ -482,31 +481,34 @@ def _default_contour(L: float) -> Rect:
     (-4.75, 1.5, None),
     (-1.75, 1.5, (-1.0, 1.0, 0.05, 1.0)),
     (-2.0, 0.0, None),  # the Bessel branch: the series meets its 0/0 odd index
-], ids=["default-region", "small-rectangle", "bessel-default-region"])
-def test_one_winding_sums_phi_prime_only_where_a_step_starts(monkeypatch, L, eta, bounds):
-    # a value-and-derivative sum costs about 1.5 plain ones; the corners' reach
-    # check and the points no step leaves take plain sums
+    (-0.75, 12.0, None),  # a real zero 0.01 above the lower edge at -5.386
+], ids=["default-region", "small-rectangle", "bessel-default-region", "eta-12-default-region"])
+def test_every_accepted_piece_turns_little_and_is_short_beside_phi_prime_over_phi(
+        monkeypatch, L, eta, bounds):
+    # a piece is accepted when it is not halved: its phase step is at most pi/2
+    # and |h| max|phi'/phi| over its two ends is at most 2, so every contour
+    # point carries phi'
+    import czeta.numeric
+
     region = _default_contour(L) if bounds is None else Rect(*bounds)
-    with_derivative, plain, starts, stepped = [], [], [], []
-    plain_sum, plain_step = _Evaluator._sum, _Evaluator.step
+    calls, accepted = [], []
+    plain = czeta.numeric._phase_along_edge
 
-    def spy_sum(self, rho, tol, want_derivative):
-        (with_derivative if want_derivative else plain).append(_bits(rho))
-        return plain_sum(self, rho, tol, want_derivative)
+    def spy(ev, za, zb, va, vb, radius, depth=42):
+        calls.append(depth)
+        before = len(calls)
+        step = plain(ev, za, zb, va, vb, radius, depth)
+        if len(calls) == before:
+            accepted.append((abs(zb - za), va, vb, step))
+        return step
 
-    def spy_step(self, z, f, df, to):
-        starts.append(_bits(z))
-        stepped.append(_bits(to))
-        return plain_step(self, z, f, df, to)
-
-    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
-    monkeypatch.setattr(_Evaluator, "step", spy_step)
-    _winding(_Evaluator(L, eta, 1e-12), region)
-    assert set(with_derivative) == set(starts) - set(stepped)
-    # the corners' reach check comes first and is plain: the default regions step
-    # to every corner, and the small rectangle lies within the radius
-    assert plain[:4] == [_bits(c) for c in region.corners()[:4]]
-    assert (with_derivative == []) == (bounds is not None)
+    monkeypatch.setattr(czeta.numeric, "_phase_along_edge", spy)
+    count = _winding(_Evaluator(L, eta, 1e-12), region)
+    assert len(calls) > len(accepted)  # some pieces were halved
+    for h, va, vb, step in accepted:
+        assert h <= 0.8 + 1e-12 and abs(step) <= math.pi / 2
+        assert h * max(abs(va[1] / va[0]), abs(vb[1] / vb[0])) <= 2
+    assert math.isclose(sum(step for *_, step in accepted), 2 * math.pi * count, abs_tol=1.0)
 
 
 @pytest.mark.parametrize("L,eta,bounds", [
@@ -517,7 +519,7 @@ def test_one_winding_sums_phi_prime_only_where_a_step_starts(monkeypatch, L, eta
     (-16.25, 0.0, (-20.25, 20.25, -0.01, 2.0)),
 ])
 def test_stepped_contour_values_match_high_precision(monkeypatch, L, eta, bounds):
-    # every third stepped point, subdivision midpoints included
+    # every stepped point, subdivision midpoints included
     region = _default_contour(L) if bounds is None else Rect(*bounds)
     stepped = []
     plain_step = _Evaluator.step
@@ -529,8 +531,8 @@ def test_stepped_contour_values_match_high_precision(monkeypatch, L, eta, bounds
 
     monkeypatch.setattr(_Evaluator, "step", spy_step)
     _winding(_Evaluator(L, eta, 1e-12), region)
-    assert len(stepped) > 100
-    for to, f in stepped[::3]:
+    assert len(stepped) >= 92
+    for to, f in stepped:
         ref = phi_mpmath(L, eta, to)
         assert abs(f - ref) <= 1e-6 * abs(ref), (to, f, ref)
 
@@ -540,7 +542,7 @@ def _eigen_count(L: float, eta: float, region: Rect) -> int:
 
     Not an exact count at large |rho|: on the default region of (-18.75, 8) it
     gives 21 where a 60-digit argument-principle count gives 20.  It is used
-    only on the three inputs below, where it was checked.
+    only on the inputs below, where it was checked.
     """
     import numpy as np
 
@@ -561,6 +563,32 @@ def test_stepped_windings_match_the_jacobi_eigenvalues(L, eta, bounds, count):
     region = _default_contour(L) if bounds is None else Rect(*bounds)
     assert count_zeros_region(L, eta, region) == count
     assert _eigen_count(L, eta, region) == count
+
+
+@pytest.mark.parametrize("L,eta,bounds,count", [
+    # default regions: a lower edge 0.01 below a real zero, whose fast phase
+    # turn the phase test alone missed (6, 6 and 7)
+    (-0.75, 8.0, None, 7),
+    (-0.75, -8.0, None, 7),
+    (-0.75, 12.0, None, 8),
+    # an edge 0.01 from the zero 0.096658+0.156462i, and its neighbour (1 and 3)
+    (-1.75, 2.5, (0.106658, 2.718637, -1.748831, 2.159342), 0),
+    (-1.75, 2.5, (-3.047249, 0.126658, -0.912281, 3.665075), 4),
+    # an edge 0.002 from the real zero 0.3021, and its neighbour (1 and 2)
+    (-2.25, 2.5, (0.3041, 2.375822, -3.356089, 2.541548), 0),
+    (-2.25, 2.5, (-1.112562, 0.3041, -3.626915, 0.918317), 3),
+])
+def test_a_boundary_beside_a_zero_counts_it_right(L, eta, bounds, count):
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    assert _eigen_count(L, eta, region) == count
+    assert count_zeros_region(L, eta, region) == count
+
+
+@pytest.mark.parametrize("L,eta", [(-1.25, 12.0), (-1.25, 20.0), (-0.75, 20.0), (0.0, 20.0)])
+def test_a_default_region_past_the_corner_floor_raises(L, eta):
+    # true counts 8, 11, 10 and 9; the corners' sums cannot reach them
+    with pytest.raises(NoConvergence, match=r"^cancellation floor .* at rho = \(-6-0\.01j\)"):
+        count_zeros_region(L, eta, _default_contour(L))
 
 
 def test_a_loose_tolerance_leaves_the_stepped_winding_alone():
@@ -697,6 +725,33 @@ def test_an_exact_zero_on_the_contour_raises():
     ev = _Evaluator(0.0, 0.0, 1e-12)
     with pytest.raises(ContourTooClose, match=r"^zero on the contour near 0j \.\. \(1\+0j\)$"):
         _phase_along_edge(ev, 0j, 1 + 0j, (0j, 1j), (1 + 0j, 0j), 2.0)
+
+
+def test_a_contour_through_a_zero_names_the_test_that_failed():
+    # the left edge runs through the zero at pi; pieces beside it turn by less
+    # than pi/2 but are long beside phi'/phi, down to the last subdivision
+    with pytest.raises(ContourTooClose) as info:
+        count_zeros_region(0.0, 0.0, (math.pi, 4, -1, 1))
+    found = re.fullmatch(r"\|h\| max\|phi'/phi\| above 2 after maximal subdivision near "
+                         r"\(3\.14159\S*j\) \.\. \(3\.14159\S*j\): "
+                         r"phase step (\S+), \|h\| max\|phi'/phi\| (\S+)", str(info.value))
+    assert found, str(info.value)
+    assert float(found[1]) <= math.pi / 2 < 2 < float(found[2])
+
+
+@pytest.mark.parametrize("vb,message", [
+    ((-1 + 0.1j, 0j), r"phase step above pi/2 after maximal subdivision near 0j \.\. \(1\+0j\): "
+                      r"phase step 3\.042, \|h\| max\|phi'/phi\| 0$"),
+    ((1 + 0j, 3 + 0j), r"\|h\| max\|phi'/phi\| above 2 after maximal subdivision near 0j \.\. "
+                       r"\(1\+0j\): phase step 0, \|h\| max\|phi'/phi\| 3$"),
+    ((-1 + 0j, 3 + 0j), r"phase step above pi/2 and \|h\| max\|phi'/phi\| above 2 after "
+                        r"maximal subdivision near 0j \.\. \(1\+0j\): phase step 3\.142, "
+                        r"\|h\| max\|phi'/phi\| 3$"),
+], ids=["phase", "phi-prime-over-phi", "both"])
+def test_a_piece_refused_at_maximal_subdivision_gives_both_numbers(vb, message):
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    with pytest.raises(ContourTooClose, match="^" + message):
+        _phase_along_edge(ev, 0j, 1 + 0j, (1 + 0j, 0j), vb, 2.0, depth=0)
 
 
 def test_a_winding_that_is_not_integral_raises(monkeypatch):
