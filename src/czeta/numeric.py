@@ -18,16 +18,18 @@ over its two ends is at most 2.  Every contour point carries (phi, phi'): near
 the origin the series sums both, and every other point takes them from one
 Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
 neighbour no farther from the real axis (about 15 recurrence terms, none
-cancelling).  The corners are summed first, as a reach check that is a plain
-sum unless the contour reads the corner's value.  The finder's candidates come
-from the exact recurrence: the Hankel determinants of zeta_L(k) are moment
-determinants, so the eigenvalues of the truncated Jacobi matrix of their
-recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
-(Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach & P. Stovicek,
-J. Math. Anal. Appl. 419 (2014)).  A complex QL iteration finds them, Newton
-iteration on the term-wise differentiated series polishes each seed 1/lambda
-in the rectangle, and the distinct limits must be as many as the winding
-count.  phi(0) = 1, so the origin never contributes a zero.
+cancelling).  The corners are summed first, once each, as a reach check whose
+sums the contour reads wherever it would sum a corner anyway.  Every contour
+sum keeps the default tol's cancellation guard, so a count rests on (L, eta,
+region) alone.  The finder's candidates come from the exact recurrence: the
+Hankel determinants of zeta_L(k) are moment determinants, so the eigenvalues
+of the truncated Jacobi matrix of their recurrence coefficients converge to
+1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29 (1975) 878-887;
+F. Stampach & P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex QL
+iteration finds them, Newton iteration on the term-wise differentiated series
+polishes each seed 1/lambda in the rectangle, and the distinct limits must be
+as many as the winding count.  phi(0) = 1, so the origin never contributes a
+zero.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ _REAL_AXIS_TOL = 1e-7  # |im| below this flags a real zero
 _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 _STEP_CAP = 60  # terms of one Taylor step before it is given up
 _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
+_CONTOUR_TOL = 1e-12  # the default tol: its cancellation guard holds every winding's sums
 
 
 class Rect(Frozen):
@@ -140,11 +143,11 @@ class _Evaluator:
         self.coeffs = _series(self.L, self.eta)
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
-    def values(self, z: complex, derivative: bool = True) -> tuple[complex, complex | None]:
-        """Value, and derivative or None, for the contour, summed to double precision;
-        a sum whose rounding floor tol does not cover still raises NoConvergence."""
-        f, df = self._sum(z, _ROUNDING, derivative)
-        return f, df if derivative else None
+    def values(self, z: complex) -> tuple[complex, complex]:
+        """(phi, phi') for the contour, summed to double precision; a sum whose rounding
+        floor tol (the default one, for every winding) does not cover still raises
+        NoConvergence."""
+        return self._sum(z, _ROUNDING, True)
 
     def step(self, z: complex, f: complex, df: complex, to: complex) -> tuple[complex, complex]:
         """(phi, phi') at `to` from (f, df) at z by the Taylor series in w = rho - z of
@@ -307,14 +310,15 @@ def _series_radius(L: float) -> float:
 
 
 def _contour_value(ev: _Evaluator, z: complex, radius: float, near: complex,
-                   vnear: tuple | None) -> tuple[complex, complex]:
+                   vnear: tuple | None, summed: tuple | None = None) -> tuple[complex, complex]:
     """(phi, phi') at the contour point z.  Outside the radius a Taylor step gives
     them from `near`, a neighbour no farther from the real axis valued as `vnear`:
     phi grows away from the axis, so a step toward it loses the subdominant
-    solution.  Inside, or with `vnear` None, the series sums both."""
+    solution.  Inside, or with `vnear` None, the series sums both, unless z was
+    summed already as `summed`."""
     if vnear is not None and abs(z) >= radius:
         return ev.step(near, *vnear, z)
-    return ev.values(z)
+    return ev.values(z) if summed is None else summed
 
 
 def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float:
@@ -351,43 +355,25 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
              for ca, cb in zip(corners, corners[1:])]
     n = sum(pieces for _, _, pieces in edges)
     radius = _series_radius(ev.L)
-
-    def point(edge, i):
-        ca, cb, pieces = edge
-        return ca + (cb - ca) * i / pieces
-
-    # value the points nearest the real axis first, each by `_contour_value` from
-    # a neighbour valued before it, if any; then those nearest the origin.  Ties go
-    # to the point first on the boundary
-    def order(i, z):
-        return abs(z.imag), abs(z), i
-
     # the series sums the corners first, so a region out of its reach raises
     # before the rest of the boundary exists; their cancellation floor also
     # refuses boundaries the steps count wrong: without it the default region
-    # of (-1.25, 20) counts 10 zeros for 11.
-    # A corner the contour steps to (outside the radius, with a neighbour earlier
-    # in `order`) takes a plain sum; the others, with no neighbour valued yet, keep
-    # theirs by boundary index
-    kept, start = {}, 0
-    for k, edge in enumerate(edges):
-        c = edge[0]
-        before, after = point(edges[k - 1], edges[k - 1][2] - 1), point(edge, 1)
-        if abs(c) >= radius and order(start, c) > min(
-                order((start - 1) % n, before), order(start + 1, after)):
-            ev.values(c, derivative=False)
-        else:
-            kept[start] = _contour_value(ev, c, radius, None, None)
-        start += edge[2]
-    zs = [point(edge, i) for edge in edges for i in range(edge[2])]
+    # of (-1.25, 20) counts 10 zeros for 11.  Each sum is kept by boundary index
+    corner_sums, start = {}, 0
+    for ca, _, pieces in edges:
+        corner_sums[start] = ev.values(ca)
+        start += pieces
+    zs = [ca + (cb - ca) * i / pieces for ca, cb, pieces in edges for i in range(pieces)]
     moduli = [abs(z) for z in zs]
-    # `order` by two stable sorts on floats, cheaper than one on tuples
+    # value the points nearest the real axis first, each by `_contour_value` from
+    # a neighbour valued before it, if any; then those nearest the origin.  Ties go
+    # to the point first on the boundary: two stable sorts on floats
     by_order = sorted(sorted(range(n), key=moduli.__getitem__),
                       key=[abs(z.imag) for z in zs].__getitem__)
     vals = [None] * n
     for i in by_order:
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        vals[i] = kept[i] if i in kept else _contour_value(ev, zs[i], radius, zs[j], vals[j])
+        vals[i] = _contour_value(ev, zs[i], radius, zs[j], vals[j], corner_sums.get(i))
     total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
                 for i in range(n))
     turns = total / (2 * math.pi)
@@ -399,24 +385,23 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     return count
 
 
-def count_zeros_region(
-    L: float, eta: float, region: Rect | tuple, tol: float = 1e-12
-) -> int:
+def count_zeros_region(L: float, eta: float, region: Rect | tuple) -> int:
     """Number of zeros inside the rectangle, by the argument principle.
 
     Counted with multiplicity from the winding number of the boundary image,
     whose phase is tracked over pieces at most 0.8 long, each halved until its
     phase step is at most pi/2 and |h| max|phi'/phi| over its two ends is at
-    most 2.  tol governs the contour's series sums (its corners, summed first,
-    and its points near the origin): one whose rounding floor tol does not
-    cover raises NoConvergence.  Those sums and the Taylor steps that value the
-    other points are cut off at double precision, whatever tol is.
+    most 2.  The contour's series sums (its corners, summed first, and its
+    points near the origin) and the Taylor steps that value the other points
+    are cut off at double precision; a sum whose rounding floor the default
+    tol, 1e-12, does not cover raises NoConvergence, so the count depends on
+    (L, eta, region) alone.
     Raises ContourTooClose when a zero sits (numerically) on the boundary, so
     that a piece beside it fails a test after 42 halvings (the message names
     the test and gives both numbers), and ParameterError unless region is a
-    Rect or four numbers and tol is positive and finite.
+    Rect or four numbers.
     """
-    return _winding(_Evaluator(L, eta, tol), _as_rect(region))
+    return _winding(_Evaluator(L, eta, _CONTOUR_TOL), _as_rect(region))
 
 
 _NUDGE_FACTORS = (0.0, 1.3e-3, -1.7e-3, 2.9e-3, -3.7e-3, 5.1e-3, -6.3e-3, 8.7e-3)
@@ -551,10 +536,10 @@ def find_complex_zeros(
     grows by 3/2, at most twice, and then NoConvergence is raised.  The
     default rectangle is `default_search_region` with its lower edge dropped
     slightly below the real axis, so that real zeros are interior points of
-    the contour.  search is a Rect or four numbers, and tol the series
-    tolerance of every Newton step and residual, and of the winding count's
-    sums as `count_zeros_region` says, positive and finite; anything else
-    raises ParameterError.
+    the contour.  search is a Rect or four numbers, and tol, positive and
+    finite, the series tolerance of every Newton step and residual; anything
+    else raises ParameterError.  The winding count reads no tol: it is
+    `count_zeros_region`'s, whatever tol is.
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
@@ -563,7 +548,11 @@ def find_complex_zeros(
     else:
         region = _as_rect(search)
 
-    region, total = _nudged_winding(ev, region)
+    # the winding's sums keep the default tol's cancellation guard, so its count
+    # rests on (L, eta, region) alone; its work counts into the same stats
+    contour = _Evaluator(ev.L, ev.eta, _CONTOUR_TOL)
+    contour.stats = ev.stats
+    region, total = _nudged_winding(contour, region)
     reach = max(abs(c) for c in region.corners())
     first = 10 + math.ceil(2 * abs(ev.L) + reach / 2)
     found: list[complex] = []

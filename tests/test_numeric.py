@@ -397,12 +397,11 @@ def test_default_search_region_rejects_a_non_finite_L(L):
     ("eta", lambda v: phi_derivative(0, v, 1)),
     ("rho", lambda v: phi_derivative(0, 0, v)),
     ("L", lambda v: count_zeros_region(v, 0, (0, 1, 0, 1))),
-    ("tol", lambda v: count_zeros_region(0, 0, (0, 1, 0, 1), tol=v)),
     ("L", lambda v: find_complex_zeros(v, 0)),
     ("eta", lambda v: find_complex_zeros(0, v)),
     ("L", default_search_region),
 ], ids=["phi-L", "phi-eta", "phi-rho", "phi-tol", "phi_derivative-eta", "phi_derivative-rho",
-        "count-L", "count-tol", "find-L", "find-eta", "default_search_region-L"])
+        "count-L", "find-L", "find-eta", "default_search_region-L"])
 def test_a_numeric_argument_that_is_no_number_is_refused_by_name(name, call, value):
     if name == "rho" and value == 1j:  # a complex rho is a point like any other
         assert isinstance(call(value), complex)
@@ -591,12 +590,22 @@ def test_a_default_region_past_the_corner_floor_raises(L, eta):
         count_zeros_region(L, eta, _default_contour(L))
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14])
+def test_the_winding_count_reads_no_tol(tol):
+    # the true count is 11; a cancellation guard read from a looser tol let the
+    # corners' reach check pass, and the steps then counted 10 without raising
+    floor = r"^cancellation floor .* at rho = \(-6-0\.01j\)"
+    with pytest.raises(NoConvergence, match=floor):
+        count_zeros_region(-1.25, 20.0, _default_contour(-1.25))
+    with pytest.raises(NoConvergence, match=floor):
+        find_complex_zeros(-1.25, 20.0, tol=tol)
+
+
 def test_a_loose_tolerance_leaves_the_stepped_winding_alone():
     # the contour's sums run to double precision whatever tol is; chains of
     # steps from sums cut off at tol = 1e-3 counted 15 zeros here
-    region = _default_contour(-8.25)
-    assert count_zeros_region(-8.25, 0.0, region, tol=1e-3) == 13
-    assert count_zeros_region(-8.25, 0.0, region) == 13
+    steps = find_complex_zeros(-8.25, 0.0).stats["contour_steps"]
+    assert find_complex_zeros(-8.25, 0.0, tol=1e-3).stats["contour_steps"] == steps
 
 
 def test_zeta_values_are_power_sums_of_minus_the_zeros():
@@ -622,8 +631,6 @@ def test_tol_must_be_positive_and_finite(tol):
         phi(0.0, 0.0, 1.0, tol=tol)
     with pytest.raises(ParameterError, match="tol must be positive and finite"):
         phi_derivative(0.0, 0.0, 1.0, tol=tol)
-    with pytest.raises(ParameterError, match="tol must be positive and finite"):
-        count_zeros_region(0.0, 0.0, (2.5, 3.5, -0.5, 0.5), tol=tol)
     with pytest.raises(ParameterError, match="tol must be positive and finite"):
         find_complex_zeros(0.0, 0.0, tol=tol)
 
