@@ -21,15 +21,18 @@ neighbour no farther from the real axis (about 15 recurrence terms, none
 cancelling).  The corners are summed first, once each, as a reach check whose
 sums the contour reads wherever it would sum a corner anyway.  Every contour
 sum keeps the default tol's cancellation guard, so a count rests on (L, eta,
-region) alone.  The finder's candidates come from the exact recurrence: the
-Hankel determinants of zeta_L(k) are moment determinants, so the eigenvalues
-of the truncated Jacobi matrix of their recurrence coefficients converge to
-1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29 (1975) 878-887;
-F. Stampach & P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex QL
-iteration finds them, Newton iteration on the term-wise differentiated series
-polishes each seed 1/lambda in the rectangle, and the distinct limits must be
-as many as the winding count.  phi(0) = 1, so the origin never contributes a
-zero.
+region) alone, and none is continued: the guard is the reach check.  Elsewhere
+(`phi`, `phi_derivative`, Newton and the residuals) a sum that meets that guard
+(|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps, outward along
+the ray to rho from the series at a radius below the guard.  The finder's
+candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
+are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
+their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
+(Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach & P. Stovicek, J. Math.
+Anal. Appl. 419 (2014)).  A complex QL iteration finds them, Newton iteration
+on the term-wise differentiated series polishes each seed 1/lambda in the
+rectangle, and the distinct limits must be as many as the winding count.
+phi(0) = 1, so the origin never contributes a zero.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 _STEP_CAP = 60  # terms of one Taylor step before it is given up
 _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 _CONTOUR_TOL = 1e-12  # the default tol: its cancellation guard holds every winding's sums
+_FLOOR = "cancellation floor"  # how a series sum's cancellation guard begins its message
+# farthest |rho| that `_Evaluator._at` continues to past the series' cancellation floor.
+# Against 35-digit mpmath at 800 seeded floor points (L = -0.25 .. -11.75, eta in {0, 0.5,
+# 1.5, 3, 5, 8, 12, -3}, |rho| up to 60) the continued (phi, phi') were at most 4.8e-11
+# (1 + |value|) off, no worse past 40.  40 covers every default region's corners down to
+# L = -35/4 (|rho| <= 31.2) and leaves phi(0, 0, 60) and |rho| = 30 sqrt 2 refused.
+_REACH = 40.0
+_CONTINUE_PIECE = 0.4  # longest Taylor step of that continuation
 
 
 class Rect(Frozen):
@@ -173,6 +184,34 @@ class _Evaluator:
             t0, t1, t2, a2 = t1, t2, t, a
         raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
+    def _at(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
+        """(phi, phi') at rho for `phi`, `phi_derivative`, Newton and the residuals:
+        `_sum`'s answer, or where it raises on its cancellation floor at
+        `_series_radius(L, 6)` < |rho| <= _REACH, its continuation: the series summed at
+        that radius on the ray to rho, then `step`s outward along the ray in equal pieces
+        of at most _CONTINUE_PIECE, the last landing on rho.  A continued value has no
+        tail bound at tol.  Any other raise propagates as it is, a nan |rho|'s included,
+        and so does the floor where the continuation raises too, as its sum does at
+        tol = 1e-300."""
+        try:
+            return self._sum(rho, tol, want_derivative)
+        except NoConvergence as exc:
+            radius = _series_radius(self.L, 6)
+            if not (str(exc).startswith(_FLOOR) and radius < abs(rho) <= _REACH):
+                raise
+            floor = exc
+        pieces = math.ceil((abs(rho) - radius) / _CONTINUE_PIECE)
+        z = start = rho * (radius / abs(rho))
+        try:
+            f, df = self._sum(start, tol, True)
+            for k in range(1, pieces + 1):
+                to = rho if k == pieces else start + (rho - start) * (k / pieces)
+                f, df = self.step(z, f, df, to)
+                z = to
+        except NoConvergence:
+            raise floor from None
+        return f, df
+
     def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
         """(phi, phi') at rho, phi' 0j unless wanted, tails below tol: the one series
         sum, for the public functions, Newton and the contour alike, counted here."""
@@ -222,7 +261,7 @@ class _Evaluator:
                     # also where the tail is cut off at a tighter one
                     if 2.3e-16 * t_max > 1e6 * self.tol * (1 + abs(s)):
                         raise NoConvergence(
-                            f"cancellation floor {2.3e-16 * t_max:.2e} exceeds "
+                            f"{_FLOOR} {2.3e-16 * t_max:.2e} exceeds "
                             f"the tolerance at rho = {rho}; |rho| too large for "
                             "double precision"
                         )
@@ -259,27 +298,34 @@ def _first_stop(two_l: float, twice_swing: float) -> int:
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
-    The truncation tail is bounded below tol*(1+|result|).  A signed zero in
+    The truncation tail is bounded below tol*(1+|result|).  Where the sum meets
+    its cancellation floor, when 2.3e-16 times the largest term exceeds
+    1e6*tol*(1+|result|), and |rho| is at most 40, the value is continued by
+    Taylor steps of the Coulomb equation from the series at a radius below the
+    floor, along the ray to rho.  Such a value has no tail bound at tol: against
+    35-digit mpmath it was within 1e-10*(1+|phi|) at every seeded floor point of
+    the tests (L down to -11.75, eta from -3 to 12).  A signed zero in
     L or eta is taken as +0.0.  Raises ParameterError naming L, eta, rho or tol
     where float() (complex() for rho) refuses it, or unless tol is positive
     and finite, SingularParameter from the `CoulombParams` constructor on the excluded
     set at the exact values of L and eta (so L = -1.5 + 1e-10 is evaluated), and
-    NoConvergence when the term cap is exhausted or on the cancellation floor,
-    when 2.3e-16 times the largest term exceeds 1e6*tol*(1+|result|): both
+    NoConvergence when the term cap is exhausted, or on the cancellation floor
+    at |rho| beyond 40 or where the continuation fails too: these
     mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
     "cancellation floor 2.25e+07 exceeds the tolerance at rho = (60+0j) ...".
     Every call on one pair reads the same immutable coefficient table, so
     calls from several threads at once are safe.
     """
     ev = _Evaluator(L, eta, tol)
-    return ev._sum(_number("rho", rho, complex), ev.tol, False)[0]
+    return ev._at(_number("rho", rho, complex), ev.tol, False)[0]
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
-    """d/drho of the entire factor, by term-wise differentiation of the series; its
-    tail bound and its errors, NoConvergence on the cancellation floor too, are `phi`'s."""
+    """d/drho of the entire factor, by term-wise differentiation of the series or,
+    past its cancellation floor, by the same continuation as `phi`; its tail bound,
+    its error bound there and its errors, NoConvergence included, are `phi`'s."""
     ev = _Evaluator(L, eta, tol)
-    return ev._sum(_number("rho", rho, complex), ev.tol, True)[1]
+    return ev._at(_number("rho", rho, complex), ev.tol, True)[1]
 
 
 def default_search_region(L: float) -> Rect:
@@ -297,16 +343,20 @@ def default_search_region(L: float) -> Rect:
     return Rect(-radius, radius, 0.0, radius)
 
 
-def _series_radius(L: float) -> float:
-    """Radius inside which the contour sums the series: at least 2, as a step
-    divides by rho.  For L < -1 the solution vanishing like rho^(-2L-1) at the
-    origin outgrows phi out to about lam = sqrt(L(L+1)), and steps outward from
-    radius r amplify rounding by about (0.9 lam / r)^(2 lam) (fitted on the axis,
-    L = -8.75 .. -20.25, eta = 0, +-2); this radius keeps that below 1e8."""
+def _series_radius(L: float, digits: int = 8) -> float:
+    """Radius inside which the series is summed: at least 2, as a step divides by
+    rho.  For L < -1 the solution vanishing like rho^(-2L-1) at the origin outgrows
+    phi out to about lam = sqrt(L(L+1)), and steps outward from radius r amplify
+    rounding by about (0.9 lam / r)^(2 lam) (fitted on the axis, L = -8.75 ..
+    -20.25, eta = 0, +-2); this radius keeps that below 10^digits.  The contour's
+    count stands 1e8; the values `_Evaluator._at` continues start at 1e6's radius:
+    from 1e8's, 33 of 800 seeded floor points with |rho| <= 40 and L down to -11.75
+    came out more than 1e-10 (1 + |phi|) off 35-digit mpmath, up to 2.0e-9; from
+    1e6's none did, the worst 5.2e-11."""
     if L >= -1:
         return 2.0
     lam = math.sqrt(L * (L + 1))
-    return max(2.0, 0.9 * lam * 10 ** (-4 / lam))
+    return max(2.0, 0.9 * lam * 10 ** (-digits / (2 * lam)))
 
 
 def _contour_value(ev: _Evaluator, z: complex, radius: float, near: complex,
@@ -427,7 +477,7 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     try:
         for _ in range(_NEWTON_STEPS):
             ev.stats["newton_steps"] += 1
-            f, df = ev._sum(z, ev.tol, True)
+            f, df = ev._at(z, ev.tol, True)
             if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
                 return None
             dz = f / df
@@ -436,7 +486,7 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
             if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
                 ev.stats["newton_steps"] += 1
-                f, df = ev._sum(z, ev.tol, True)
+                f, df = ev._at(z, ev.tol, True)
                 if df != 0:
                     z = z - f / df
                 return z
@@ -505,8 +555,9 @@ class ZeroReport(Frozen):
     benchmark harness reads it, and the CLI does not report it.
     `stats` counts the work the call did: "series_evals" (sums of the series,
     plain and value-with-derivative), "contour_steps" (Taylor steps that
-    value the winding contours' points away from the origin), "newton_starts"
-    (one per eigenvalue seed in the region), "newton_steps" (the final
+    value the winding contours' points away from the origin, and those that
+    continue a Newton or residual value past the series' cancellation
+    floor), "newton_starts" (one per eigenvalue seed in the region), "newton_steps" (the final
     polishing step included), "nudge_retries" (contours given up for a
     nudged copy), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
     was formed) and "ql_sweeps" (QL iterations over every matrix formed).
@@ -537,7 +588,8 @@ def find_complex_zeros(
     default rectangle is `default_search_region` with its lower edge dropped
     slightly below the real axis, so that real zeros are interior points of
     the contour.  search is a Rect or four numbers, and tol, positive and
-    finite, the series tolerance of every Newton step and residual; anything
+    finite, the series tolerance of every Newton step and residual, which are
+    continued past the series' cancellation floor as in `phi`; anything
     else raises ParameterError.  The winding count reads no tol: it is
     `count_zeros_region`'s, whatever tol is.
     """
@@ -580,7 +632,7 @@ def find_complex_zeros(
         if all(abs(z - w) > 1e-6 for w in zeros):
             zeros.append(z)
 
-    residuals = tuple(abs(ev._sum(z, ev.tol, False)[0]) for z in zeros)
+    residuals = tuple(abs(ev._at(z, ev.tol, False)[0]) for z in zeros)
     n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
     pairs = [z for z in zeros if z.imag > _REAL_AXIS_TOL]
     counts = {

@@ -147,6 +147,23 @@ def phi_mpmath(L, eta, rho):
         return complex(value)
 
 
+def phi_derivative_mpmath(L, eta, rho):
+    """d/drho of `phi_mpmath`'s function by mpmath at 35 digits, rounded to a complex:
+    -i phi + e^(-i rho) (a/b) 2i 1F1(a+1; b+1; 2i rho) with a = L+1-i eta, b = 2L+2,
+    and at eta = 0 -rho/(2c) 0F1(; c+1; -rho^2/4) with c = L+3/2."""
+    import mpmath as mp
+
+    with mp.workdps(35):
+        rho = mp.mpc(rho)
+        if eta == 0:
+            c = mp.mpf(L) + 1.5
+            return complex(-rho / (2 * c) * mp.hyp0f1(c + 1, -rho**2 / 4))
+        a, b = mp.mpf(L) + 1 - 1j * mp.mpf(eta), 2 * mp.mpf(L) + 2
+        e = mp.e ** (-1j * rho)
+        return complex(-1j * e * mp.hyp1f1(a, b, 2j * rho) + e * (a / b) * 2j * mp.hyp1f1(
+            a + 1, b + 1, 2j * rho))
+
+
 def bessel_normalized(nu, rho, terms=120):
     """Gamma(nu+1) (2/rho)^nu J_nu(rho) = sum_k (-1)^k (rho^2/4)^k / (k! (nu+1)_k)."""
     z = complex(rho) ** 2 / 4

@@ -16,6 +16,7 @@ from czeta.errors import (ContourTooClose, NoConvergence, ParameterError, Singul
                           UnsupportedEll, VerificationError)
 from czeta.hankel import recurrence_coeffs
 from czeta.numeric import (
+    _REACH,
     _SERIES_CAP,
     Rect,
     _Evaluator,
@@ -23,6 +24,7 @@ from czeta.numeric import (
     _newton,
     _phase_along_edge,
     _series,
+    _series_radius,
     _ql_eigenvalues,
     _winding,
     count_zeros_region,
@@ -34,8 +36,8 @@ from czeta.numeric import (
 from czeta.verify import load_grid
 from czeta.zeta import CoulombParams, zeta_table
 
-from oracles import (SeriesNoConvergence, bessel_normalized, phi_hyp1f1, phi_mpmath,
-                     series_sum_reference)
+from oracles import (SeriesNoConvergence, bessel_normalized, phi_derivative_mpmath,
+                     phi_hyp1f1, phi_mpmath, series_sum_reference)
 
 mp.mp.dps = 35
 
@@ -132,6 +134,65 @@ def test_phi_no_convergence_far_out():
         phi(0, 0, 400.0)  # term cap
     with pytest.raises(NoConvergence):
         phi(0, 0, 60.0)  # cancellation floor
+
+
+def _floor_points(count: int) -> list[tuple[float, float, complex]]:
+    """Seeded (L, eta, rho) at which the series sum raises on its cancellation floor, with
+    and without phi', and `_series_radius(L, 6)` < |rho| <= _REACH: L = -(k + q), k in
+    0..11, q in {1/4, 3/4}."""
+    rng = random.Random(20261021)
+    points = []
+    while len(points) < count:
+        L = -(rng.randrange(12) + rng.choice((0.25, 0.75)))
+        eta = rng.choice((0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, -3.0))
+        rho = cmath.rect(rng.uniform(_series_radius(L, 6), _REACH),
+                         rng.uniform(-math.pi, math.pi))
+        floors = 0
+        for want_derivative in (False, True):
+            try:
+                _Evaluator(L, eta, 1e-12)._sum(rho, 1e-12, want_derivative)
+            except NoConvergence as exc:
+                floors += str(exc).startswith("cancellation floor")
+        if floors == 2:
+            points.append((L, eta, rho))
+    return points
+
+
+def test_phi_past_the_cancellation_floor_matches_high_precision():
+    # the series raises at every point; Taylor steps continue it from a radius below
+    points = _floor_points(64)
+    assert min(L for L, _, _ in points) < -10 and max(abs(rho) for _, _, rho in points) > 35
+    for L, eta, rho in points:
+        ref, dref = phi_mpmath(L, eta, rho), phi_derivative_mpmath(L, eta, rho)
+        assert abs(phi(L, eta, rho) - ref) <= 1e-10 * (1 + abs(ref)), (L, eta, rho)
+        assert abs(phi_derivative(L, eta, rho) - dref) <= 1e-10 * (1 + abs(dref)), (L, eta, rho)
+
+
+def test_only_the_cancellation_floor_within_reach_is_continued(monkeypatch):
+    # sin(rho)/rho: continued up to |rho| = _REACH, the floor's own raise past it
+    assert abs(phi(0, 0, _REACH) - math.sin(_REACH) / _REACH) <= 1e-15
+    beyond = math.nextafter(_REACH, math.inf)
+    with pytest.raises(NoConvergence, match=rf"^cancellation floor .* at rho = \({beyond}\+0j\)"):
+        phi(0, 0, beyond)
+    # a continuation whose own sum raises too hands on the first sum's floor
+    floor = r"^cancellation floor 3\.43e-16 exceeds the tolerance at rho = \(2\+1j\)"
+    with pytest.raises(NoConvergence, match=floor):
+        phi(0.5, 1.0, 2 + 1j, tol=1e-300)
+    # the term cap is not continued: in reach, and at a nan |rho|
+    for L, eta, rho in ((0, 3000.0, 25), (0, 0, complex(math.nan, 0))):
+        with pytest.raises(NoConvergence, match=r"^series for phi did not reach tol = 1e-12 "):
+            phi(L, eta, rho)
+    # nor is any other raise: here one that the steps from radius 2 would step past
+    plain = _Evaluator._sum
+
+    def term_cap_at_20(self, rho, tol, want_derivative):
+        if rho == 20:
+            raise NoConvergence("series for phi did not reach tol at rho = (20+0j)")
+        return plain(self, rho, tol, want_derivative)
+
+    monkeypatch.setattr(_Evaluator, "_sum", term_cap_at_20)
+    with pytest.raises(NoConvergence, match=r"^series for phi did not reach tol at rho = \(20"):
+        phi(0, 0, 20)
 
 
 def test_conjugate_symmetry_100_points():
@@ -552,7 +613,7 @@ def _eigen_count(L: float, eta: float, region: Rect) -> int:
 
 @pytest.mark.parametrize("L,eta,bounds,count", [
     # the series cannot sum these boundaries above its cancellation floor, the
-    # steps can; the finder then fails only at Newton's seed count
+    # steps can; Newton's values are continued past that floor too
     (-27 / 4, 3.0, None, 12),
     (-35 / 4, 2.0, None, 15),
     # steps from radius 3 count 2 here, from radius 2 the count raises
@@ -588,6 +649,27 @@ def test_a_default_region_past_the_corner_floor_raises(L, eta):
     # true counts 8, 11, 10 and 9; the corners' sums cannot reach them
     with pytest.raises(NoConvergence, match=r"^cancellation floor .* at rho = \(-6-0\.01j\)"):
         count_zeros_region(L, eta, _default_contour(L))
+
+
+@pytest.mark.parametrize("L,eta", [(-8.75, 1.5), (-7.75, 0.0), (-4.75, 2.75)])
+def test_newton_past_the_series_floor_answers_the_default_region(L, eta):
+    # Newton's iterates and the residuals lie past the series' cancellation floor,
+    # where Taylor steps continue it; the winding's corners are still in its reach
+    report = find_complex_zeros(L, eta)
+    assert report.counts["complex_pairs"] == classify(CoulombParams(F(L), F(eta))).pair_count
+    if (L, eta) == (-8.75, 1.5):
+        assert (report.counts["real"], report.counts["complex_pairs"]) == (6, 8)
+    for z in report.zeros:
+        step = abs(phi_mpmath(L, eta, z) / phi_derivative_mpmath(L, eta, z))
+        assert step <= 1e-10 * (1 + abs(z)), (L, eta, z)
+
+
+@pytest.mark.parametrize("L,eta", [(-31 / 4, 2.0), (-33 / 4, 2.5), (-35 / 4, 1.75),
+                                   (-35 / 4, 2.75), (-35 / 4, 3.0)])
+def test_a_default_region_whose_corner_the_series_cannot_reach_raises(L, eta):
+    # the winding's corner sums are never continued: their floor is the reach check
+    with pytest.raises(NoConvergence, match=r"^cancellation floor .* at rho = \(-2[02]-0\.01j\)"):
+        find_complex_zeros(L, eta)
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14])

@@ -113,8 +113,8 @@ def test_phi_derivative_values_are_pinned():
 
 
 @pytest.mark.parametrize("fn,digest", [
-    (phi, "0d51eaab632c4b4202481efca8ce49d8d996fe4d3cae0371b9674b49c75d598e"),
-    (phi_derivative, "424dc204ea4f14143377512b0da260d3528a82091ed9269d9beb86db6d5c0e5a"),
+    (phi, "951b1d074176c2df568a387901acb8e555f0db5b2c8705059880599ac3047a61"),
+    (phi_derivative, "b765d893dff467d60d3483f1865a45683f8ab2549671cd1614684eb2cd9ff25d"),
 ], ids=["phi", "phi_derivative"])
 def test_long_sums_are_pinned(fn, digest):
     lines = [f"{p!r} {_outcome(fn, *p)}" for p in _far_points()]
