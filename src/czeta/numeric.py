@@ -19,12 +19,12 @@ the origin the series sums both, and every other point takes them from one
 Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
 neighbour no farther from the real axis (about 15 recurrence terms, none
 cancelling).  The corners are summed first, once each, as a reach check whose
-sums the contour reads wherever it would sum a corner anyway.  Every contour
-sum keeps the default tol's cancellation guard, so a count rests on (L, eta,
-region) alone, and none is continued: the guard is the reach check.  Elsewhere
-(`phi`, `phi_derivative`, Newton and the residuals) a sum that meets that guard
-(|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps, outward along
-the ray to rho from the series at a radius below the guard.  The finder's
+sums the contour reads wherever it would sum a corner anyway.  One guard judges
+each sum's rounding floor: every contour sum at the default tol, so a count
+rests on (L, eta, region) alone, and one it refuses raises, the reach check.
+Elsewhere (`phi`, `phi_derivative`, Newton and the residuals) a sum refused at
+tol (|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps, along
+the ray outward to rho from the series at a radius below the floor.  The finder's
 candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
 are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
 their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
@@ -53,7 +53,6 @@ _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 _STEP_CAP = 60  # terms of one Taylor step before it is given up
 _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 _CONTOUR_TOL = 1e-12  # the default tol: its cancellation guard holds every winding's sums
-_FLOOR = "cancellation floor"  # how a series sum's cancellation guard begins its message
 # farthest |rho| that `_Evaluator._at` continues to past the series' cancellation floor.
 # Against 35-digit mpmath at 800 seeded floor points (L = -0.25 .. -11.75, eta in {0, 0.5,
 # 1.5, 3, 5, 8, 12, -3}, |rho| up to 60) the continued (phi, phi') were at most 4.8e-11
@@ -155,10 +154,12 @@ class _Evaluator:
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
     def values(self, z: complex) -> tuple[complex, complex]:
-        """(phi, phi') for the contour, summed to double precision; a sum whose rounding
-        floor tol (the default one, for every winding) does not cover still raises
-        NoConvergence."""
-        return self._sum(z, _ROUNDING, True)
+        """(phi, phi') for the contour, summed to double precision; the winding's reach
+        check: a sum whose rounding floor the default tol does not cover raises."""
+        f, df, floor = self._sum(z, _ROUNDING, True)
+        if (refused := _floor_refusal(z, f, floor, _CONTOUR_TOL)) is not None:
+            raise refused
+        return f, df
 
     def step(self, z: complex, f: complex, df: complex, to: complex) -> tuple[complex, complex]:
         """(phi, phi') at `to` from (f, df) at z by the Taylor series in w = rho - z of
@@ -184,42 +185,45 @@ class _Evaluator:
             t0, t1, t2, a2 = t1, t2, t, a
         raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
-    def _at(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
+    def _at(self, rho: complex, want_derivative: bool) -> tuple[complex, complex]:
         """(phi, phi') at rho for `phi`, `phi_derivative`, Newton and the residuals:
-        `_sum`'s answer, or where it raises on its cancellation floor at
+        `_sum`'s answer, or where tol does not cover its rounding floor and
         `_series_radius(L, 6)` < |rho| <= _REACH, its continuation: the series summed at
         that radius on the ray to rho, then `step`s outward along the ray in equal pieces
         of at most _CONTINUE_PIECE, the last landing on rho.  A continued value has no
-        tail bound at tol.  Any other raise propagates as it is, a nan |rho|'s included,
-        and so does the floor where the continuation raises too, as its sum does at
-        tol = 1e-300."""
-        try:
-            return self._sum(rho, tol, want_derivative)
-        except NoConvergence as exc:
-            radius = _series_radius(self.L, 6)
-            if not (str(exc).startswith(_FLOOR) and radius < abs(rho) <= _REACH):
-                raise
-            floor = exc
+        tail bound at tol.  The floor's refusal is raised out of reach and wherever the
+        continuation fails, as its sum does at tol = 1e-300; the term cap propagates."""
+        f, df, floor = self._sum(rho, self.tol, want_derivative)
+        if (refused := _floor_refusal(rho, f, floor, self.tol)) is None:
+            return f, df
+        radius = _series_radius(self.L, 6)
+        if not radius < abs(rho) <= _REACH:
+            raise refused
         pieces = math.ceil((abs(rho) - radius) / _CONTINUE_PIECE)
         z = start = rho * (radius / abs(rho))
         try:
-            f, df = self._sum(start, tol, True)
+            f, df, floor = self._sum(start, self.tol, True)
+            if _floor_refusal(start, f, floor, self.tol) is not None:
+                raise refused
             for k in range(1, pieces + 1):
                 to = rho if k == pieces else start + (rho - start) * (k / pieces)
                 f, df = self.step(z, f, df, to)
                 z = to
         except NoConvergence:
-            raise floor from None
+            raise refused from None
         return f, df
 
-    def _sum(self, rho: complex, tol: float, want_derivative: bool) -> tuple[complex, complex]:
-        """(phi, phi') at rho, phi' 0j unless wanted, tails below tol: the one series
-        sum, for the public functions, Newton and the contour alike, counted here."""
+    def _sum(self, rho: complex, tol: float,
+             want_derivative: bool) -> tuple[complex, complex, float]:
+        """(phi, phi', floor) at rho, phi' 0j unless wanted, tails below tol: the one
+        series sum, for the public functions, Newton and the contour alike, counted here.
+        floor, epsilon times the largest term, is its rounding floor, which the caller
+        judges by `_floor_refusal`; the term cap raises NoConvergence."""
         self.stats["series_evals"] += 1
         rho = complex(rho)
         c = self.coeffs
         if rho == 0:
-            return complex(1.0), complex(c[1])
+            return complex(1.0), complex(c[1]), 0.0
         s = complex(1.0)  # j = 0 term
         comp = 0j
         s1 = complex(c[1]) if want_derivative else 0j
@@ -256,21 +260,21 @@ class _Evaluator:
                     dtail = 8 * last_two * (j + 2) / max(abs_rho, 1e-300)
                     ok = dtail <= tol * (1 + abs(s1))
                 if ok:
-                    # cancellation guard: the rounding floor (epsilon times the
-                    # largest term) must stay far below the evaluator's tol,
-                    # also where the tail is cut off at a tighter one
-                    if 2.3e-16 * t_max > 1e6 * self.tol * (1 + abs(s)):
-                        raise NoConvergence(
-                            f"{_FLOOR} {2.3e-16 * t_max:.2e} exceeds "
-                            f"the tolerance at rho = {rho}; |rho| too large for "
-                            "double precision"
-                        )
-                    return s, s1
+                    return s, s1, 2.3e-16 * t_max
             t_prev = t_cur
         raise NoConvergence(
             f"series for phi did not reach tol = {tol} within {_SERIES_CAP} terms "
             f"at rho = {rho}"
         )
+
+
+def _floor_refusal(rho: complex, f: complex, floor: float, tol: float) -> NoConvergence | None:
+    """The cancellation guard: None where the rounding floor of the sum f at rho stays
+    far below tol, also where its tail was cut at a tighter one, else its refusal."""
+    if floor > 1e6 * tol * (1 + abs(f)):
+        return NoConvergence(f"cancellation floor {floor:.2e} exceeds the tolerance at "
+                             f"rho = {rho}; |rho| too large for double precision")
+    return None
 
 
 def _stops_at(j: int, two_l: float, twice_swing: float) -> bool:
@@ -317,7 +321,7 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     calls from several threads at once are safe.
     """
     ev = _Evaluator(L, eta, tol)
-    return ev._at(_number("rho", rho, complex), ev.tol, False)[0]
+    return ev._at(_number("rho", rho, complex), False)[0]
 
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
@@ -325,7 +329,7 @@ def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> co
     past its cancellation floor, by the same continuation as `phi`; its tail bound,
     its error bound there and its errors, NoConvergence included, are `phi`'s."""
     ev = _Evaluator(L, eta, tol)
-    return ev._at(_number("rho", rho, complex), ev.tol, True)[1]
+    return ev._at(_number("rho", rho, complex), True)[1]
 
 
 def default_search_region(L: float) -> Rect:
@@ -477,7 +481,7 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     try:
         for _ in range(_NEWTON_STEPS):
             ev.stats["newton_steps"] += 1
-            f, df = ev._at(z, ev.tol, True)
+            f, df = ev._at(z, True)
             if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
                 return None
             dz = f / df
@@ -486,7 +490,7 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
             if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
                 ev.stats["newton_steps"] += 1
-                f, df = ev._at(z, ev.tol, True)
+                f, df = ev._at(z, True)
                 if df != 0:
                     z = z - f / df
                 return z
@@ -600,11 +604,7 @@ def find_complex_zeros(
     else:
         region = _as_rect(search)
 
-    # the winding's sums keep the default tol's cancellation guard, so its count
-    # rests on (L, eta, region) alone; its work counts into the same stats
-    contour = _Evaluator(ev.L, ev.eta, _CONTOUR_TOL)
-    contour.stats = ev.stats
-    region, total = _nudged_winding(contour, region)
+    region, total = _nudged_winding(ev, region)
     reach = max(abs(c) for c in region.corners())
     first = 10 + math.ceil(2 * abs(ev.L) + reach / 2)
     found: list[complex] = []
@@ -632,7 +632,7 @@ def find_complex_zeros(
         if all(abs(z - w) > 1e-6 for w in zeros):
             zeros.append(z)
 
-    residuals = tuple(abs(ev._at(z, ev.tol, False)[0]) for z in zeros)
+    residuals = tuple(abs(ev._at(z, False)[0]) for z in zeros)
     n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
     pairs = [z for z in zeros if z.imag > _REAL_AXIS_TOL]
     counts = {

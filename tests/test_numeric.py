@@ -20,12 +20,15 @@ from czeta.numeric import (
     _SERIES_CAP,
     Rect,
     _Evaluator,
+    _first_stop,
+    _floor_refusal,
     _jacobi,
     _newton,
     _phase_along_edge,
     _series,
     _series_radius,
     _ql_eigenvalues,
+    _stops_at,
     _winding,
     count_zeros_region,
     default_search_region,
@@ -137,7 +140,7 @@ def test_phi_no_convergence_far_out():
 
 
 def _floor_points(count: int) -> list[tuple[float, float, complex]]:
-    """Seeded (L, eta, rho) at which the series sum raises on its cancellation floor, with
+    """Seeded (L, eta, rho) at which the series sum's cancellation guard refuses it, with
     and without phi', and `_series_radius(L, 6)` < |rho| <= _REACH: L = -(k + q), k in
     0..11, q in {1/4, 3/4}."""
     rng = random.Random(20261021)
@@ -150,9 +153,10 @@ def _floor_points(count: int) -> list[tuple[float, float, complex]]:
         floors = 0
         for want_derivative in (False, True):
             try:
-                _Evaluator(L, eta, 1e-12)._sum(rho, 1e-12, want_derivative)
-            except NoConvergence as exc:
-                floors += str(exc).startswith("cancellation floor")
+                f, _, floor = _Evaluator(L, eta, 1e-12)._sum(rho, 1e-12, want_derivative)
+            except NoConvergence:  # the term cap
+                continue
+            floors += _floor_refusal(rho, f, floor, 1e-12) is not None
         if floors == 2:
             points.append((L, eta, rho))
     return points
@@ -227,7 +231,8 @@ def _series_probe(rng: random.Random) -> tuple[float, float, complex, float, flo
 
 def test_each_series_sum_stops_where_the_term_by_term_test_stops():
     # the stop index found once per sum against a copy of the loop that tests
-    # the shift at every term: the same bits of phi and phi', or the same raise
+    # the shift at every term: the same bits of phi and phi', or the same raise,
+    # the cancellation guard's refusal of the sum's floor at the evaluator's tol included
     rng = random.Random(30)
     probes = [_series_probe(rng) for _ in range(2000)]
     # the stop test first holds at j = 9 with equality, (j+1)(j+2L+2) = 2*swing = 5/8,
@@ -245,13 +250,45 @@ def test_each_series_sum_stops_where_the_term_by_term_test_stops():
                                                 want_derivative)
             except SeriesNoConvergence as exc:
                 raised.append(str(exc).split()[0])
-                with pytest.raises(NoConvergence) as info:
-                    ev._sum(rho, tol, want_derivative)
-                assert str(info.value) == str(exc)
+                if raised[-1] == "series":  # the term cap raises in the sum itself
+                    with pytest.raises(NoConvergence) as info:
+                        ev._sum(rho, tol, want_derivative)
+                    assert str(info.value) == str(exc)
+                    continue
+                f, _, floor = ev._sum(rho, tol, want_derivative)
+                assert str(_floor_refusal(rho, f, floor, guard)) == str(exc)
                 continue
-            got = ev._sum(rho, tol, want_derivative)
-            assert list(map(_bits, got)) == list(map(_bits, expected)), (L, eta, rho, tol)
+            f, df, floor = ev._sum(rho, tol, want_derivative)
+            assert _floor_refusal(rho, f, floor, guard) is None, (L, eta, rho, tol)
+            assert list(map(_bits, (f, df))) == list(map(_bits, expected)), (L, eta, rho, tol)
     assert raised.count("cancellation") > 100 and raised.count("series") == 24
+
+
+def _first_stop_by_scan(two_l: float, twice_swing: float) -> int:
+    return next((j for j in range(1, _SERIES_CAP + 1) if _stops_at(j, two_l, twice_swing)),
+                _SERIES_CAP + 1)
+
+
+def test_the_first_stop_steps_down_where_rounding_lifts_the_root():
+    # the computed root lies one rounding above an integer j at which the stop test holds
+    # with equality, so its ceiling is j + 1 and the search steps down to j
+    for two_l, twice_swing, first in ((-2.999999999993983, 1763.0000000002588, 42),
+                                      (-13.06941735297664, 1257.0844711749812, 41),
+                                      (-11.004643268080153, 2183.758550059832, 51)):
+        root = (math.sqrt((two_l + 1) ** 2 + 4 * twice_swing) - (two_l + 3)) / 2
+        assert math.ceil(root) == first + 1
+        assert _first_stop(two_l, twice_swing) == first == _first_stop_by_scan(two_l, twice_swing)
+    # seeded roots within two ulps of 2*swing = (j+1)(j+2L+2), on either side of j
+    rng = random.Random(40)
+    probes = 0
+    for _ in range(3000):
+        two_l, j = rng.uniform(-40, 12), rng.randint(1, _SERIES_CAP - 50)
+        if j + two_l + 2 > 0:
+            twice_swing = (j + 1) * (j + two_l + 2)
+            twice_swing += rng.randint(-2, 2) * math.ulp(twice_swing)
+            assert _first_stop(two_l, twice_swing) == _first_stop_by_scan(two_l, twice_swing)
+            probes += 1
+    assert probes > 2500
 
 
 def test_bessel_reduction_tenth_digit():

@@ -7,7 +7,7 @@ import pytest
 
 import czeta.zeta
 from czeta.classify import classify
-from czeta.errors import ParameterError, SingularParameter
+from czeta.errors import ParameterError, SingularParameter, VerificationError
 from czeta.hankel import _coulomb_closed, recurrence_coeffs
 from czeta.zeta import (
     CoulombParams,
@@ -83,6 +83,17 @@ def test_negative_integer_orbital_on_bessel_branch():
     assert t.value(3) == 0 and t.value(5) == 0 and t.value(7) == 0
     assert t.value(2) == -1
     assert t.value(4) == 1  # zeta(2)^2 / (2L+5) = 1/1
+
+
+def test_a_nonzero_odd_value_at_the_recurrence_pole_raises():
+    # (-2, 1) is on the excluded set, which the constructor refuses; past it, the pole
+    # 2L+k+2 = 0 meets an odd zeta_L(3) that is not 0, and the build raises, under -O too
+    params = object.__new__(CoulombParams)
+    params._set_fields(F(-2), F(1))
+    with pytest.raises(VerificationError,
+                       match=r"^odd zeta_L\(3\) != 0 at the pole 2L\+k\+2 = 0, L = -2$"):
+        zeta_table(params, 4)
+    assert params not in czeta.zeta._tables
 
 
 def test_validate_rejects_every_closed_formula_pole():
@@ -343,6 +354,21 @@ def test_genocchi_both_bridges_and_classical_values():
     # genocchi() already asserts the sigma(-1/2) route internally
     for n in range(1, 11):
         assert genocchi(n) == GENOCCHI_CLASSICAL[n - 1]
+
+
+def test_a_genocchi_bridge_mismatch_raises(monkeypatch):
+    # sigma_6(-1/2) doubled: the second route gives -6 for G_6 = -3
+    plain = czeta.zeta._sigmas
+
+    def doubled_at_index_2(nu, kmax):
+        sigmas = plain(nu, kmax)
+        if nu == F(-1, 2):
+            sigmas[2] *= 2
+        return sigmas
+
+    monkeypatch.setattr(czeta.zeta, "_sigmas", doubled_at_index_2)
+    with pytest.raises(VerificationError, match=r"^Genocchi bridge mismatch at n = 3: -3 != -6$"):
+        genocchi(4)
 
 
 def test_bernoulli_frozen_small_cases():
