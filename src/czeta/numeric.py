@@ -14,8 +14,8 @@ evaluation exact.
 `find_complex_zeros` takes the number of zeros in a rectangle from the
 argument principle: the phase of phi along a contour of pieces at most 0.8
 long, each halved until its phase step is at most pi/2 and |h| max|phi'/phi|
-over its two ends is at most 2.  Every contour point carries (phi, phi'): near
-the origin the series sums both, and every other point takes them from one
+over its two ends is at most 2.  Every contour point carries (phi, phi'): within
+one series radius the series sums both, and every other point takes them from one
 Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
 neighbour no farther from the real axis (about 15 recurrence terms, none
 cancelling).  The corners are summed first, once each, as a reach check whose
@@ -24,7 +24,8 @@ each sum's rounding floor: every contour sum at the default tol, so a count
 rests on (L, eta, region) alone, and one it refuses raises, the reach check.
 Elsewhere (`phi`, `phi_derivative`, Newton and the residuals) a sum refused at
 tol (|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps, along
-the ray outward to rho from the series at a radius below the floor.  The finder's
+the ray outward to rho from the series at that radius, below the floor; for
+both, the radius keeps the steps' rounding growth below 1e6.  The finder's
 candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
 are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
 their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
@@ -102,11 +103,13 @@ def _as_rect(region: Rect | tuple) -> Rect:
         raise ParameterError(f"a region is a Rect or four numbers, got {region!r}") from None
 
 
-# callers reuse a pair only within one case (a finder call, then phi and phi'
-# at its zeros); a full verify-all builds 6 tables, about 16 KB each
+# callers reuse a pair only within one case (a finder call, then phi and phi' at its
+# zeros); a full verify-all builds 6 tables, 25 KB each: 16 KB of coefficients, 9 of factors
 @lru_cache(maxsize=16)
-def _series(L: float, eta: float) -> tuple[float, ...]:
-    """B_0 .. B_{_SERIES_CAP} of a pair that the `CoulombParams` constructor accepts at its
+def _series(L: float,
+            eta: float) -> tuple[tuple[float, ...], tuple[tuple[float, float, int], ...]]:
+    """(B_0 .. B_{_SERIES_CAP}, a Taylor step's factors ((m+b)/(m+2), 1/((m+2)(m+1)), m+2),
+    m < _STEP_CAP, b = 2L+2) of a pair that the `CoulombParams` constructor accepts at its
     exact values: one immutable table, built once and shared by every evaluator of the pair,
     from any thread; the evaluator keys it with signed zeros folded to +0.0."""
     if not (math.isfinite(2 * L + 2) and math.isfinite(eta)):
@@ -121,13 +124,9 @@ def _series(L: float, eta: float) -> tuple[float, ...]:
         # index is odd and the coefficient vanishes by evenness of the function
         prev2, prev = prev, 0.0 if denom == 0 else (two_eta * prev - prev2) / denom
         c.append(prev)
-    return tuple(c)
-
-
-@lru_cache(maxsize=128)
-def _step_ratios(b: float) -> tuple[tuple[float, float, int], ...]:
-    """((m+b)/(m+2), 1/((m+2)(m+1)), m+2), m < _STEP_CAP: a Taylor step's factors, b = 2L+2."""
-    return tuple(((m + b) / (m + 2), 1 / ((m + 2) * (m + 1)), m + 2) for m in range(_STEP_CAP))
+    b = 2 * L + 2
+    return tuple(c), tuple(((m + b) / (m + 2), 1 / ((m + 2) * (m + 1)), m + 2)
+                           for m in range(_STEP_CAP))
 
 
 # the keys of ZeroReport.stats, described there
@@ -140,7 +139,7 @@ _STAT_NAMES = (
 class _Evaluator:
     """One call's access to the series of one (L, eta): its tolerance and counters."""
 
-    __slots__ = ("L", "eta", "coeffs", "tol", "stats")
+    __slots__ = ("L", "eta", "coeffs", "factors", "tol", "stats")
 
     def __init__(self, L: float, eta: float, tol: float):
         # a nan or non-positive tolerance would run the whole series and only
@@ -150,7 +149,7 @@ class _Evaluator:
             raise ParameterError(f"tol must be positive and finite, got {tol}")
         # -0.0 + 0.0 is 0.0: one cache key per pair, whatever sign an earlier call passed
         self.L, self.eta = _number("L", L, float) + 0.0, _number("eta", eta, float) + 0.0
-        self.coeffs = _series(self.L, self.eta)
+        self.coeffs, self.factors = _series(self.L, self.eta)
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
     def values(self, z: complex) -> tuple[complex, complex]:
@@ -175,7 +174,7 @@ class _Evaluator:
         s, sd = f + t2, t2  # sums of t_m and of m t_m
         bound = 1e-17 * (abs(f) + abs(t2))
         a2 = abs(t2)
-        for k1, k2, k3 in _step_ratios(2 * self.L + 2):
+        for k1, k2, k3 in self.factors:
             t = -(k1 * u * t2 + k2 * (p * t1 + q * t0))
             s += t
             sd += k3 * t
@@ -188,7 +187,7 @@ class _Evaluator:
     def _at(self, rho: complex, want_derivative: bool) -> tuple[complex, complex]:
         """(phi, phi') at rho for `phi`, `phi_derivative`, Newton and the residuals:
         `_sum`'s answer, or where tol does not cover its rounding floor and
-        `_series_radius(L, 6)` < |rho| <= _REACH, its continuation: the series summed at
+        `_series_radius(L)` < |rho| <= _REACH, its continuation: the series summed at
         that radius on the ray to rho, then `step`s outward along the ray in equal pieces
         of at most _CONTINUE_PIECE, the last landing on rho.  A continued value has no
         tail bound at tol.  The floor's refusal is raised out of reach and wherever the
@@ -196,7 +195,7 @@ class _Evaluator:
         f, df, floor = self._sum(rho, self.tol, want_derivative)
         if (refused := _floor_refusal(rho, f, floor, self.tol)) is None:
             return f, df
-        radius = _series_radius(self.L, 6)
+        radius = _series_radius(self.L)
         if not radius < abs(rho) <= _REACH:
             raise refused
         pieces = math.ceil((abs(rho) - radius) / _CONTINUE_PIECE)
@@ -347,20 +346,20 @@ def default_search_region(L: float) -> Rect:
     return Rect(-radius, radius, 0.0, radius)
 
 
-def _series_radius(L: float, digits: int = 8) -> float:
-    """Radius inside which the series is summed: at least 2, as a step divides by
-    rho.  For L < -1 the solution vanishing like rho^(-2L-1) at the origin outgrows
-    phi out to about lam = sqrt(L(L+1)), and steps outward from radius r amplify
-    rounding by about (0.9 lam / r)^(2 lam) (fitted on the axis, L = -8.75 ..
-    -20.25, eta = 0, +-2); this radius keeps that below 10^digits.  The contour's
-    count stands 1e8; the values `_Evaluator._at` continues start at 1e6's radius:
-    from 1e8's, 33 of 800 seeded floor points with |rho| <= 40 and L down to -11.75
-    came out more than 1e-10 (1 + |phi|) off 35-digit mpmath, up to 2.0e-9; from
-    1e6's none did, the worst 5.2e-11."""
+def _series_radius(L: float) -> float:
+    """Radius inside which the series is summed, by the contour and by the values
+    `_Evaluator._at` continues alike: at least 2, as a step divides by rho.  For
+    L < -1 the solution vanishing like rho^(-2L-1) at the origin outgrows phi out to
+    about lam = sqrt(L(L+1)), and steps outward from radius r amplify rounding by
+    about (0.9 lam / r)^(2 lam) (fitted on the axis, L = -8.75 .. -20.25, eta = 0,
+    +-2); this radius keeps that below 1e6.  From the radius that allows 1e8, 33 of
+    800 seeded floor points with |rho| <= 40 and L down to -11.75 came out more than
+    1e-10 (1 + |phi|) off 35-digit mpmath, up to 2.0e-9; from this one none did, the
+    worst 5.2e-11."""
     if L >= -1:
         return 2.0
     lam = math.sqrt(L * (L + 1))
-    return max(2.0, 0.9 * lam * 10 ** (-digits / (2 * lam)))
+    return max(2.0, 0.9 * lam * 10 ** (-6 / (2 * lam)))
 
 
 def _contour_value(ev: _Evaluator, z: complex, radius: float, near: complex,

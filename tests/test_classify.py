@@ -144,6 +144,31 @@ def test_hurwitz_raises_when_the_classifier_disagrees(monkeypatch):
         hurwitz_counts(F(-5, 2))
 
 
+def test_a_negative_count_off_the_floor_raises(monkeypatch):
+    import math
+    import sys
+    import types
+
+    # the package re-exports the function under the module's name
+    module = sys.modules["czeta.classify"]
+    monkeypatch.setattr(module, "math", types.SimpleNamespace(
+        ceil=math.ceil, floor=lambda x: math.floor(x) + 1))
+    with pytest.raises(VerificationError, match=r"^negative count 4 != floor\(-L-1/2\) = 5$"):
+        classify(CoulombParams(F(-19, 4), F(3, 2)))
+
+
+def test_a_negative_sign_above_minus_three_halves_raises(monkeypatch):
+    import sys
+
+    module = sys.modules["czeta.classify"]
+    # -3/2 read as -7/2: L = -9/4 falls on the all-positive side with one negative sign
+    monkeypatch.setattr(module, "Fraction",
+                        lambda *args: F(-7, 2) if args == (-3, 2) else F(*args))
+    with pytest.raises(VerificationError,
+                       match=r"^expected all-positive signs for L = -9/4 > -3/2, got m = 1$"):
+        classify(CoulombParams(F(-9, 4), F(1)))
+
+
 def test_hurwitz_boundary_refusals():
     for nu in (-1, -2, F(-3)):
         with pytest.raises(SingularParameter, match="on excluded set -N$"):

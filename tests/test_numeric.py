@@ -141,14 +141,14 @@ def test_phi_no_convergence_far_out():
 
 def _floor_points(count: int) -> list[tuple[float, float, complex]]:
     """Seeded (L, eta, rho) at which the series sum's cancellation guard refuses it, with
-    and without phi', and `_series_radius(L, 6)` < |rho| <= _REACH: L = -(k + q), k in
+    and without phi', and `_series_radius(L)` < |rho| <= _REACH: L = -(k + q), k in
     0..11, q in {1/4, 3/4}."""
     rng = random.Random(20261021)
     points = []
     while len(points) < count:
         L = -(rng.randrange(12) + rng.choice((0.25, 0.75)))
         eta = rng.choice((0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, -3.0))
-        rho = cmath.rect(rng.uniform(_series_radius(L, 6), _REACH),
+        rho = cmath.rect(rng.uniform(_series_radius(L), _REACH),
                          rng.uniform(-math.pi, math.pi))
         floors = 0
         for want_derivative in (False, True):
@@ -611,27 +611,67 @@ def test_every_accepted_piece_turns_little_and_is_short_beside_phi_prime_over_ph
 @pytest.mark.parametrize("L,eta,bounds", [
     (-33 / 4, 1 / 2, None), (-35 / 4, 1 / 4, None), (-35 / 4, 2.0, None), (-27 / 4, 3.0, None),
     (-31 / 4, 9 / 4, None), (-19 / 4, 3 / 2, None), (-23 / 4, 0.0, None), (-9 / 4, 11 / 4, None),
-    # along the axis at strongly negative L the series runs out to radius 7.9;
+    # along the axis at strongly negative L the series runs out to radius 9.1;
     # steps from radius 2 are off by a factor 4e6 and the count raises
     (-16.25, 0.0, (-20.25, 20.25, -0.01, 2.0)),
 ])
 def test_stepped_contour_values_match_high_precision(monkeypatch, L, eta, bounds):
-    # every stepped point, subdivision midpoints included
+    # every summed and every stepped point, corners and subdivision midpoints included
     region = _default_contour(L) if bounds is None else Rect(*bounds)
-    stepped = []
-    plain_step = _Evaluator.step
+    summed, stepped = [], []
+    plain_values, plain_step = _Evaluator.values, _Evaluator.step
+
+    def spy_values(self, z):
+        value = plain_values(self, z)
+        summed.append((z, value[0]))
+        return value
 
     def spy_step(self, z, f, df, to):
         value = plain_step(self, z, f, df, to)
         stepped.append((to, value[0]))
         return value
 
+    monkeypatch.setattr(_Evaluator, "values", spy_values)
     monkeypatch.setattr(_Evaluator, "step", spy_step)
-    _winding(_Evaluator(L, eta, 1e-12), region)
-    assert len(stepped) >= 92
-    for to, f in stepped:
+    ev = _Evaluator(L, eta, 1e-12)
+    _winding(ev, region)
+    assert len(stepped) == ev.stats["contour_steps"]
+    assert len(summed) + len(stepped) >= 92
+    for to, f in summed + stepped:
         ref = phi_mpmath(L, eta, to)
         assert abs(f - ref) <= 1e-6 * abs(ref), (to, f, ref)
+
+
+def test_the_contour_and_the_continuation_share_one_series_radius(monkeypatch):
+    # the contour sums inside the radius the continuation starts from, and steps
+    # only beyond it; a contour that stepped from a smaller radius grows rounding
+    # past the continuation's bound
+    L, eta = -16.25, 0.0
+    region = Rect(-20.25, 20.25, -0.01, 2.0)
+    sums, targets = [], []
+    plain_sum, plain_step = _Evaluator._sum, _Evaluator.step
+
+    def spy_sum(self, rho, tol, want_derivative):
+        sums.append(rho)
+        return plain_sum(self, rho, tol, want_derivative)
+
+    def spy_step(self, z, f, df, to):
+        targets.append(to)
+        return plain_step(self, z, f, df, to)
+
+    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
+    phi(L, eta, 30)
+    assert len(sums) == 2  # refused at 30, then the continuation's start
+    r = abs(sums[1])
+    assert 9 < r < 10
+    sums.clear()
+    targets.clear()
+    count_zeros_region(L, eta, region)
+    corners = set(region.corners())
+    inner = [abs(z) for z in sums if z not in corners]
+    assert inner and targets
+    assert max(inner) < r <= min(abs(z) for z in targets)
 
 
 def _eigen_count(L: float, eta: float, region: Rect) -> int:
@@ -1040,7 +1080,8 @@ def test_concurrent_calls_on_fresh_pairs_match_single_threaded_ones():
                 got[p, i] = fn(*p, rho)
             barrier.wait()
             if t == 0:
-                fresh[p] = _Evaluator(*p, 1e-12).coeffs == _series.__wrapped__(*p)
+                ev = _Evaluator(*p, 1e-12)
+                fresh[p] = (ev.coeffs, ev.factors) == _series.__wrapped__(*p)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
