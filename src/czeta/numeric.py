@@ -18,14 +18,17 @@ over its two ends is at most 2.  Every contour point carries (phi, phi'): within
 one series radius the series sums both, and every other point takes them from one
 Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
 neighbour no farther from the real axis (about 15 recurrence terms, none
-cancelling).  The corners are summed first, once each, as a reach check whose
-sums the contour reads wherever it would sum a corner anyway.  One guard judges
-each sum's rounding floor: every contour sum at the default tol, so a count
-rests on (L, eta, region) alone, and one it refuses raises, the reach check.
-Elsewhere (`phi`, `phi_derivative`, Newton and the residuals) a sum refused at
-tol (|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps, along
-the ray outward to rho from the series at that radius, below the floor; for
-both, the radius keeps the steps' rounding growth below 1e6.  The finder's
+cancelling).  A corner is summed first, once, as a reach check, unless a bound
+on its largest term clears the guard below; the contour reads that sum wherever
+it would sum the corner anyway.  One guard judges each sum's rounding floor:
+every contour sum at the default tol, so a count rests on (L, eta, region) alone,
+and one it refuses raises, the reach check.  Elsewhere (`phi`, `phi_derivative`,
+Newton and the residuals) a sum refused at tol (|rho| >~ 12) at |rho| <= 40 is
+continued by the same Taylor steps from the series at that radius, below the
+floor, along the ray outward to rho in strides of at most max(0.4, |w|/4) from
+each start w, as a step's series converges within |w| of w; a Newton start
+walks every later refused iterate from its last continued one.  For both, the
+radius keeps the steps' rounding growth below 1e6.  The finder's
 candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
 are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
 their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
@@ -54,13 +57,16 @@ _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 _STEP_CAP = 60  # terms of one Taylor step before it is given up
 _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 _CONTOUR_TOL = 1e-12  # the default tol: its cancellation guard holds every winding's sums
-# farthest |rho| that `_Evaluator._at` continues to past the series' cancellation floor.
+# farthest |rho| that `_Evaluator._continued` reaches past the series' cancellation floor.
 # Against 35-digit mpmath at 800 seeded floor points (L = -0.25 .. -11.75, eta in {0, 0.5,
-# 1.5, 3, 5, 8, 12, -3}, |rho| up to 60) the continued (phi, phi') were at most 4.8e-11
-# (1 + |value|) off, no worse past 40.  40 covers every default region's corners down to
+# 1.5, 3, 5, 8, 12, -3}, |rho| up to 60) the continued (phi, phi') were at most 4.2e-11
+# (1 + |value|) off within 40 and 5.5e-11 past it, where 17 points with eta 8 or 12 and
+# |rho| > 51 ran past _STEP_CAP.  40 covers every default region's corners down to
 # L = -35/4 (|rho| <= 31.2) and leaves phi(0, 0, 60) and |rho| = 30 sqrt 2 refused.
 _REACH = 40.0
-_CONTINUE_PIECE = 0.4  # longest Taylor step of that continuation
+# shortest stride of `_Evaluator.walk`, which strides |w|/4 from |w| = 1.6 on: the 262 of
+# those points within 40 took 6,092 steps for phi and phi', against 37,682 in pieces of 0.4
+_CONTINUE_PIECE = 0.4
 
 
 class Rect(Frozen):
@@ -184,33 +190,83 @@ class _Evaluator:
             t0, t1, t2, a2 = t1, t2, t, a
         raise NoConvergence(f"Taylor step from {z} to {to} did not converge")
 
-    def _at(self, rho: complex, want_derivative: bool) -> tuple[complex, complex]:
-        """(phi, phi') at rho for `phi`, `phi_derivative`, Newton and the residuals:
-        `_sum`'s answer, or where tol does not cover its rounding floor and
-        `_series_radius(L)` < |rho| <= _REACH, its continuation: the series summed at
-        that radius on the ray to rho, then `step`s outward along the ray in equal pieces
-        of at most _CONTINUE_PIECE, the last landing on rho.  A continued value has no
-        tail bound at tol.  The floor's refusal is raised out of reach and wherever the
-        continuation fails, as its sum does at tol = 1e-300; the term cap propagates."""
-        f, df, floor = self._sum(rho, self.tol, want_derivative)
-        if (refused := _floor_refusal(rho, f, floor, self.tol)) is None:
+    def walk(self, z: complex, f: complex, df: complex, to: complex) -> tuple[complex, complex]:
+        """(phi, phi') at `to` from (f, df) at z by `step`s along the segment, each at most
+        max(_CONTINUE_PIECE, |w|/4) long from its start w, the last landing on `to`: the
+        equation is singular only at 0, so a step's series converges within |w| of w and
+        the strides grow with the distance from the origin.  A walk to z takes no step."""
+        if to == z:
             return f, df
+        while (length := abs(to - z)) > (piece := max(_CONTINUE_PIECE, abs(z) / 4)):
+            w = z + (to - z) * (piece / length)
+            f, df = self.step(z, f, df, w)
+            z = w
+        return self.step(z, f, df, to)
+
+    def _at(self, rho: complex, want_derivative: bool) -> tuple[complex, complex]:
+        """(phi, phi') at rho for `phi`, `phi_derivative` and the residuals: `_sum`'s
+        answer, or where tol does not cover its rounding floor, its continuation; the
+        term cap propagates."""
+        f, df, refused = self._summed(rho, want_derivative)
+        return (f, df) if refused is None else self._continued(rho, refused)
+
+    def _newton_value(self, z: complex,
+                     near: tuple | None) -> tuple[complex, complex, tuple | None]:
+        """(phi, phi', near) at the Newton iterate z: `_sum`'s answer, or where tol does
+        not cover its rounding floor, its continuation, walked from `near`, the start's
+        last continued (z, phi, phi'), once it has one; near becomes z's.  A sum is
+        never walked from: next to its floor it carries up to 1e6 tol of rounding."""
+        self.stats["newton_steps"] += 1
+        f, df, refused = self._summed(z, True)
+        if refused is None:
+            return f, df, near
+        f, df = self._continued(z, refused, near)
+        return f, df, (z, f, df)
+
+    def _continued(self, rho: complex, refused: NoConvergence,
+                   near: tuple | None = None) -> tuple[complex, complex]:
+        """(phi, phi') at rho, whose sum the floor refused as `refused`, where
+        `_series_radius(L)` < |rho| <= _REACH: `walk`ed from `near`, a continued
+        (z, phi, phi'), or else from the series summed at that radius on the ray to rho.
+        A continued value has no tail bound at tol.  `refused` is raised out of reach and
+        wherever the continuation fails, as its sum does at tol = 1e-300."""
         radius = _series_radius(self.L)
         if not radius < abs(rho) <= _REACH:
             raise refused
-        pieces = math.ceil((abs(rho) - radius) / _CONTINUE_PIECE)
-        z = start = rho * (radius / abs(rho))
         try:
-            f, df, floor = self._sum(start, self.tol, True)
-            if _floor_refusal(start, f, floor, self.tol) is not None:
-                raise refused
-            for k in range(1, pieces + 1):
-                to = rho if k == pieces else start + (rho - start) * (k / pieces)
-                f, df = self.step(z, f, df, to)
-                z = to
+            # a walk from near that could pass inside the radius starts afresh there
+            if near is None or abs(rho - near[0]) > abs(near[0]) - radius:
+                start = rho * (radius / abs(rho))
+                f, df, start_refused = self._summed(start, True)
+                if start_refused is not None:
+                    raise refused
+                near = start, f, df
+            return self.walk(*near, rho)
         except NoConvergence:
             raise refused from None
-        return f, df
+
+    def _summed(self, rho: complex,
+                want_derivative: bool) -> tuple[complex, complex, NoConvergence | None]:
+        """(phi, phi', refusal) at rho: `_sum` at tol and its floor judged there."""
+        f, df, floor = self._sum(rho, self.tol, want_derivative)
+        return f, df, _floor_refusal(rho, f, floor, self.tol)
+
+    def floor_bound(self, z: complex) -> float:
+        """2.3e-16 max |B_j z^j| over j up to `_first_stop` at z, each term as `_sum` forms
+        it: every later term of a sum at z is smaller, so no sum's floor there exceeds it."""
+        c = self.coeffs
+        power, top = complex(1.0), 1.0
+        for j in range(1, min(self._first(abs(z)), _SERIES_CAP) + 1):
+            power *= z
+            t = abs(c[j] * power)
+            if t > top:
+                top = t
+        return 2.3e-16 * top
+
+    def _first(self, abs_rho: float) -> int:
+        """`_first_stop` of a sum at |rho| = abs_rho."""
+        swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
+        return _first_stop(2 * self.L, 2 * swing)
 
     def _sum(self, rho: complex, tol: float,
              want_derivative: bool) -> tuple[complex, complex, float]:
@@ -229,8 +285,7 @@ class _Evaluator:
         comp1 = 0j
         power = complex(1.0)
         abs_rho = abs(rho)
-        swing = 2 * abs(self.eta) * abs_rho + abs_rho * abs_rho
-        first = _first_stop(2 * self.L, 2 * swing)
+        first = self._first(abs_rho)
         t_prev = 1.0
         t_max = 1.0
         for j in range(1, _SERIES_CAP + 1):
@@ -305,7 +360,8 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     its cancellation floor, when 2.3e-16 times the largest term exceeds
     1e6*tol*(1+|result|), and |rho| is at most 40, the value is continued by
     Taylor steps of the Coulomb equation from the series at a radius below the
-    floor, along the ray to rho.  Such a value has no tail bound at tol: against
+    floor, along the ray to rho, each at most max(0.4, |w|/4) long from its
+    start w (14 to phi(0, 0, 40)).  Such a value has no tail bound at tol: against
     35-digit mpmath it was within 1e-10*(1+|phi|) at every seeded floor point of
     the tests (L down to -11.75, eta from -3 to 12).  A signed zero in
     L or eta is taken as +0.0.  Raises ParameterError naming L, eta, rho or tol
@@ -325,8 +381,9 @@ def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
 
 def phi_derivative(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """d/drho of the entire factor, by term-wise differentiation of the series or,
-    past its cancellation floor, by the same continuation as `phi`; its tail bound,
-    its error bound there and its errors, NoConvergence included, are `phi`'s."""
+    past its cancellation floor, by the same continuation as `phi`, in the same
+    strides; its tail bound, its error bound there and its errors, NoConvergence
+    included, are `phi`'s."""
     ev = _Evaluator(L, eta, tol)
     return ev._at(_number("rho", rho, complex), True)[1]
 
@@ -348,7 +405,7 @@ def default_search_region(L: float) -> Rect:
 
 def _series_radius(L: float) -> float:
     """Radius inside which the series is summed, by the contour and by the values
-    `_Evaluator._at` continues alike: at least 2, as a step divides by rho.  For
+    `_Evaluator._continued` starts from alike: at least 2, as a step divides by rho.  For
     L < -1 the solution vanishing like rho^(-2L-1) at the origin outgrows phi out to
     about lam = sqrt(L(L+1)), and steps outward from radius r amplify rounding by
     about (0.9 lam / r)^(2 lam) (fitted on the axis, L = -8.75 .. -20.25, eta = 0,
@@ -408,13 +465,15 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
              for ca, cb in zip(corners, corners[1:])]
     n = sum(pieces for _, _, pieces in edges)
     radius = _series_radius(ev.L)
-    # the series sums the corners first, so a region out of its reach raises
-    # before the rest of the boundary exists; their cancellation floor also
-    # refuses boundaries the steps count wrong: without it the default region
-    # of (-1.25, 20) counts 10 zeros for 11.  Each sum is kept by boundary index
+    # a corner is summed first, as the reach check, unless its term bound clears the
+    # default tol's guard, so a region out of the series' reach raises before the rest
+    # of the boundary exists; their cancellation floor also refuses boundaries the
+    # steps count wrong: without it the default region of (-1.25, 20) counts 10 zeros
+    # for 11.  Each sum is kept by boundary index
     corner_sums, start = {}, 0
     for ca, _, pieces in edges:
-        corner_sums[start] = ev.values(ca)
+        if _floor_refusal(ca, 0j, ev.floor_bound(ca), _CONTOUR_TOL) is not None:
+            corner_sums[start] = ev.values(ca)
         start += pieces
     zs = [ca + (cb - ca) * i / pieces for ca, cb, pieces in edges for i in range(pieces)]
     moduli = [abs(z) for z in zs]
@@ -444,8 +503,9 @@ def count_zeros_region(L: float, eta: float, region: Rect | tuple) -> int:
     Counted with multiplicity from the winding number of the boundary image,
     whose phase is tracked over pieces at most 0.8 long, each halved until its
     phase step is at most pi/2 and |h| max|phi'/phi| over its two ends is at
-    most 2.  The contour's series sums (its corners, summed first, and its
-    points near the origin) and the Taylor steps that value the other points
+    most 2.  The contour's series sums (the corners whose term bound cannot
+    clear the guard, summed first, and its points near the origin) and the
+    Taylor steps that value the other points
     are cut off at double precision; a sum whose rounding floor the default
     tol, 1e-12, does not cover raises NoConvergence, so the count depends on
     (L, eta, region) alone.
@@ -475,12 +535,11 @@ def _nudged_winding(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
 
 def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     ev.stats["newton_starts"] += 1
-    z, prev = z0, math.inf
+    z, prev, near = z0, math.inf, None
     # a value the series cannot reach, the polishing step's included, fails the start
     try:
         for _ in range(_NEWTON_STEPS):
-            ev.stats["newton_steps"] += 1
-            f, df = ev._at(z, True)
+            f, df, near = ev._newton_value(z, near)
             if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
                 return None
             dz = f / df
@@ -488,8 +547,7 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             step = abs(dz)
             # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
             if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
-                ev.stats["newton_steps"] += 1
-                f, df = ev._at(z, True)
+                f, df, _ = ev._newton_value(z, near)
                 if df != 0:
                     z = z - f / df
                 return z
@@ -558,9 +616,10 @@ class ZeroReport(Frozen):
     benchmark harness reads it, and the CLI does not report it.
     `stats` counts the work the call did: "series_evals" (sums of the series,
     plain and value-with-derivative), "contour_steps" (Taylor steps that
-    value the winding contours' points away from the origin, and those that
+    value the winding contours' points away from the origin, those that
     continue a Newton or residual value past the series' cancellation
-    floor), "newton_starts" (one per eigenvalue seed in the region), "newton_steps" (the final
+    floor, and those that walk a Newton start's later values from its last
+    continued iterate), "newton_starts" (one per eigenvalue seed in the region), "newton_steps" (the final
     polishing step included), "nudge_retries" (contours given up for a
     nudged copy), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
     was formed) and "ql_sweeps" (QL iterations over every matrix formed).

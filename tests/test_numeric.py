@@ -199,6 +199,26 @@ def test_only_the_cancellation_floor_within_reach_is_continued(monkeypatch):
         phi(0, 0, 20)
 
 
+def test_the_continuation_strides_grow_with_the_distance_from_the_origin(monkeypatch):
+    # sin(rho)/rho from the series at radius 2 out to 40: each step at most
+    # max(0.4, |w|/4) from its start w, 14 in all (95 pieces of 0.4 before)
+    pieces = []
+    plain = _Evaluator.step
+
+    def spy_step(self, z, f, df, to):
+        pieces.append((z, to))
+        return plain(self, z, f, df, to)
+
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    value = ev._at(40.0, False)[0]
+    assert abs(value - math.sin(40) / 40) <= 1e-15
+    assert len(pieces) == ev.stats["contour_steps"] <= 16
+    assert pieces[0][0] == 2 and pieces[-1][1] == 40
+    assert all(abs(to - z) <= max(0.4, abs(z) / 4) * (1 + 1e-15) for z, to in pieces)
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+
+
 def test_conjugate_symmetry_100_points():
     tol = 1e-12
     rng = random.Random(20240817)
@@ -549,23 +569,26 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
     _winding(ev, region)
     assert len(set(summed)) == len(summed) == ev.stats["series_evals"]
     assert len(set(stepped)) == len(stepped) == ev.stats["contour_steps"]
-    # the corners are summed first, as the reach check; a corner stepped to
-    # later is the only point both summed and stepped to
-    assert summed[:4] == [_bits(c) for c in corners]
-    assert set(summed) & set(stepped) <= set(summed[:4])
+    # only the corners whose term bound cannot clear the default tol's guard are
+    # summed first, as the reach check; such a corner stepped to later is the only
+    # point both summed and stepped to
+    checked = [_bits(c) for c in corners
+               if _floor_refusal(c, 0j, ev.floor_bound(c), 1e-12) is not None]
+    assert summed[:len(checked)] == checked
+    assert set(summed) & set(stepped) <= set(checked)
     if bounds[0] == -1.0:  # every point lies within 2 of the origin
-        assert stepped == []
-    else:
-        assert set(summed) & set(stepped) == set(summed[:4])
+        assert stepped == [] and checked == []
+    else:  # the two upper corners; the lower two clear the bound and are stepped to
+        assert set(summed) & set(stepped) == set(checked) and len(checked) == 2
 
 
 def test_series_evals_on_the_default_region_stay_pinned():
     # the contour has 106 boundary points and 62 subdivision midpoints; the 6
     # within |rho| < 2 are summed and the other 162 stepped to.  The sums are
-    # those 6, the 4 corners (the reach check), 29 Newton steps and 9
-    # residuals: 48
+    # those 6, the 2 upper corners, whose term bound cannot clear the guard (the
+    # reach check), 29 Newton steps and 9 residuals: 46
     stats = find_complex_zeros(-4.75, 1.5).stats
-    assert stats["series_evals"] == 48
+    assert stats["series_evals"] == 46
     assert stats["contour_steps"] == 162
 
 
@@ -741,12 +764,104 @@ def test_newton_past_the_series_floor_answers_the_default_region(L, eta):
         assert step <= 1e-10 * (1 + abs(z)), (L, eta, z)
 
 
+def test_newton_walks_past_the_series_floor_from_its_last_iterate(monkeypatch):
+    # a start whose value is continued takes every later value by a walk from its
+    # last continued iterate: it never calls `_at`, which only the residuals call,
+    # and it continues from the series radius only once
+    import czeta.numeric
+
+    at_calls, starts, in_newton = [], [], [False]
+    plain_newton, plain_at = czeta.numeric._newton, _Evaluator._at
+    plain_continued = _Evaluator._continued
+
+    def spy_newton(ev, z0):
+        starts.append([])  # per start: whether each continued value began afresh
+        in_newton[0] = True
+        try:
+            return plain_newton(ev, z0)
+        finally:
+            in_newton[0] = False
+
+    def spy_at(self, rho, want_derivative):
+        at_calls.append(rho)
+        return plain_at(self, rho, want_derivative)
+
+    def spy_continued(self, rho, refused, near=None):
+        if in_newton[0]:
+            starts[-1].append(near is None)
+        return plain_continued(self, rho, refused, near)
+
+    monkeypatch.setattr(czeta.numeric, "_newton", spy_newton)
+    monkeypatch.setattr(_Evaluator, "_at", spy_at)
+    monkeypatch.setattr(_Evaluator, "_continued", spy_continued)
+    report = find_complex_zeros(-8.75, 1.5)
+    assert (report.counts["real"], report.counts["complex_pairs"]) == (6, 8)
+    assert report.stats["contour_steps"] <= 300  # 673 with pieces of 0.4 and no walk
+    assert at_calls == list(report.zeros)
+    continued = [fresh for fresh in starts if fresh]
+    assert len(continued) >= 3
+    for fresh in continued:  # the first continued value from the radius, then walks
+        assert len(fresh) >= 2 and fresh[0] and not any(fresh[1:]), fresh
+
+
 @pytest.mark.parametrize("L,eta", [(-31 / 4, 2.0), (-33 / 4, 2.5), (-35 / 4, 1.75),
                                    (-35 / 4, 2.75), (-35 / 4, 3.0)])
 def test_a_default_region_whose_corner_the_series_cannot_reach_raises(L, eta):
     # the winding's corner sums are never continued: their floor is the reach check
     with pytest.raises(NoConvergence, match=r"^cancellation floor .* at rho = \(-2[02]-0\.01j\)"):
         find_complex_zeros(L, eta)
+
+
+_CORNER_FLOOR_RAISES = [
+    # (L, eta, floor): the five zeros-default pairs, then the four strips of
+    # test_a_default_region_past_the_corner_floor_raises, each at its first corner
+    (-31 / 4, 2.0, "8.47e-03"), (-33 / 4, 2.5, "4.05e-02"), (-35 / 4, 1.75, "6.66e-02"),
+    (-35 / 4, 2.75, "1.17e+00"), (-35 / 4, 3.0, "2.53e+00"),
+    (-1.25, 12.0, "5.42e-06"), (-1.25, 20.0, "7.51e-03"), (-0.75, 20.0, "2.50e-04"),
+    (0.0, 20.0, "2.25e-06"),
+]
+
+
+@pytest.mark.parametrize("L,eta,floor", _CORNER_FLOOR_RAISES)
+def test_the_corner_term_bound_refuses_every_corner_the_sum_refuses(L, eta, floor):
+    # a corner is summed only where 2.3e-16 max |B_j z^j| up to the first stop could
+    # exceed the guard; that bound is never below the sum's floor, so every refused
+    # corner is still summed, and raises before any contour step
+    region = _default_contour(L)
+    ev = _Evaluator(L, eta, 1e-12)
+    refused = 0
+    for corner in region.corners()[:4]:
+        f, _, sum_floor = ev._sum(corner, 2.0**-53, True)
+        assert ev.floor_bound(corner) >= sum_floor
+        if _floor_refusal(corner, f, sum_floor, 1e-12) is not None:
+            refused += 1
+            assert _floor_refusal(corner, 0j, ev.floor_bound(corner), 1e-12) is not None
+    assert refused >= 1
+    corner = -region.re_max - 0.01j
+    message = (f"cancellation floor {floor} exceeds the tolerance at rho = {corner}; "
+               f"|rho| too large for double precision")
+    with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
+        find_complex_zeros(L, eta)
+    ev = _Evaluator(L, eta, 1e-12)
+    with pytest.raises(NoConvergence, match=f"^{re.escape(message)}$"):
+        _winding(ev, region)
+    assert ev.stats["contour_steps"] == 0
+
+
+def test_the_corner_term_bound_is_never_below_the_sums_floor():
+    rng = random.Random(20261021)
+    cleared = 0
+    for _ in range(300):
+        L = -(rng.randrange(12) + rng.choice((0.25, 0.75)))
+        eta = rng.choice((0.0, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, -3.0))
+        ev = _Evaluator(L, eta, 1e-12)
+        z = cmath.rect(rng.uniform(0, 45), rng.uniform(-math.pi, math.pi))
+        bound = ev.floor_bound(z)
+        for tol in (2.0**-53, 1e-12):
+            for want_derivative in (False, True):
+                assert bound >= ev._sum(z, tol, want_derivative)[2], (L, eta, z)
+        cleared += _floor_refusal(z, 0j, bound, 1e-12) is None
+    assert 50 < cleared < 250
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14])

@@ -113,8 +113,8 @@ def test_phi_derivative_values_are_pinned():
 
 
 @pytest.mark.parametrize("fn,digest", [
-    (phi, "951b1d074176c2df568a387901acb8e555f0db5b2c8705059880599ac3047a61"),
-    (phi_derivative, "b765d893dff467d60d3483f1865a45683f8ab2549671cd1614684eb2cd9ff25d"),
+    (phi, "51ea0b14111df88e8554cf2a589b34dcaba1c5025f971563798341803c05a7ce"),
+    (phi_derivative, "c9dc21ec4f927b676b3c1414c5c31be88ae6cc33047060e5f863a9a894d563cb"),
 ], ids=["phi", "phi_derivative"])
 def test_long_sums_are_pinned(fn, digest):
     lines = [f"{p!r} {_outcome(fn, *p)}" for p in _far_points()]
