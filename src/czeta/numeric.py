@@ -57,7 +57,7 @@ _NEWTON_STEPS = 60  # Newton steps per start before it is given up
 _STEP_CAP = 60  # terms of one Taylor step before it is given up
 _ROUNDING = 2.0**-53  # tail tolerance of the contour's series sums
 _CONTOUR_TOL = 1e-12  # the default tol: its cancellation guard holds every winding's sums
-# farthest |rho| that `_Evaluator._continued` reaches past the series' cancellation floor.
+# farthest |rho| to which `_Evaluator._at` continues past the series' cancellation floor.
 # Against 35-digit mpmath at 800 seeded floor points (L = -0.25 .. -11.75, eta in {0, 0.5,
 # 1.5, 3, 5, 8, 12, -3}, |rho| up to 60) the continued (phi, phi') were at most 4.2e-11
 # (1 + |value|) off within 40 and 5.5e-11 past it, where 17 points with eta 8 or 12 and
@@ -143,9 +143,10 @@ _STAT_NAMES = (
 
 
 class _Evaluator:
-    """One call's access to the series of one (L, eta): its tolerance and counters."""
+    """One call's access to the series of one (L, eta): its tolerance, its series radius
+    and its counters."""
 
-    __slots__ = ("L", "eta", "coeffs", "factors", "tol", "stats")
+    __slots__ = ("L", "eta", "coeffs", "factors", "radius", "tol", "stats")
 
     def __init__(self, L: float, eta: float, tol: float):
         # a nan or non-positive tolerance would run the whole series and only
@@ -156,6 +157,7 @@ class _Evaluator:
         # -0.0 + 0.0 is 0.0: one cache key per pair, whatever sign an earlier call passed
         self.L, self.eta = _number("L", L, float) + 0.0, _number("eta", eta, float) + 0.0
         self.coeffs, self.factors = _series(self.L, self.eta)
+        self.radius = _series_radius(self.L)
         self.stats = dict.fromkeys(_STAT_NAMES, 0)
 
     def values(self, z: complex) -> tuple[complex, complex]:
@@ -203,53 +205,33 @@ class _Evaluator:
             z = w
         return self.step(z, f, df, to)
 
-    def _at(self, rho: complex, want_derivative: bool) -> tuple[complex, complex]:
-        """(phi, phi') at rho for `phi`, `phi_derivative` and the residuals: `_sum`'s
-        answer, or where tol does not cover its rounding floor, its continuation; the
-        term cap propagates."""
-        f, df, refused = self._summed(rho, want_derivative)
-        return (f, df) if refused is None else self._continued(rho, refused)
-
-    def _newton_value(self, z: complex,
-                     near: tuple | None) -> tuple[complex, complex, tuple | None]:
-        """(phi, phi', near) at the Newton iterate z: `_sum`'s answer, or where tol does
-        not cover its rounding floor, its continuation, walked from `near`, the start's
-        last continued (z, phi, phi'), once it has one; near becomes z's.  A sum is
-        never walked from: next to its floor it carries up to 1e6 tol of rounding."""
-        self.stats["newton_steps"] += 1
-        f, df, refused = self._summed(z, True)
-        if refused is None:
+    def _at(self, z: complex, want_derivative: bool = True,
+            near: tuple | None = None) -> tuple[complex, complex, tuple | None]:
+        """(phi, phi', near) at z for `phi`, `phi_derivative`, each Newton iterate and each
+        residual: `_sum` at tol, phi' 0j unless wanted, with the `near` given.  Where tol
+        does not cover that sum's rounding floor and radius < |z| <= _REACH, the value is
+        `walk`ed instead: from `near`, a continued (z, phi, phi'), or afresh from the series
+        summed at the radius on the ray to z where near is None or the walk could pass
+        inside the radius; near becomes z's.  A sum is never walked from: next to its floor
+        it carries up to 1e6 tol of rounding.  A continued value has no tail bound at tol.
+        The refusal is raised out of reach and wherever the continuation fails, as the sum
+        does at tol = 1e-300."""
+        f, df, floor = self._sum(z, self.tol, want_derivative)
+        if (refused := _floor_refusal(z, f, floor, self.tol)) is None:
             return f, df, near
-        f, df = self._continued(z, refused, near)
-        return f, df, (z, f, df)
-
-    def _continued(self, rho: complex, refused: NoConvergence,
-                   near: tuple | None = None) -> tuple[complex, complex]:
-        """(phi, phi') at rho, whose sum the floor refused as `refused`, where
-        `_series_radius(L)` < |rho| <= _REACH: `walk`ed from `near`, a continued
-        (z, phi, phi'), or else from the series summed at that radius on the ray to rho.
-        A continued value has no tail bound at tol.  `refused` is raised out of reach and
-        wherever the continuation fails, as its sum does at tol = 1e-300."""
-        radius = _series_radius(self.L)
-        if not radius < abs(rho) <= _REACH:
+        if not self.radius < abs(z) <= _REACH:
             raise refused
         try:
-            # a walk from near that could pass inside the radius starts afresh there
-            if near is None or abs(rho - near[0]) > abs(near[0]) - radius:
-                start = rho * (radius / abs(rho))
-                f, df, start_refused = self._summed(start, True)
-                if start_refused is not None:
+            if near is None or abs(z - near[0]) > abs(near[0]) - self.radius:
+                start = z * (self.radius / abs(z))
+                f, df, floor = self._sum(start, self.tol, True)
+                if _floor_refusal(start, f, floor, self.tol) is not None:
                     raise refused
                 near = start, f, df
-            return self.walk(*near, rho)
+            f, df = self.walk(*near, z)
         except NoConvergence:
             raise refused from None
-
-    def _summed(self, rho: complex,
-                want_derivative: bool) -> tuple[complex, complex, NoConvergence | None]:
-        """(phi, phi', refusal) at rho: `_sum` at tol and its floor judged there."""
-        f, df, floor = self._sum(rho, self.tol, want_derivative)
-        return f, df, _floor_refusal(rho, f, floor, self.tol)
+        return f, df, (z, f, df)
 
     def floor_bound(self, z: complex) -> float:
         """2.3e-16 max |B_j z^j| over j up to `_first_stop` at z, each term as `_sum` forms
@@ -405,33 +387,33 @@ def default_search_region(L: float) -> Rect:
 
 def _series_radius(L: float) -> float:
     """Radius inside which the series is summed, by the contour and by the values
-    `_Evaluator._continued` starts from alike: at least 2, as a step divides by rho.  For
-    L < -1 the solution vanishing like rho^(-2L-1) at the origin outgrows phi out to
-    about lam = sqrt(L(L+1)), and steps outward from radius r amplify rounding by
-    about (0.9 lam / r)^(2 lam) (fitted on the axis, L = -8.75 .. -20.25, eta = 0,
-    +-2); this radius keeps that below 1e6.  From the radius that allows 1e8, 33 of
-    800 seeded floor points with |rho| <= 40 and L down to -11.75 came out more than
-    1e-10 (1 + |phi|) off 35-digit mpmath, up to 2.0e-9; from this one none did, the
-    worst 5.2e-11."""
+    `_Evaluator._at` continues from alike; each evaluator holds it as `radius`.  It is
+    at least 2, as a step divides by rho.  For L < -1 the solution vanishing like
+    rho^(-2L-1) at the origin outgrows phi out to about lam = sqrt(L(L+1)), and steps
+    outward from radius r amplify rounding by about (0.9 lam / r)^(2 lam) (fitted on the
+    axis, L = -8.75 .. -20.25, eta = 0, +-2); this radius keeps that below 1e6.  From the
+    radius that allows 1e8, 33 of 800 seeded floor points with |rho| <= 40 and L down to
+    -11.75 came out more than 1e-10 (1 + |phi|) off 35-digit mpmath, up to 2.0e-9; from
+    this one none did, the worst 5.2e-11."""
     if L >= -1:
         return 2.0
     lam = math.sqrt(L * (L + 1))
     return max(2.0, 0.9 * lam * 10 ** (-6 / (2 * lam)))
 
 
-def _contour_value(ev: _Evaluator, z: complex, radius: float, near: complex,
-                   vnear: tuple | None, summed: tuple | None = None) -> tuple[complex, complex]:
+def _contour_value(ev: _Evaluator, z: complex, near: complex, vnear: tuple | None,
+                   summed: tuple | None = None) -> tuple[complex, complex]:
     """(phi, phi') at the contour point z.  Outside the radius a Taylor step gives
     them from `near`, a neighbour no farther from the real axis valued as `vnear`:
     phi grows away from the axis, so a step toward it loses the subdominant
     solution.  Inside, or with `vnear` None, the series sums both, unless z was
     summed already as `summed`."""
-    if vnear is not None and abs(z) >= radius:
+    if vnear is not None and abs(z) >= ev.radius:
         return ev.step(near, *vnear, z)
     return ev.values(z) if summed is None else summed
 
 
-def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float:
+def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, depth=42) -> float:
     """Phase change of phi from za to zb.  A piece is accepted when its phase step
     is at most pi/2 and |h| max|phi'/phi| over its two ends, h = zb - za, is at
     most 2, so that no fast turn beside a zero near the piece goes unseen; any
@@ -453,9 +435,9 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, radius, depth=42) -> float
     zm = (za + zb) / 2
     # the piece's ends are the midpoint's neighbours
     near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
-    vm = _contour_value(ev, zm, radius, near, vnear)
-    return _phase_along_edge(ev, za, zm, va, vm, radius, depth - 1) + _phase_along_edge(
-        ev, zm, zb, vm, vb, radius, depth - 1
+    vm = _contour_value(ev, zm, near, vnear)
+    return _phase_along_edge(ev, za, zm, va, vm, depth - 1) + _phase_along_edge(
+        ev, zm, zb, vm, vb, depth - 1
     )
 
 
@@ -464,7 +446,6 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.8)))
              for ca, cb in zip(corners, corners[1:])]
     n = sum(pieces for _, _, pieces in edges)
-    radius = _series_radius(ev.L)
     # a corner is summed first, as the reach check, unless its term bound clears the
     # default tol's guard, so a region out of the series' reach raises before the rest
     # of the boundary exists; their cancellation floor also refuses boundaries the
@@ -485,9 +466,8 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     vals = [None] * n
     for i in by_order:
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        vals[i] = _contour_value(ev, zs[i], radius, zs[j], vals[j], corner_sums.get(i))
-    total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i], radius)
-                for i in range(n))
+        vals[i] = _contour_value(ev, zs[i], zs[j], vals[j], corner_sums.get(i))
+    total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i]) for i in range(n))
     turns = total / (2 * math.pi)
     count = round(turns)
     if abs(turns - count) > 0.2:
@@ -539,7 +519,8 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
     # a value the series cannot reach, the polishing step's included, fails the start
     try:
         for _ in range(_NEWTON_STEPS):
-            f, df, near = ev._newton_value(z, near)
+            ev.stats["newton_steps"] += 1
+            f, df, near = ev._at(z, near=near)
             if not (cmath.isfinite(f) and cmath.isfinite(df)) or df == 0:
                 return None
             dz = f / df
@@ -547,7 +528,8 @@ def _newton(ev: _Evaluator, z0: complex) -> complex | None:
             step = abs(dz)
             # converged, or a small step that no longer halves: phi's rounding floor at |z| >~ 10
             if step <= 1e-14 * (1 + abs(z)) or prev / 2 <= step <= 1e-10 * (1 + abs(z)):
-                f, df, _ = ev._newton_value(z, near)
+                ev.stats["newton_steps"] += 1
+                f, df, _ = ev._at(z, near=near)
                 if df != 0:
                     z = z - f / df
                 return z

@@ -219,6 +219,23 @@ def test_the_continuation_strides_grow_with_the_distance_from_the_origin(monkeyp
     assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
 
 
+def test_a_value_past_the_floor_walks_from_near_unless_that_walk_could_pass_the_radius():
+    # sin(rho)/rho: the three outcomes of `_at` given a continued (z, phi, phi')
+    ev = _Evaluator(0.0, 0.0, 1e-12)
+    z = 25 + 5j
+    start = z * (ev.radius / abs(z))
+    near = (z, *ev.walk(start, *ev._at(start)[:2], z))
+    # the series answers: the near given comes back as it is
+    assert ev._at(3 + 1j, near=near)[2] is near
+    # past the floor: walked from near, bit for bit, and near becomes the value's own
+    f, df, after = ev._at(30, near=near)
+    assert (f, df) == ev.walk(*near, 30) and after == (30, f, df)
+    # a walk from -30 + 0.5i to 30 would cross the origin: afresh from the radius
+    far = ev._at(-30 + 0.5j)[2]
+    assert far[0] == -30 + 0.5j
+    assert ev._at(30, near=far)[:2] == ev._at(30)[:2]
+
+
 def test_conjugate_symmetry_100_points():
     tol = 1e-12
     rng = random.Random(20240817)
@@ -614,10 +631,10 @@ def test_every_accepted_piece_turns_little_and_is_short_beside_phi_prime_over_ph
     calls, accepted = [], []
     plain = czeta.numeric._phase_along_edge
 
-    def spy(ev, za, zb, va, vb, radius, depth=42):
+    def spy(ev, za, zb, va, vb, depth=42):
         calls.append(depth)
         before = len(calls)
-        step = plain(ev, za, zb, va, vb, radius, depth)
+        step = plain(ev, za, zb, va, vb, depth)
         if len(calls) == before:
             accepted.append((abs(zb - za), va, vb, step))
         return step
@@ -766,13 +783,12 @@ def test_newton_past_the_series_floor_answers_the_default_region(L, eta):
 
 def test_newton_walks_past_the_series_floor_from_its_last_iterate(monkeypatch):
     # a start whose value is continued takes every later value by a walk from its
-    # last continued iterate: it never calls `_at`, which only the residuals call,
-    # and it continues from the series radius only once
+    # last continued iterate: it continues from the series radius only once.  Outside
+    # Newton only the residuals call `_at`
     import czeta.numeric
 
     at_calls, starts, in_newton = [], [], [False]
-    plain_newton, plain_at = czeta.numeric._newton, _Evaluator._at
-    plain_continued = _Evaluator._continued
+    plain_newton, plain_at, plain_walk = czeta.numeric._newton, _Evaluator._at, _Evaluator.walk
 
     def spy_newton(ev, z0):
         starts.append([])  # per start: whether each continued value began afresh
@@ -782,18 +798,19 @@ def test_newton_walks_past_the_series_floor_from_its_last_iterate(monkeypatch):
         finally:
             in_newton[0] = False
 
-    def spy_at(self, rho, want_derivative):
-        at_calls.append(rho)
-        return plain_at(self, rho, want_derivative)
+    def spy_at(self, z, want_derivative=True, near=None):
+        if not in_newton[0]:
+            at_calls.append(z)
+        return plain_at(self, z, want_derivative, near)
 
-    def spy_continued(self, rho, refused, near=None):
-        if in_newton[0]:
-            starts[-1].append(near is None)
-        return plain_continued(self, rho, refused, near)
+    def spy_walk(self, z, f, df, to):
+        if in_newton[0]:  # a fresh continuation walks from the series radius
+            starts[-1].append(math.isclose(abs(z), self.radius, rel_tol=1e-12))
+        return plain_walk(self, z, f, df, to)
 
     monkeypatch.setattr(czeta.numeric, "_newton", spy_newton)
     monkeypatch.setattr(_Evaluator, "_at", spy_at)
-    monkeypatch.setattr(_Evaluator, "_continued", spy_continued)
+    monkeypatch.setattr(_Evaluator, "walk", spy_walk)
     report = find_complex_zeros(-8.75, 1.5)
     assert (report.counts["real"], report.counts["complex_pairs"]) == (6, 8)
     assert report.stats["contour_steps"] <= 300  # 673 with pieces of 0.4 and no walk
@@ -802,6 +819,21 @@ def test_newton_walks_past_the_series_floor_from_its_last_iterate(monkeypatch):
     assert len(continued) >= 3
     for fresh in continued:  # the first continued value from the radius, then walks
         assert len(fresh) >= 2 and fresh[0] and not any(fresh[1:]), fresh
+
+
+@pytest.mark.parametrize("L,eta,tol,continued", [
+    (-8.75, 1.5, 1e-12, 3), (-8.75, 1.5, 1e-8, 0), (-7.75, 0.0, 1e-12, 2),
+    (-7.75, 0.0, 1e-8, 0), (-4.75, 1.5, 1e-12, 0), (-4.75, 1.5, 1e-8, 0),
+])
+def test_each_residual_is_phi_at_its_zero_bit_for_bit(L, eta, tol, continued):
+    # a residual past the series' floor is continued afresh, as `phi` is, not walked
+    # from Newton's last iterate, so find-zeros reports phi's own value there
+    report = find_complex_zeros(L, eta, tol=tol)
+    assert report.residuals == tuple(abs(phi(L, eta, z, tol)) for z in report.zeros)
+    ev = _Evaluator(L, eta, tol)
+    sums = [(z, ev._sum(z, tol, False)) for z in report.zeros]
+    assert sum(_floor_refusal(z, f, floor, tol) is not None
+               for z, (f, _, floor) in sums) == continued
 
 
 @pytest.mark.parametrize("L,eta", [(-31 / 4, 2.0), (-33 / 4, 2.5), (-35 / 4, 1.75),
@@ -1005,7 +1037,7 @@ def test_a_taylor_step_that_does_not_converge_raises():
 def test_an_exact_zero_on_the_contour_raises():
     ev = _Evaluator(0.0, 0.0, 1e-12)
     with pytest.raises(ContourTooClose, match=r"^zero on the contour near 0j \.\. \(1\+0j\)$"):
-        _phase_along_edge(ev, 0j, 1 + 0j, (0j, 1j), (1 + 0j, 0j), 2.0)
+        _phase_along_edge(ev, 0j, 1 + 0j, (0j, 1j), (1 + 0j, 0j))
 
 
 def test_a_contour_through_a_zero_names_the_test_that_failed():
@@ -1032,7 +1064,7 @@ def test_a_contour_through_a_zero_names_the_test_that_failed():
 def test_a_piece_refused_at_maximal_subdivision_gives_both_numbers(vb, message):
     ev = _Evaluator(0.0, 0.0, 1e-12)
     with pytest.raises(ContourTooClose, match="^" + message):
-        _phase_along_edge(ev, 0j, 1 + 0j, (1 + 0j, 0j), vb, 2.0, depth=0)
+        _phase_along_edge(ev, 0j, 1 + 0j, (1 + 0j, 0j), vb, depth=0)
 
 
 def test_a_winding_that_is_not_integral_raises(monkeypatch):
