@@ -19,17 +19,17 @@ one series radius the series sums both, and every other point takes them from on
 Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
 neighbour no farther from the real axis (about 15 recurrence terms, none
 cancelling).  A corner is summed first, once, as a reach check, unless a bound
-on its largest term clears the guard below; the contour reads that sum wherever
-it would sum the corner anyway.  One guard judges each sum's rounding floor:
-every contour sum at the default tol, so a count rests on (L, eta, region) alone,
-and one it refuses raises, the reach check.  Elsewhere (`phi`, `phi_derivative`,
-Newton and the residuals) a sum refused at tol (|rho| >~ 12) at |rho| <= 40 is
-continued by the same Taylor steps from the series at that radius, below the
-floor, along the ray outward to rho in strides of at most max(0.4, |w|/4) from
-each start w, as a step's series converges within |w| of w; a Newton start
-walks every later refused iterate from its last continued one.  For both, the
-radius keeps the steps' rounding growth below 1e6.  The finder's
-candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
+on its largest term clears the guard below; the check only checks, and the
+contour values the corner like any other point.  One guard judges each sum's
+rounding floor: every contour sum at the default tol, so a count rests on
+(L, eta, region) alone, and one it refuses raises, the reach check.  Elsewhere
+(`phi`, `phi_derivative`, Newton and the residuals) a sum refused at tol
+(|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps from the
+series at that radius, below the floor, along the ray outward to rho in strides
+of at most max(0.4, |w|/4) from each start w, as a step's series converges
+within |w| of w; a Newton start walks every later refused iterate from its last
+continued one.  For both, the radius keeps the steps' rounding growth below
+1e6.  The finder's candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
 are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
 their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
 (Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach & P. Stovicek, J. Math.
@@ -401,16 +401,15 @@ def _series_radius(L: float) -> float:
     return max(2.0, 0.9 * lam * 10 ** (-6 / (2 * lam)))
 
 
-def _contour_value(ev: _Evaluator, z: complex, near: complex, vnear: tuple | None,
-                   summed: tuple | None = None) -> tuple[complex, complex]:
+def _contour_value(ev: _Evaluator, z: complex, near: complex,
+                   vnear: tuple | None) -> tuple[complex, complex]:
     """(phi, phi') at the contour point z.  Outside the radius a Taylor step gives
     them from `near`, a neighbour no farther from the real axis valued as `vnear`:
     phi grows away from the axis, so a step toward it loses the subdominant
-    solution.  Inside, or with `vnear` None, the series sums both, unless z was
-    summed already as `summed`."""
+    solution.  Inside, or with `vnear` None, the series sums both."""
     if vnear is not None and abs(z) >= ev.radius:
         return ev.step(near, *vnear, z)
-    return ev.values(z) if summed is None else summed
+    return ev.values(z)
 
 
 def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, depth=42) -> float:
@@ -450,12 +449,10 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     # default tol's guard, so a region out of the series' reach raises before the rest
     # of the boundary exists; their cancellation floor also refuses boundaries the
     # steps count wrong: without it the default region of (-1.25, 20) counts 10 zeros
-    # for 11.  Each sum is kept by boundary index
-    corner_sums, start = {}, 0
-    for ca, _, pieces in edges:
-        if _floor_refusal(ca, 0j, ev.floor_bound(ca), _CONTOUR_TOL) is not None:
-            corner_sums[start] = ev.values(ca)
-        start += pieces
+    # for 11.  The sums only check: the contour values each corner by its one rule
+    for c in corners[:4]:
+        if _floor_refusal(c, 0j, ev.floor_bound(c), _CONTOUR_TOL) is not None:
+            ev.values(c)
     zs = [ca + (cb - ca) * i / pieces for ca, cb, pieces in edges for i in range(pieces)]
     moduli = [abs(z) for z in zs]
     # value the points nearest the real axis first, each by `_contour_value` from
@@ -466,7 +463,7 @@ def _winding(ev: _Evaluator, region: Rect) -> int:
     vals = [None] * n
     for i in by_order:
         j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        vals[i] = _contour_value(ev, zs[i], zs[j], vals[j], corner_sums.get(i))
+        vals[i] = _contour_value(ev, zs[i], zs[j], vals[j])
     total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i]) for i in range(n))
     turns = total / (2 * math.pi)
     count = round(turns)
@@ -483,12 +480,12 @@ def count_zeros_region(L: float, eta: float, region: Rect | tuple) -> int:
     Counted with multiplicity from the winding number of the boundary image,
     whose phase is tracked over pieces at most 0.8 long, each halved until its
     phase step is at most pi/2 and |h| max|phi'/phi| over its two ends is at
-    most 2.  The contour's series sums (the corners whose term bound cannot
-    clear the guard, summed first, and its points near the origin) and the
-    Taylor steps that value the other points
-    are cut off at double precision; a sum whose rounding floor the default
-    tol, 1e-12, does not cover raises NoConvergence, so the count depends on
-    (L, eta, region) alone.
+    most 2.  The corners whose term bound cannot clear the guard are summed
+    first, as a check only; the contour's series sums (its points near the
+    origin) and the Taylor steps that value the other points are cut off at
+    double precision; a sum whose rounding floor the default tol, 1e-12, does
+    not cover raises NoConvergence, so the count depends on (L, eta, region)
+    alone.
     Raises ContourTooClose when a zero sits (numerically) on the boundary, so
     that a piece beside it fails a test after 42 halvings (the message names
     the test and gives both numbers), and ParameterError unless region is a
@@ -665,11 +662,11 @@ def find_complex_zeros(
         raise NoConvergence(f"Newton reached {len(found)} distinct zeros from the Jacobi "
                             f"seeds, but the winding count over {region} is {total}")
 
-    # fold lower half-plane finds onto their conjugate representatives
+    # fold lower half-plane finds onto their conjugates, one zero by the count's test
     folded = [z.conjugate() if z.imag < -_REAL_AXIS_TOL else z for z in found]
     zeros: list[complex] = []
     for z in sorted(folded, key=lambda w: (w.real, w.imag)):
-        if all(abs(z - w) > 1e-6 for w in zeros):
+        if all(abs(z - w) > 1e-9 * (1 + abs(z)) for w in zeros):
             zeros.append(z)
 
     residuals = tuple(abs(ev._at(z, False)[0]) for z in zeros)

@@ -896,6 +896,55 @@ def test_the_corner_term_bound_is_never_below_the_sums_floor():
     assert 50 < cleared < 250
 
 
+@pytest.mark.parametrize("L,eta,bounds,checked,sums", [
+    (-4.75, 1.5, None, 2, 8),
+    (-8.75, 1.5, None, 4, 13),
+    # every corner is checked, and the contour sums the first corner it values
+    (0.0, 0.0, (0.5, 1.0, 30.0, 31.0), 4, 5),
+], ids=["default-4.75", "default-8.75", "off-axis"])
+def test_the_reach_check_only_checks(monkeypatch, L, eta, bounds, checked, sums):
+    # with the term bound clearing every corner no corner is summed first; the count,
+    # the steps and every contour value stay, and only the checks' sums go
+    import czeta.numeric
+
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    plain = czeta.numeric._contour_value
+
+    def run():
+        values = []
+
+        def spy(ev, z, *rest):
+            value = plain(ev, z, *rest)
+            values.append((_bits(z), _bits(value[0]), _bits(value[1])))
+            return value
+
+        monkeypatch.setattr(czeta.numeric, "_contour_value", spy)
+        ev = _Evaluator(L, eta, 1e-12)
+        count = _winding(ev, region)
+        return count, ev.stats["contour_steps"], ev.stats["series_evals"], values
+
+    ev = _Evaluator(L, eta, 1e-12)
+    assert sum(_floor_refusal(c, 0j, ev.floor_bound(c), 1e-12) is not None
+               for c in region.corners()[:4]) == checked
+    count, steps, evals, values = run()
+    monkeypatch.setattr(_Evaluator, "floor_bound", lambda self, z: 0.0)
+    assert run() == (count, steps, sums - checked, values)
+    assert evals == sums
+
+
+def test_the_report_keeps_every_zero_the_count_accepted(monkeypatch):
+    # two zeros 5e-7 apart are two zeros to the count's test, 1e-9 (1 + |z|), and so
+    # to the report's: a looser test there listed one zero for a count of two
+    import czeta.numeric
+
+    limits = iter([1.0, 1.0 + 5e-7])
+    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region: 2)
+    monkeypatch.setattr(czeta.numeric, "_newton", lambda ev, z0: next(limits, None))
+    report = find_complex_zeros(-4.75, 1.5)
+    assert report.zeros == (1.0, 1.0 + 5e-7)
+    assert report.counts["real"] == 2
+
+
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14])
 def test_the_winding_count_reads_no_tol(tol):
     # the true count is 11; a cancellation guard read from a looser tol let the
