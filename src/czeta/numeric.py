@@ -11,32 +11,36 @@ the confluent hypergeometric series, which matters for |rho| up to ~10 in
 double precision.  Real coefficients also make conjugate symmetry of the
 evaluation exact.
 
-`find_complex_zeros` takes the number of zeros in a rectangle from the
-argument principle: the phase of phi along a contour of pieces at most 0.8
-long, each halved until its phase step is at most pi/2 and |h| max|phi'/phi|
-over its two ends is at most 2.  Every contour point carries (phi, phi'): within
-one series radius the series sums both, and every other point takes them from one
-Taylor step of rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a
-neighbour no farther from the real axis (about 15 recurrence terms, none
-cancelling).  A corner is summed first, once, as a reach check, unless a bound
-on its largest term clears the guard below; the check only checks, and the
-contour values the corner like any other point.  One guard judges each sum's
-rounding floor: every contour sum at the default tol, so a count rests on
-(L, eta, region) alone, and one it refuses raises, the reach check.  Elsewhere
-(`phi`, `phi_derivative`, Newton and the residuals) a sum refused at tol
-(|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps from the
-series at that radius, below the floor, along the ray outward to rho in strides
-of at most max(0.4, |w|/4) from each start w, as a step's series converges
-within |w| of w; a Newton start walks every later refused iterate from its last
-continued one.  For both, the radius keeps the steps' rounding growth below
-1e6.  The finder's candidates come from the exact recurrence: the Hankel determinants of zeta_L(k)
-are moment determinants, so the eigenvalues of the truncated Jacobi matrix of
-their recurrence coefficients converge to 1/rho_j, the smallest |rho_j| first
-(Y. Ikebe, Math. Comp. 29 (1975) 878-887; F. Stampach & P. Stovicek, J. Math.
-Anal. Appl. 419 (2014)).  A complex QL iteration finds them, Newton iteration
-on the term-wise differentiated series polishes each seed 1/lambda in the
-rectangle, and the distinct limits must be as many as the winding count.
-phi(0) = 1, so the origin never contributes a zero.
+`find_complex_zeros` counts the zeros in a rectangle by the argument principle: the
+phase of phi along a contour of pieces at most 0.8 long, each halved until its phase
+step is at most pi/2 and |h| max|phi'/phi| over its two ends is at most 2.  On a
+rectangle [a, b] x [c, d] with c < 0 < d it winds the upper half of the box
+[a, b] x [-h, h], h = max(-c, d), from (b, 0) to (a, 0): phi(conj z) = conj phi(z)
+turns the phase as much along the lower half, so the phase change over pi counts the
+real zeros once and each pair in the box twice, and no edge runs beside the real axis.
+Any other rectangle, and `count_zeros_region`, winds the whole boundary.  Every contour
+point carries (phi, phi'): within one series radius the series sums both, the half
+path's ends on the axis beyond it are walked along the axis from the series there, and
+every other point takes them from one Taylor step of
+rho phi'' + (2L+2) phi' + (rho - 2 eta) phi = 0 from a neighbour no farther from the
+real axis (about 15 recurrence terms, none cancelling).  A corner of the rectangle is
+summed first, once, as a reach check, unless a bound on its largest term clears the
+guard below; the check only checks.  One guard judges each sum's rounding floor: every
+contour sum at the default tol, so a count rests on (L, eta, region) alone, and one it
+refuses raises.  Elsewhere (`phi`, `phi_derivative`, Newton and the residuals) a sum
+refused at tol (|rho| >~ 12) at |rho| <= 40 is continued by the same Taylor steps from
+the series at that radius, below the floor, along the ray outward to rho in strides of
+at most max(0.4, |w|/4) from each start w, as a step's series converges within |w| of
+w; a Newton start walks every later refused iterate from its last continued one.  For
+both, the radius keeps the steps' rounding growth below 1e6.  The finder's candidates
+come from the exact recurrence: the Hankel determinants of zeta_L(k) are moment
+determinants, so the eigenvalues of the truncated Jacobi matrix of their recurrence
+coefficients converge to 1/rho_j, the smallest |rho_j| first (Y. Ikebe, Math. Comp. 29
+(1975) 878-887; F. Stampach & P. Stovicek, J. Math. Anal. Appl. 419 (2014)).  A complex
+QL iteration finds them, Newton iteration on the term-wise differentiated series
+polishes each seed 1/lambda in the rectangle, and the distinct limits, each pair twice
+against a half count, must be as many as the winding count.  phi(0) = 1, so the origin
+never contributes a zero.
 """
 
 from __future__ import annotations
@@ -84,13 +88,14 @@ class Rect(Frozen):
 
     def corners(self) -> list[complex]:
         """Counterclockwise boundary corners, closed."""
-        return [
-            complex(self.re_min, self.im_min),
-            complex(self.re_max, self.im_min),
-            complex(self.re_max, self.im_max),
-            complex(self.re_min, self.im_max),
-            complex(self.re_min, self.im_min),
-        ]
+        a, b, c, d = self.re_min, self.re_max, self.im_min, self.im_max
+        return [complex(a, c), complex(b, c), complex(b, d), complex(a, d), complex(a, c)]
+
+    def box(self) -> "Rect | None":
+        """[re_min, re_max] x [-h, h], h = max(-im_min, im_max): the conjugate-symmetric box
+        of a rectangle that crosses the real axis; None for any other."""
+        h = max(-self.im_min, self.im_max)
+        return Rect(self.re_min, self.re_max, -h, h) if self.im_min < 0 < self.im_max else None
 
     def contains(self, z: complex) -> bool:
         return self.re_min <= z.real <= self.re_max and self.im_min <= z.imag <= self.im_max
@@ -136,10 +141,8 @@ def _series(L: float,
 
 
 # the keys of ZeroReport.stats, described there
-_STAT_NAMES = (
-    "series_evals", "contour_steps", "newton_starts", "newton_steps",
-    "nudge_retries", "jacobi_n", "ql_sweeps",
-)
+_STAT_NAMES = ("series_evals", "contour_steps", "newton_starts", "newton_steps",
+               "nudge_retries", "jacobi_n", "ql_sweeps")
 
 
 class _Evaluator:
@@ -261,15 +264,10 @@ class _Evaluator:
         c = self.coeffs
         if rho == 0:
             return complex(1.0), complex(c[1]), 0.0
-        s = complex(1.0)  # j = 0 term
-        comp = 0j
+        s, comp, comp1, power = complex(1.0), 0j, 0j, complex(1.0)  # s: the j = 0 term
         s1 = complex(c[1]) if want_derivative else 0j
-        comp1 = 0j
-        power = complex(1.0)
-        abs_rho = abs(rho)
+        abs_rho, t_prev, t_max = abs(rho), 1.0, 1.0
         first = self._first(abs_rho)
-        t_prev = 1.0
-        t_max = 1.0
         for j in range(1, _SERIES_CAP + 1):
             power *= rho
             term = c[j] * power
@@ -338,24 +336,23 @@ def _first_stop(two_l: float, twice_swing: float) -> int:
 def phi(L: float, eta: float, rho: complex, tol: float = 1e-12) -> complex:
     """Truncated-series value of the entire Coulomb factor.
 
-    The truncation tail is bounded below tol*(1+|result|).  Where the sum meets
-    its cancellation floor, when 2.3e-16 times the largest term exceeds
-    1e6*tol*(1+|result|), and |rho| is at most 40, the value is continued by
-    Taylor steps of the Coulomb equation from the series at a radius below the
-    floor, along the ray to rho, each at most max(0.4, |w|/4) long from its
-    start w (14 to phi(0, 0, 40)).  Such a value has no tail bound at tol: against
-    35-digit mpmath it was within 1e-10*(1+|phi|) at every seeded floor point of
-    the tests (L down to -11.75, eta from -3 to 12).  A signed zero in
-    L or eta is taken as +0.0.  Raises ParameterError naming L, eta, rho or tol
-    where float() (complex() for rho) refuses it, or unless tol is positive
-    and finite, SingularParameter from the `CoulombParams` constructor on the excluded
-    set at the exact values of L and eta (so L = -1.5 + 1e-10 is evaluated), and
-    NoConvergence when the term cap is exhausted, or on the cancellation floor
-    at |rho| beyond 40 or where the continuation fails too: these
-    mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
-    "cancellation floor 2.25e+07 exceeds the tolerance at rho = (60+0j) ...".
-    Every call on one pair reads the same immutable coefficient table, so
-    calls from several threads at once are safe.
+    The truncation tail is bounded below tol*(1+|result|).  Where the sum meets its
+    cancellation floor, when 2.3e-16 times the largest term exceeds
+    1e6*tol*(1+|result|), and |rho| is at most 40, the value is continued by Taylor
+    steps of the Coulomb equation from the series at a radius below the floor, along
+    the ray to rho, each at most max(0.4, |w|/4) long from its start w (14 to
+    phi(0, 0, 40)).  Such a value has no tail bound at tol: against 35-digit mpmath it
+    was within 1e-10*(1+|phi|) at every seeded floor point of the tests (L down to
+    -11.75, eta from -3 to 12).  A signed zero in L or eta is taken as +0.0.  Raises
+    ParameterError naming L, eta, rho or tol where float() (complex() for rho) refuses
+    it, or unless tol is positive and finite, SingularParameter from the `CoulombParams`
+    constructor on the excluded set at the exact values of L and eta (so
+    L = -1.5 + 1e-10 is evaluated), and NoConvergence when the term cap is exhausted, or
+    on the cancellation floor at |rho| beyond 40 or where the continuation fails too:
+    these mean |rho| far beyond desk scale, e.g. `phi(0.0, 0.0, 60)` raises
+    "cancellation floor 2.25e+07 exceeds the tolerance at rho = (60+0j) ...".  Every
+    call on one pair reads the same immutable coefficient table, so calls from several
+    threads at once are safe.
     """
     ev = _Evaluator(L, eta, tol)
     return ev._at(_number("rho", rho, complex), False)[0]
@@ -380,8 +377,7 @@ def default_search_region(L: float) -> Rect:
     L = _number("L", L, float)
     if not math.isfinite(L):
         raise ParameterError(f"L must be finite, got {L}")
-    pairs = max(0, math.floor(-L - 0.5))
-    radius = 6.0 + 2.0 * pairs
+    radius = 6.0 + 2.0 * max(0, math.floor(-L - 0.5))
     return Rect(-radius, radius, 0.0, radius)
 
 
@@ -435,61 +431,67 @@ def _phase_along_edge(ev: _Evaluator, za, zb, va, vb, depth=42) -> float:
     # the piece's ends are the midpoint's neighbours
     near, vnear = (za, va) if abs(za.imag) <= abs(zb.imag) else (zb, vb)
     vm = _contour_value(ev, zm, near, vnear)
-    return _phase_along_edge(ev, za, zm, va, vm, depth - 1) + _phase_along_edge(
-        ev, zm, zb, vm, vb, depth - 1
-    )
+    return (_phase_along_edge(ev, za, zm, va, vm, depth - 1)
+            + _phase_along_edge(ev, zm, zb, vm, vb, depth - 1))
 
 
-def _winding(ev: _Evaluator, region: Rect) -> int:
-    corners = region.corners()
-    edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.8)))
-             for ca, cb in zip(corners, corners[1:])]
-    n = sum(pieces for _, _, pieces in edges)
+def _winding(ev: _Evaluator, region: Rect, box: Rect | None = None) -> int:
+    """The zeros in region by the phase change of phi around its boundary over 2 pi, or,
+    given its box, along the box's upper half from (re_max, 0) to (re_min, 0) over pi."""
     # a corner is summed first, as the reach check, unless its term bound clears the
     # default tol's guard, so a region out of the series' reach raises before the rest
     # of the boundary exists; their cancellation floor also refuses boundaries the
     # steps count wrong: without it the default region of (-1.25, 20) counts 10 zeros
     # for 11.  The sums only check: the contour values each corner by its one rule
-    for c in corners[:4]:
+    for c in region.corners()[:4]:
         if _floor_refusal(c, 0j, ev.floor_bound(c), _CONTOUR_TOL) is not None:
             ev.values(c)
+    wound, path = region, region.corners()
+    if box is not None:
+        wound, path = box, [complex(box.re_max), *box.corners()[2:4], complex(box.re_min)]
+    edges = [(ca, cb, max(4, math.ceil(abs(cb - ca) / 0.8))) for ca, cb in zip(path, path[1:])]
     zs = [ca + (cb - ca) * i / pieces for ca, cb, pieces in edges for i in range(pieces)]
+    if box is not None:
+        zs.append(path[-1])
+    n = len(zs)
+    vals = [None] * n
+    # the half path's ends, on the real axis: summed within the radius, else walked from it
+    for i in () if box is None else (0, n - 1):
+        start = zs[i] if abs(zs[i]) <= ev.radius else zs[i] * (ev.radius / abs(zs[i]))
+        vals[i] = ev.walk(start, *ev.values(start), zs[i])
     moduli = [abs(z) for z in zs]
-    # value the points nearest the real axis first, each by `_contour_value` from
-    # a neighbour valued before it, if any; then those nearest the origin.  Ties go
-    # to the point first on the boundary: two stable sorts on floats
+    # value the other points nearest the real axis first, each by `_contour_value`
+    # from a neighbour valued before it, if any; then those nearest the origin.  Ties
+    # go to the point first on the boundary: two stable sorts on floats
     by_order = sorted(sorted(range(n), key=moduli.__getitem__),
                       key=[abs(z.imag) for z in zs].__getitem__)
-    vals = [None] * n
     for i in by_order:
-        j = i - 1 if vals[i - 1] is not None else (i + 1) % n
-        vals[i] = _contour_value(ev, zs[i], zs[j], vals[j])
-    total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i]) for i in range(n))
-    turns = total / (2 * math.pi)
+        if vals[i] is None:
+            j = i - 1 if vals[i - 1] is not None else (i + 1) % n
+            vals[i] = _contour_value(ev, zs[i], zs[j], vals[j])
+    total = sum(_phase_along_edge(ev, zs[i - 1], zs[i], vals[i - 1], vals[i])
+                for i in range(0 if box is None else 1, n))
+    turns = total / (2 * math.pi if box is None else math.pi)
     count = round(turns)
     if abs(turns - count) > 0.2:
-        raise ContourTooClose(
-            f"winding number {turns:.4f} not integral over {region}"
-        )
+        raise ContourTooClose(f"winding number {turns:.4f} not integral over {wound}")
     return count
 
 
 def count_zeros_region(L: float, eta: float, region: Rect | tuple) -> int:
     """Number of zeros inside the rectangle, by the argument principle.
 
-    Counted with multiplicity from the winding number of the boundary image,
-    whose phase is tracked over pieces at most 0.8 long, each halved until its
-    phase step is at most pi/2 and |h| max|phi'/phi| over its two ends is at
-    most 2.  The corners whose term bound cannot clear the guard are summed
-    first, as a check only; the contour's series sums (its points near the
-    origin) and the Taylor steps that value the other points are cut off at
-    double precision; a sum whose rounding floor the default tol, 1e-12, does
-    not cover raises NoConvergence, so the count depends on (L, eta, region)
-    alone.
-    Raises ContourTooClose when a zero sits (numerically) on the boundary, so
-    that a piece beside it fails a test after 42 halvings (the message names
-    the test and gives both numbers), and ParameterError unless region is a
-    Rect or four numbers.
+    Counted with multiplicity from the winding number of the whole boundary's image,
+    whose phase is tracked over pieces at most 0.8 long, each halved until its phase
+    step is at most pi/2 and |h| max|phi'/phi| over its two ends is at most 2.  The
+    corners whose term bound cannot clear the guard are summed first, as a check only;
+    the contour's series sums (its points near the origin) and the Taylor steps that
+    value the other points are cut off at double precision; a sum whose rounding floor
+    the default tol, 1e-12, does not cover raises NoConvergence, so the count depends on
+    (L, eta, region) alone.  Raises ContourTooClose when a zero sits (numerically) on
+    the boundary, so that a piece beside it fails a test after 42 halvings (the message
+    names the test and gives both numbers), and ParameterError unless region is a Rect
+    or four numbers.
     """
     return _winding(_Evaluator(L, eta, _CONTOUR_TOL), _as_rect(region))
 
@@ -503,7 +505,7 @@ def _nudged_winding(ev: _Evaluator, region: Rect) -> tuple[Rect, int]:
     for factor in _NUDGE_FACTORS:
         rect = region if factor == 0.0 else region.expand(factor)
         try:
-            return rect, _winding(ev, rect)
+            return rect, _winding(ev, rect, rect.box())
         except ContourTooClose as exc:
             last = exc
             ev.stats["nudge_retries"] += 1
@@ -564,8 +566,7 @@ def _ql_eigenvalues(diag: list[complex], off: list[complex]) -> tuple[list[compl
             g = (d[l + 1] - d[l]) / (2 * e[l])
             r = cmath.sqrt(g * g + 1)
             g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r) else g - r)
-            s = c = 1 + 0j
-            p = 0j
+            s, c, p = 1 + 0j, 1 + 0j, 0j
             for i in range(m - 1, l - 1, -1):
                 f, b = s * e[i], c * e[i]
                 r = e[i + 1] = cmath.sqrt(f * f + g * g)
@@ -585,23 +586,23 @@ def _ql_eigenvalues(diag: list[complex], off: list[complex]) -> tuple[list[compl
 class ZeroReport(Frozen):
     """Zeros located in a search rectangle.
 
-    `zeros` holds one representative per zero: real zeros as found, and the
-    upper half-plane member of each conjugate pair (the mirror partner is
-    implied by the real Taylor coefficients, never listed).  `residuals` holds
-    |phi| at each zero, not its distance to the root: at (-0.25, -3) the zero
-    14.964485479198789 has |phi| = 2.5e-10 but lies 5.3e-9 off.  `counts` carries
-    the totals: {"real", "complex_pairs", "imaginary_pairs"}.  `unresolved` is
-    always empty (the finder accounts for the whole winding count or raises); only the
-    benchmark harness reads it, and the CLI does not report it.
-    `stats` counts the work the call did: "series_evals" (sums of the series,
-    plain and value-with-derivative), "contour_steps" (Taylor steps that
-    value the winding contours' points away from the origin, those that
-    continue a Newton or residual value past the series' cancellation
-    floor, and those that walk a Newton start's later values from its last
-    continued iterate), "newton_starts" (one per eigenvalue seed in the region), "newton_steps" (the final
-    polishing step included), "nudge_retries" (contours given up for a
-    nudged copy), "jacobi_n" (the order of the last Jacobi matrix, 0 if none
-    was formed) and "ql_sweeps" (QL iterations over every matrix formed).
+    `zeros` holds one representative per zero: real zeros as found, and the upper
+    half-plane member of each conjugate pair (the mirror partner is implied by the real
+    Taylor coefficients, never listed).  `residuals` holds |phi| at each zero, not its
+    distance to the root: at (-0.25, -3) the zero 14.964485479198789 has
+    |phi| = 2.5e-10 but lies 5.3e-9 off.  `counts` carries the totals: {"real",
+    "complex_pairs", "imaginary_pairs"}.  `unresolved` is always empty (the finder
+    accounts for the whole winding count or raises); only the benchmark harness reads
+    it, and the CLI does not report it.  `stats` counts the work the call did:
+    "series_evals" (sums of the series, plain and value-with-derivative),
+    "contour_steps" (Taylor steps that value the winding contour's points away from the
+    origin, the walks along the axis to a half contour's ends included, those that
+    continue a Newton or residual value past the series' cancellation floor, and those
+    that walk a Newton start's later values from its last continued iterate),
+    "newton_starts" (one per eigenvalue seed in the region), "newton_steps" (the final
+    polishing step included), "nudge_retries" (contours given up for a nudged copy),
+    "jacobi_n" (the order of the last Jacobi matrix, 0 if none was formed) and
+    "ql_sweeps" (QL iterations over every matrix formed).
     """
 
     __slots__ = ("region", "zeros", "residuals", "counts", "unresolved", "stats")
@@ -610,29 +611,27 @@ class ZeroReport(Frozen):
     def __init__(self, region: Rect, zeros: tuple[complex, ...], residuals: tuple[float, ...],
                  counts: dict[str, int], unresolved: tuple[Rect, ...] = (),
                  stats: dict[str, int] | None = None):
-        stats = {} if stats is None else stats
-        self._set_fields(region, zeros, residuals, counts, unresolved, stats)
+        self._set_fields(region, zeros, residuals, counts, unresolved,
+                         {} if stats is None else stats)
 
 
-def find_complex_zeros(
-    L: float,
-    eta: float,
-    search: Rect | tuple | None = None,
-    tol: float = 1e-12,
-) -> ZeroReport:
+def find_complex_zeros(L: float, eta: float, search: Rect | tuple | None = None,
+                       tol: float = 1e-12) -> ZeroReport:
     """Locate and classify all zeros in a rectangle.
 
     Newton iteration from the eigenvalue seeds of the N x N Jacobi matrix,
-    N = 10 + ceil(2|L| + reach/2) with reach = max|corner|, must reach as many
-    distinct zeros inside the rectangle as its winding count; otherwise N
-    grows by 3/2, at most twice, and then NoConvergence is raised.  The
-    default rectangle is `default_search_region` with its lower edge dropped
-    slightly below the real axis, so that real zeros are interior points of
-    the contour.  search is a Rect or four numbers, and tol, positive and
-    finite, the series tolerance of every Newton step and residual, which are
-    continued past the series' cancellation floor as in `phi`; anything
-    else raises ParameterError.  The winding count reads no tol: it is
-    `count_zeros_region`'s, whatever tol is.
+    N = 10 + ceil(2|L| + reach/2) with reach = max|corner|, must reach as many distinct
+    zeros inside the rectangle as its winding count, each pair twice against a half
+    count; otherwise N grows by 3/2, at most twice, and then NoConvergence is raised.
+    The default rectangle is `default_search_region` with its lower edge dropped
+    slightly below the real axis, so that real zeros lie inside it.  search is a Rect or
+    four numbers, and tol, positive and finite, the series tolerance of every Newton
+    step and residual, which are continued past the series' cancellation floor as in
+    `phi`; anything else raises ParameterError.  The winding count reads no tol.  On a
+    rectangle that crosses the real axis it is a half count, the phase change over pi
+    along the upper half of its box [re_min, re_max] x [-h, h], h = max(-im_min,
+    im_max): `count_zeros_region` over that box, the real zeros plus twice the pairs.
+    Any other rectangle's is `count_zeros_region`'s.
     """
     ev = _Evaluator(L, eta, tol)
     if search is None:
@@ -642,11 +641,12 @@ def find_complex_zeros(
         region = _as_rect(search)
 
     region, total = _nudged_winding(ev, region)
+    box = region.box()
     reach = max(abs(c) for c in region.corners())
     first = 10 + math.ceil(2 * abs(ev.L) + reach / 2)
-    found: list[complex] = []
+    found, zeros, n_real, reached = [], [], 0, 0
     for size in (first, first * 3 // 2, first * 3 // 2 * 3 // 2):
-        if len(found) == total:
+        if reached == total:
             break
         eigs, sweeps = _ql_eigenvalues(*_jacobi(ev.L, ev.eta, size))
         ev.stats["jacobi_n"] = size
@@ -658,23 +658,23 @@ def find_complex_zeros(
             if z is not None and region.contains(z) and all(
                     abs(z - w) > 1e-9 * (1 + abs(z)) for w in found):
                 found.append(z)
-    if len(found) != total:
-        raise NoConvergence(f"Newton reached {len(found)} distinct zeros from the Jacobi "
-                            f"seeds, but the winding count over {region} is {total}")
-
-    # fold lower half-plane finds onto their conjugates, one zero by the count's test
-    folded = [z.conjugate() if z.imag < -_REAL_AXIS_TOL else z for z in found]
-    zeros: list[complex] = []
-    for z in sorted(folded, key=lambda w: (w.real, w.imag)):
-        if all(abs(z - w) > 1e-9 * (1 + abs(z)) for w in zeros):
-            zeros.append(z)
+        # fold lower half-plane finds onto their conjugates, one zero by the count's test
+        zeros = []
+        for z in sorted((z.conjugate() if z.imag < -_REAL_AXIS_TOL else z for z in found),
+                        key=lambda w: (w.real, w.imag)):
+            if all(abs(z - w) > 1e-9 * (1 + abs(z)) for w in zeros):
+                zeros.append(z)
+        n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
+        # a half count holds each pair twice, and region holds a member of each pair in
+        # the box: Newton's limits can only fall short of it, class by class
+        reached = len(found) if box is None else 2 * len(zeros) - n_real
+    if reached != total:
+        raise NoConvergence(f"Newton reached {reached} distinct zeros from the Jacobi seeds, "
+                            f"but the winding count over {region if box is None else box} "
+                            f"is {total}")
 
     residuals = tuple(abs(ev._at(z, False)[0]) for z in zeros)
-    n_real = sum(1 for z in zeros if abs(z.imag) <= _REAL_AXIS_TOL)
     pairs = [z for z in zeros if z.imag > _REAL_AXIS_TOL]
-    counts = {
-        "real": n_real,
-        "complex_pairs": len(pairs),
-        "imaginary_pairs": sum(1 for z in pairs if abs(z.real) < _IMAG_AXIS_TOL),
-    }
+    counts = {"real": n_real, "complex_pairs": len(pairs),
+              "imaginary_pairs": sum(1 for z in pairs if abs(z.real) < _IMAG_AXIS_TOL)}
     return ZeroReport(region, tuple(zeros), residuals, counts, stats=ev.stats)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import re
@@ -600,13 +601,16 @@ def test_one_winding_sums_the_series_at_no_point_twice(monkeypatch, L, eta, boun
 
 
 def test_series_evals_on_the_default_region_stay_pinned():
-    # the contour has 106 boundary points and 62 subdivision midpoints; the 6
-    # within |rho| < 2 are summed and the other 162 stepped to.  The sums are
-    # those 6, the 2 upper corners, whose term bound cannot clear the guard (the
-    # reach check), 29 Newton steps and 9 residuals: 46
+    # the half contour over the box [-14, 14] x [-14, 14] has 72 boundary points
+    # and 1 subdivision midpoint.  Its two ends on the axis are each walked in 9
+    # steps from the series at +-2, the series radius; the top edge's point nearest
+    # the origin, 0.4 + 14i, is summed, having no valued neighbour, and the other 70
+    # points are stepped to: 88 steps.  The sums are those 3, the 2 upper corners,
+    # whose term bound cannot clear the guard (the reach check), 29 Newton steps and
+    # 9 residuals: 43
     stats = find_complex_zeros(-4.75, 1.5).stats
-    assert stats["series_evals"] == 46
-    assert stats["contour_steps"] == 162
+    assert stats["series_evals"] == 43
+    assert stats["contour_steps"] == 88
 
 
 def _default_contour(L: float) -> Rect:
@@ -938,11 +942,160 @@ def test_the_report_keeps_every_zero_the_count_accepted(monkeypatch):
     import czeta.numeric
 
     limits = iter([1.0, 1.0 + 5e-7])
-    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region: 2)
+    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region, box=None: 2)
     monkeypatch.setattr(czeta.numeric, "_newton", lambda ev, z0: next(limits, None))
     report = find_complex_zeros(-4.75, 1.5)
     assert report.zeros == (1.0, 1.0 + 5e-7)
     assert report.counts["real"] == 2
+
+
+@pytest.mark.parametrize("L,eta,bounds", [
+    (-4.75, 1.5, None),
+    (-8.75, 1.5, None),
+    (-2.0, 0.0, None),
+    (-0.75, 8.0, None),
+    (-16.25, 0.0, (-20.25, 20.25, -0.01, 2.0)),  # the CI axis strip
+], ids=["default-4.75", "default-8.75", "bessel-default", "eta-8-default", "axis-strip"])
+def test_the_half_count_is_the_count_over_the_box(monkeypatch, L, eta, bounds):
+    # phi(conj z) = conj phi(z): the box's lower half turns the phase as much as its
+    # upper half, so the finder's phase change over pi along the upper half is the
+    # whole box's count, and it values no contour point below the real axis
+    import czeta.numeric
+
+    region = _default_contour(L) if bounds is None else Rect(*bounds)
+    box = Rect(region.re_min, region.re_max, -region.im_max, region.im_max)
+    assert region.box() == box
+    over_box = count_zeros_region(L, eta, box)
+    plain_winding, plain_sum, plain_step = czeta.numeric._winding, _Evaluator._sum, _Evaluator.step
+    wound, summed, stepped, inside = [], [], [], []
+
+    def spy_winding(ev, rect, given=None):
+        inside.append(ev)
+        count = plain_winding(ev, rect, given)
+        inside.pop()
+        wound.append((rect, given, count))
+        return count
+
+    def spy_sum(self, rho, tol, want_derivative):
+        if inside:
+            summed.append(rho)
+        return plain_sum(self, rho, tol, want_derivative)
+
+    def spy_step(self, z, f, df, to):
+        if inside:
+            stepped.append(to)
+        return plain_step(self, z, f, df, to)
+
+    monkeypatch.setattr(czeta.numeric, "_winding", spy_winding)
+    monkeypatch.setattr(_Evaluator, "_sum", spy_sum)
+    monkeypatch.setattr(_Evaluator, "step", spy_step)
+    report = find_complex_zeros(L, eta, bounds)
+    assert wound == [(region, box, over_box)]
+    assert over_box == report.counts["real"] + 2 * report.counts["complex_pairs"]
+    # only the reach check, on the rectangle's corners, sums below the axis
+    ev = _Evaluator(L, eta, 1e-12)
+    checked = [c for c in region.corners()[:4]
+               if _floor_refusal(c, 0j, ev.floor_bound(c), 1e-12) is not None]
+    assert summed[:len(checked)] == checked
+    assert stepped and min(z.imag for z in summed[len(checked):] + stepped) >= 0
+
+
+def _missing(plain, missed):
+    """`_newton` that gives up every start whose limit is the zero missed."""
+    def newton(ev, z0):
+        z = plain(ev, z0)
+        return None if z is not None and abs(z - missed) <= 1e-9 * (1 + abs(z)) else z
+    return newton
+
+
+@pytest.mark.parametrize("kind,reached", [("real", 12), ("pair", 11)])
+def test_a_half_count_refuses_a_missed_real_zero_or_pair(monkeypatch, kind, reached):
+    # (-4.75, 1.5) has 5 real zeros and 4 pairs in its default box: a half count of
+    # 13.  Missing a real zero leaves 12, and missing the upper member of a pair, the
+    # only one in the strip, leaves 11: the matrix grows twice and the finder raises
+    import czeta.numeric
+
+    report = find_complex_zeros(-4.75, 1.5)
+    assert report.counts == {"real": 5, "complex_pairs": 4, "imaginary_pairs": 0}
+    missed = next(z for z in report.zeros if (abs(z.imag) <= 1e-7) == (kind == "real"))
+    monkeypatch.setattr(czeta.numeric, "_newton", _missing(czeta.numeric._newton, missed))
+    box = re.escape(repr(Rect(-14, 14, -14, 14)))
+    with pytest.raises(NoConvergence,
+                       match=rf"^Newton reached {reached} distinct zeros .* over {box} is 13$"):
+        find_complex_zeros(-4.75, 1.5)
+
+
+@pytest.mark.parametrize("limits,total,zeros", [
+    ((1 + 0.005j, 1 - 0.005j), 2, (1 + 0.005j,)),  # both members: one pair
+    ((1 + 0.005j,), 2, (1 + 0.005j,)),  # one member stands for the pair
+    ((1 + 0.005j, 1 - 0.005j), 3, None),  # the pair weighs 2, not 3
+], ids=["both-members", "one-member", "short"])
+def test_a_pair_inside_the_strip_counts_once_with_weight_two(monkeypatch, limits, total, zeros):
+    # a pair at Im = +-0.005 lies wholly inside the default strip, whose lower edge is
+    # at -0.01: both members fold to one pair, which a half count holds twice
+    import czeta.numeric
+
+    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region, box=None: total)
+    scripted = itertools.cycle(limits)
+    monkeypatch.setattr(czeta.numeric, "_newton", lambda ev, z0: next(scripted))
+    if zeros is None:
+        with pytest.raises(NoConvergence, match=r"^Newton reached 2 distinct zeros .* is 3$"):
+            find_complex_zeros(-4.75, 1.5)
+        return
+    report = find_complex_zeros(-4.75, 1.5)
+    assert report.zeros == zeros
+    assert report.counts == {"real": 0, "complex_pairs": 1, "imaginary_pairs": 0}
+
+
+def _windings(monkeypatch) -> list:
+    """Record each (rectangle, box, count or error) the finder winds."""
+    import czeta.numeric
+
+    plain, wound = czeta.numeric._winding, []
+
+    def winding(ev, region, box=None):
+        try:
+            count = plain(ev, region, box)
+        except ContourTooClose as exc:
+            wound.append((region, box, exc))
+            raise
+        wound.append((region, box, count))
+        return count
+
+    monkeypatch.setattr(czeta.numeric, "_winding", winding)
+    return wound
+
+
+def test_a_rectangle_deeper_below_the_axis_winds_its_box(monkeypatch):
+    # [-6, 6] x [-3, 1] at (-4.75, 1.5) winds the upper half of [-6, 6] x [-3, 3]:
+    # three pairs' upper members lie above 1, so Newton finds their lower members, and
+    # the report lists their conjugates: the default region's zeros in the box
+    wound = _windings(monkeypatch)
+    region = Rect(-6, 6, -3, 1)
+    report = find_complex_zeros(-4.75, 1.5, region)
+    assert wound == [(region, Rect(-6, 6, -3, 3), 9)]
+    assert report.region == region
+    assert report.counts == {"real": 1, "complex_pairs": 4, "imaginary_pairs": 0}
+    assert sum(z.imag > 1 for z in report.zeros) == 3
+    default = [z for z in find_complex_zeros(-4.75, 1.5).zeros if abs(z.real) <= 6 and z.imag <= 3]
+    assert len(default) == len(report.zeros)
+    assert all(abs(z - w) <= 1e-9 * (1 + abs(z)) for z, w in zip(default, report.zeros))
+
+
+def test_a_lower_edge_on_the_axis_winds_the_whole_rectangle_then_the_nudged_box(monkeypatch):
+    # [0, 15] x [0, 15] at (-0.25, -3) does not cross the axis: the whole boundary is
+    # wound, and its real zero 0.4035 on the lower edge refuses it; the nudged copy
+    # crosses the axis and winds its box's upper half, counting the 8 real zeros
+    wound = _windings(monkeypatch)
+    region = Rect(0, 15, 0, 15)
+    nudged = region.expand(1.3e-3)
+    report = find_complex_zeros(-0.25, -3.0, region)
+    assert [(r, box) for r, box, _ in wound] == [(region, None), (nudged, nudged.box())]
+    assert isinstance(wound[0][2], ContourTooClose) and wound[1][2] == 8
+    assert nudged.box() == Rect(nudged.re_min, nudged.re_max, -nudged.im_max, nudged.im_max)
+    assert report.region == nudged and report.stats["nudge_retries"] == 1
+    assert report.counts == {"real": 8, "complex_pairs": 0, "imaginary_pairs": 0}
+    assert abs(report.zeros[0] - 0.4035417425791821) <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12, 1e-14])
@@ -1203,7 +1356,7 @@ def test_seed_count_mismatch_grows_the_matrix_twice_then_raises(monkeypatch):
 
     sizes = []
     real_jacobi = czeta.numeric._jacobi
-    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region: 3)
+    monkeypatch.setattr(czeta.numeric, "_winding", lambda ev, region, box=None: 3)
     monkeypatch.setattr(czeta.numeric, "_jacobi",
                         lambda L, eta, size: sizes.append(size) or real_jacobi(L, eta, size))
     with pytest.raises(NoConvergence, match=r"^Newton reached 2 distinct zeros .* is 3$"):
@@ -1345,7 +1498,7 @@ def _scripted_winding(monkeypatch, script):
 
     asked = []
 
-    def winding(ev, region):
+    def winding(ev, region, box=None):
         asked.append((region, ev))
         return script(len(asked) - 1, region)
 
